@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -26,12 +27,10 @@ from .core import (
     partition_by_class,
 )
 from .errors import DegenerateDataError
-from .spatial import NnIndex, _flatten_index_lists, estimate_normals, grid_origin, voxelize
+from .spatial import NnIndex, cylinder_means, estimate_normals, grid_origin, voxelize
 
 C2C_MODES = ("directed-max", "directed-mean", "symmetric-max")
 EQ3_WEIGHT_MODES = ("as-given", "renormalized")
-
-_CANDIDATE_BUDGET = 2_000_000  # cylinder candidate rows per vectorized M3C2 pass
 
 
 @dataclass(frozen=True)
@@ -45,7 +44,10 @@ class M3c2Params:
 
     def __post_init__(self):
         for name in ("normal_scale", "projection_radius", "max_depth"):
-            if getattr(self, name) <= 0:
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"m3c2.{name}_m must be finite, got {value!r}")
+            if value <= 0:
                 raise ValueError(f"m3c2 {name} must be positive")
 
 
@@ -71,6 +73,17 @@ class MetricParams:
     validation: str = "strict"
 
     def __post_init__(self):
+        numbers = {
+            "lambda1": self.lambda1,
+            "lambda2": self.lambda2,
+            "lambda3": self.lambda3,
+            "alpha": self.alpha,
+            "epsilon": self.epsilon,
+            "voxel_size_m": self.voxel_edge,
+        }
+        for key, value in numbers.items():
+            if not math.isfinite(value):
+                raise ValueError(f"{key} must be finite, got {value!r}")
         if self.validation not in ("strict", "relaxed"):
             raise ValueError(f"validation must be strict or relaxed, got {self.validation!r}")
         lams = (self.lambda1, self.lambda2, self.lambda3)
@@ -171,42 +184,55 @@ class M3c2ClassResult:
     outliers: int
 
 
-def _cylinder_means(
-    index: NnIndex,
-    cores: np.ndarray,
-    normals: np.ndarray,
-    radius: float,
-    half_depth: float,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Mean position of indexed points inside each core's search cylinder."""
-    n = cores.shape[0]
-    means = np.zeros((n, 3))
-    counts = np.zeros(n, dtype=np.int64)
-    reach = float(np.hypot(radius, half_depth)) * (1.0 + 1e-12)
-    lists = index.within_radius_many(cores, reach)
-    cand_counts = np.array([len(l) for l in lists], dtype=np.int64)
-    nz = np.flatnonzero(cand_counts > 0)
-    if nz.size == 0:
-        return means, counts
-    flat = _flatten_index_lists(lists, nz, int(cand_counts[nz].sum()))
-    seg_counts = cand_counts[nz]
-    starts = np.concatenate(([0], np.cumsum(seg_counts)[:-1]))
-    seg_ids = np.repeat(np.arange(nz.size), seg_counts)
+class _RealSide:
+    """The real half of one class's M3C2: the normal and real cylinder mean
+    at every core. Computed on first use and then kept, so a series of
+    synthetic clouds (the offsets of a series) pays for it once."""
 
-    pts = index.points[flat]
-    rel = pts - cores[nz][seg_ids]
-    axial = np.einsum("ij,ij->i", rel, normals[nz][seg_ids])
-    radial2 = np.maximum(np.einsum("ij,ij->i", rel, rel) - axial**2, 0.0)
-    keep = (np.abs(axial) <= half_depth) & (radial2 <= radius * radius)
+    def __init__(self, real_cls: LabeledPointCloud, params: M3c2Params):
+        self.cloud = real_cls
+        self.params = params
 
-    w = keep.astype(np.float64)
-    sums = np.add.reduceat(pts * w[:, None], starts, axis=0)
-    hits = np.add.reduceat(w, starts).astype(np.int64)
-    with np.errstate(invalid="ignore"):
-        seg_means = sums / np.maximum(hits, 1)[:, None]
-    means[nz] = seg_means
-    counts[nz] = hits
-    return means, counts
+    @cached_property
+    def _cores(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Core positions with a valid normal, their normals and real means.
+        Cores with a degenerate normal are outliers and are gathered no
+        further; every other core lies in its own real cylinder."""
+        p = self.params
+        xyz = self.cloud.xyz
+        index = NnIndex(xyz)
+        normals, valid = estimate_normals(index, xyz, p.normal_scale)
+        cores, normals = xyz[valid], normals[valid]
+        mean_r, _ = cylinder_means(index, cores, normals, p.projection_radius, p.max_depth)
+        return cores, normals, mean_r
+
+    def against(self, synth_cls: LabeledPointCloud) -> M3c2ClassResult:
+        n_cores = len(self.cloud)
+        if n_cores == 0:
+            return M3c2ClassResult(None, 0, 0)
+        if len(synth_cls) == 0:
+            return M3c2ClassResult(None, 0, n_cores)
+        cores, normals, mean_r = self._cores
+        p = self.params
+        mean_s, count_s = cylinder_means(
+            NnIndex(synth_cls.xyz), cores, normals, p.projection_radius, p.max_depth
+        )
+        hit = count_s > 0
+        signed = np.einsum("ij,ij->i", mean_s[hit] - mean_r[hit], normals[hit])
+        n_in = signed.shape[0]
+        if n_in == 0:
+            return M3c2ClassResult(None, 0, n_cores)
+        return M3c2ClassResult(float(np.median(signed)), n_in, n_cores - n_in)
+
+
+class _RealSides(dict):
+    """Prepared :class:`_RealSide` of every positively weighted class."""
+
+    def __init__(self, real: LabeledPointCloud, weights: ClassWeights, params: M3c2Params):
+        parts = partition_by_class(real)
+        super().__init__(
+            (cls, _RealSide(parts[cls], params)) for cls in SemanticClass if weights.get(cls) > 0
+        )
 
 
 def m3c2_class_distance(
@@ -222,50 +248,12 @@ def m3c2_class_distance(
     real and synthetic mean positions inside that cylinder. Cores with a
     degenerate normal or an empty cylinder on either side are outliers and
     are ignored; the result is the median over inlier signed distances.
+
+    ``real_cls`` may also be a prepared real side (then ``params`` is the
+    one it was prepared with), which an offset series reuses.
     """
-    n_cores = len(real_cls)
-    if n_cores == 0:
-        return M3c2ClassResult(None, 0, 0)
-    if len(synth_cls) == 0:
-        return M3c2ClassResult(None, 0, n_cores)
-
-    index_r = NnIndex(real_cls.xyz)
-    index_s = NnIndex(synth_cls.xyz)
-    signed = np.zeros(n_cores)
-    inlier = np.zeros(n_cores, dtype=bool)
-
-    # chunk on candidate counts, not core counts, so dense clouds stay in memory
-    reach = float(np.hypot(params.projection_radius, params.max_depth)) * (1.0 + 1e-12)
-    load = (
-        index_r.count_within_radius_many(real_cls.xyz, reach)
-        + index_s.count_within_radius_many(real_cls.xyz, reach)
-        + index_r.count_within_radius_many(real_cls.xyz, params.normal_scale)
-        + 1
-    )
-    groups = np.cumsum(load) // _CANDIDATE_BUDGET
-    boundaries = np.flatnonzero(np.diff(groups)) + 1
-    edges = np.concatenate(([0], boundaries, [n_cores]))
-
-    for start, stop in zip(edges[:-1], edges[1:]):
-        if start == stop:
-            continue
-        cores = real_cls.xyz[start:stop]
-        normals, valid = estimate_normals(index_r, cores, params.normal_scale)
-        mean_r, count_r = _cylinder_means(
-            index_r, cores, normals, params.projection_radius, params.max_depth
-        )
-        mean_s, count_s = _cylinder_means(
-            index_s, cores, normals, params.projection_radius, params.max_depth
-        )
-        ok = valid & (count_r > 0) & (count_s > 0)
-        sep = np.einsum("ij,ij->i", mean_s - mean_r, normals)
-        signed[start:stop] = np.where(ok, sep, 0.0)
-        inlier[start:stop] = ok
-
-    n_in = int(inlier.sum())
-    if n_in == 0:
-        return M3c2ClassResult(None, 0, n_cores)
-    return M3c2ClassResult(float(np.median(signed[inlier])), n_in, n_cores - n_in)
+    side = real_cls if isinstance(real_cls, _RealSide) else _RealSide(real_cls, params)
+    return side.against(synth_cls)
 
 
 def aggregate_mm3c2(
@@ -297,13 +285,18 @@ def compute_m3c2_per_class(
     weights: ClassWeights,
     params: M3c2Params,
 ) -> dict[SemanticClass, M3c2ClassResult]:
-    """Class-wise results for every positively weighted class."""
-    parts_r = partition_by_class(real)
+    """Class-wise results for every positively weighted class.
+
+    ``real`` may also be the prepared real sides of an earlier call (then
+    ``weights`` and ``params`` are the ones they were prepared with), which
+    an offset series reuses.
+    """
+    sides = real if isinstance(real, _RealSides) else _RealSides(real, weights, params)
     parts_s = partition_by_class(synth)
     out: dict[SemanticClass, M3c2ClassResult] = {}
     for cls in SemanticClass:
-        if weights.get(cls) > 0:
-            out[cls] = m3c2_class_distance(parts_r[cls], parts_s[cls], params)
+        if cls in sides:
+            out[cls] = m3c2_class_distance(sides[cls], parts_s[cls], params)
         else:
             out[cls] = M3c2ClassResult(None, 0, 0)
     return out
@@ -427,18 +420,14 @@ class GapReport:
         }
 
 
-def dogss_pcl(
-    real: LabeledPointCloud,
-    synth: LabeledPointCloud,
-    params: MetricParams | None = None,
+def _gap_report(
+    real: LabeledPointCloud, synth: LabeledPointCloud, sides: _RealSides, params: MetricParams
 ) -> GapReport:
-    """Full deterministic comparison of a synthetic cloud against its real twin."""
-    params = params or MetricParams()
     if len(real) == 0 or len(synth) == 0:
         raise ValueError("gap comparison requires two non-empty clouds")
 
     d_c2c = c2c_distance(real, synth, params.c2c_mode)
-    m3c2_results = compute_m3c2_per_class(real, synth, params.weights, params.m3c2)
+    m3c2_results = compute_m3c2_per_class(sides, synth, params.weights, params.m3c2)
     d_mm3c2 = aggregate_mm3c2(m3c2_results, params.weights)
     iou = voxel_miou(real, synth, params.voxel_edge, params.weights)
     d, f_miou, m = compose_score(d_mm3c2, d_c2c, iou.miou, params)
@@ -464,6 +453,16 @@ def dogss_pcl(
     )
 
 
+def dogss_pcl(
+    real: LabeledPointCloud,
+    synth: LabeledPointCloud,
+    params: MetricParams | None = None,
+) -> GapReport:
+    """Full deterministic comparison of a synthetic cloud against its real twin."""
+    params = params or MetricParams()
+    return _gap_report(real, synth, _RealSides(real, params.weights, params.m3c2), params)
+
+
 def offset_sensitivity(
     real: LabeledPointCloud,
     synth: LabeledPointCloud,
@@ -471,12 +470,15 @@ def offset_sensitivity(
     params: MetricParams | None = None,
 ) -> list[GapReport]:
     """Apply each rigid translation to the synthetic cloud and re-run the
-    comparison; the applied offset is recorded in each report."""
+    comparison; the applied offset is recorded in each report. The real
+    side of M3C2 is computed once for the whole series; each report equals
+    :func:`dogss_pcl` on the translated cloud."""
     params = params or MetricParams()
+    sides = _RealSides(real, params.weights, params.m3c2)
     reports = []
     for vec in offsets:
         v = np.asarray(vec, dtype=np.float64).reshape(3)
-        report = dogss_pcl(real, synth.translate(v), params)
+        report = _gap_report(real, synth.translate(v), sides, params)
         reports.append(replace(report, offset=tuple(float(x) for x in v)))
     return reports
 

@@ -8,6 +8,7 @@ are pure, so they are safe to share across threads.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -17,6 +18,9 @@ from scipy.spatial import cKDTree
 MIN_RAY_T = 1e-6  # meters; avoids self-intersection at the emitter origin
 _PARALLEL_EPS = 1e-12
 _RANK_RATIO = 1e-12
+_CANDIDATE_BUDGET = 1_000_000  # (query, point) candidate rows held by one gather pass
+_BOUND_BLOCK = 65_536  # items whose pair bounds are computed at once
+_MAX_SLABS = 9
 
 
 class NnIndex:
@@ -55,14 +59,13 @@ class NnIndex:
         d, _ = self._tree.query(np.asarray(points, dtype=np.float64), workers=-1)
         return np.atleast_1d(d)
 
-    def within_radius(self, point, radius: float) -> np.ndarray:
-        idx = self._tree.query_ball_point(np.asarray(point, dtype=np.float64).reshape(3), radius)
-        return np.sort(np.asarray(idx, dtype=np.int64))
-
-    def within_radius_many(self, points: np.ndarray, radius: float) -> list:
-        return self._tree.query_ball_point(
-            np.asarray(points, dtype=np.float64), radius, workers=-1
-        )
+    def within_radius_many(self, points: np.ndarray, radius: float) -> tuple[np.ndarray, np.ndarray]:
+        """Every (query row, point index) pair with distance <= radius, as two
+        flat int64 arrays in an unspecified but deterministic order."""
+        # a median split is slower to build and no faster to join here
+        queries = cKDTree(np.asarray(points, dtype=np.float64).reshape(-1, 3), balanced_tree=False)
+        pairs = queries.sparse_distance_matrix(self._tree, radius, output_type="ndarray")
+        return pairs["i"].astype(np.int64), pairs["j"].astype(np.int64)
 
     def count_within_radius_many(self, points: np.ndarray, radius: float) -> np.ndarray:
         return np.atleast_1d(
@@ -103,15 +106,134 @@ def build_index(cloud) -> NnIndex:
 
 
 # ---------------------------------------------------------------------------
-# normal estimation
+# blocked pair gathers: radius neighborhoods and finite cylinders
 # ---------------------------------------------------------------------------
 
 
-def _flatten_index_lists(lists, take: np.ndarray, total: int) -> np.ndarray:
-    """Concatenate selected index lists without allocating one array per list."""
-    from itertools import chain
+def _ball_count_bound(points: np.ndarray, radius: float):
+    """Return ``bound(centers)``: an upper bound on the number of points
+    within ``radius`` of each center, without a tree query.
 
-    return np.fromiter(chain.from_iterable(lists[i] for i in take), dtype=np.int64, count=total)
+    Points are counted per cell of a dense grid whose cells are at least as
+    wide as a ball, so each ball's bounding box meets at most 2 x 2 x 2
+    cells; a ball holds at most the points of those cells. Cells widen as
+    needed to keep the grid within a few cells per point.
+    """
+    lo, hi = points.min(axis=0), points.max(axis=0)
+    edge = 2.0 * radius * (1.0 + 1e-6)
+    while True:
+        # an empty outer layer on every side takes the balls beyond the points
+        origin = lo - edge
+        shape = tuple(int(k) + 2 for k in (hi - origin) // edge)
+        if math.prod(shape) <= 8 * points.shape[0] + 4096:
+            break
+        edge *= 2.0
+    last = np.array(shape) - 1
+
+    def cells(xyz):
+        return np.floor((xyz - origin) / edge).astype(np.int64)
+
+    counts = np.bincount(np.ravel_multi_index(cells(points).T, shape), minlength=math.prod(shape))
+
+    def bound(centers: np.ndarray) -> np.ndarray:
+        base = cells(centers - radius * (1.0 + 1e-7))
+        total = np.zeros(centers.shape[0], dtype=np.int64)
+        for step in ((0, 0, 0), (0, 0, 1), (0, 1, 0), (0, 1, 1),
+                     (1, 0, 0), (1, 0, 1), (1, 1, 0), (1, 1, 1)):
+            total += counts[np.ravel_multi_index(np.clip(base + step, 0, last).T, shape)]
+        return total
+
+    return bound
+
+
+def _pair_blocks(index: NnIndex, n: int, queries_of, radius: float):
+    """Yield ``(lo, hi, query, point)`` over contiguous blocks ``[lo, hi)``
+    of ``n`` items. ``queries_of(lo, hi)`` stacks the block's query balls
+    as ``k`` runs of ``hi - lo`` rows, one ball per item in each run;
+    ``query`` indexes those rows.
+
+    Blocks are cut so that each provably holds at most ``_CANDIDATE_BUDGET``
+    pairs by :func:`_ball_count_bound`; an item over the budget on its own
+    is gathered alone.
+    """
+    bound = _ball_count_bound(index.points, radius)
+    load = np.empty(n, dtype=np.int64)
+    for lo in range(0, n, _BOUND_BLOCK):
+        hi = min(lo + _BOUND_BLOCK, n)
+        load[lo:hi] = bound(queries_of(lo, hi)).reshape(-1, hi - lo).sum(axis=0)
+    ends = np.cumsum(load)
+    lo = 0
+    while lo < n:
+        held_before = int(ends[lo - 1]) if lo else 0
+        hi = max(int(np.searchsorted(ends, held_before + _CANDIDATE_BUDGET, side="right")), lo + 1)
+        yield lo, hi, *index.within_radius_many(queries_of(lo, hi), radius)
+        lo = hi
+
+
+def _slab_count(radius: float, half_depth: float) -> int:
+    """Number of balls stacked along a cylinder's axis: the smallest odd
+    integer >= half_depth / radius, capped at ``_MAX_SLABS``. Odd keeps one
+    ball centered on the cylinder's center; 1 is the circumscribed ball."""
+    k = min(math.ceil(half_depth / radius), _MAX_SLABS)
+    return k + 1 - k % 2
+
+
+def cylinder_pairs(index: NnIndex, centers: np.ndarray, axes: np.ndarray,
+                   radius: float, half_depth: float):
+    """Indexed points inside each of many finite cylinders, block by block.
+
+    Cylinder ``i`` is centered at ``centers[i]`` along the unit axis
+    ``axes[i]``; membership is the inclusive test of
+    :meth:`NnIndex.within_cylinder`. Yields ``(lo, hi, row, point)`` with
+    ``row`` counted from ``lo``; each member pair appears exactly once.
+
+    The axis span ``[-half_depth, half_depth]`` is cut into K equal slabs
+    (see :func:`_slab_count`), each covered by one query ball on the axis
+    that just encloses the slab's piece of the cylinder. A candidate counts
+    only in the slab its axial coordinate falls in, so no pair repeats, and
+    far fewer candidates are gathered than with the one circumscribed ball.
+    """
+    centers = np.asarray(centers, dtype=np.float64).reshape(-1, 3)
+    axes = np.asarray(axes, dtype=np.float64).reshape(-1, 3)
+    k = _slab_count(radius, half_depth)
+    thick = 2.0 * half_depth / k
+    offsets = (np.arange(k) - (k - 1) / 2) * thick
+    # slack for rounding in the ball centers, which matters at large coordinates
+    slack = 4.0 * np.spacing(float(np.abs(centers).max(initial=0.0)))
+    reach = float(np.hypot(radius, thick / 2)) * (1.0 + 1e-9) + slack
+
+    def balls(lo, hi):
+        return (centers[lo:hi] + offsets[:, None, None] * axes[lo:hi]).reshape(-1, 3)
+
+    for lo, hi, q, p in _pair_blocks(index, centers.shape[0], balls, reach):
+        slab, row = np.divmod(q, hi - lo)
+        core = lo + row
+        rel = index.points[p] - centers[core]
+        axial = np.einsum("ij,ij->i", rel, axes[core])
+        radial2 = np.maximum(np.einsum("ij,ij->i", rel, rel) - axial**2, 0.0)
+        home = np.clip(np.floor((axial + half_depth) / thick), 0, k - 1)
+        keep = (home == slab) & (np.abs(axial) <= half_depth) & (radial2 <= radius * radius)
+        yield lo, hi, row[keep], p[keep]
+
+
+def cylinder_means(index: NnIndex, centers: np.ndarray, axes: np.ndarray,
+                   radius: float, half_depth: float) -> tuple[np.ndarray, np.ndarray]:
+    """Mean position and count of the indexed points in each cylinder of
+    :func:`cylinder_pairs`; the mean of an empty cylinder is zero."""
+    n = len(centers)
+    sums = np.zeros((n, 3))
+    counts = np.zeros(n, dtype=np.int64)
+    for lo, hi, row, p in cylinder_pairs(index, centers, axes, radius, half_depth):
+        pts = index.points[p]
+        counts[lo:hi] = np.bincount(row, minlength=hi - lo)
+        for d in range(3):
+            sums[lo:hi, d] = np.bincount(row, pts[:, d], hi - lo)
+    return sums / np.maximum(counts, 1)[:, None], counts
+
+
+# ---------------------------------------------------------------------------
+# normal estimation
+# ---------------------------------------------------------------------------
 
 
 def _orient_normals(normals: np.ndarray) -> np.ndarray:
@@ -131,39 +253,29 @@ def estimate_normals(index: NnIndex, at: np.ndarray, scale: float) -> tuple[np.n
     Returns ``(normals, valid)``; rows with a degenerate neighborhood
     (fewer than 3 points, or covariance rank < 2) are invalid.
 
-    Queries are processed in one vectorized pass; memory stays bounded by
-    chunking at the caller where neighbor counts are large.
+    Queries are processed in vectorized blocks of at most
+    ``_CANDIDATE_BUDGET`` neighbor pairs.
     """
     at = np.asarray(at, dtype=np.float64).reshape(-1, 3)
-    n_query = at.shape[0]
-    normals = np.zeros((n_query, 3))
-    valid = np.zeros(n_query, dtype=bool)
-    neighbor_lists = index.within_radius_many(at, scale)
-    counts = np.array([len(nb) for nb in neighbor_lists], dtype=np.int64)
-    usable = np.flatnonzero(counts >= 3)
-    if usable.size == 0:
-        return normals, valid
-
-    flat = _flatten_index_lists(neighbor_lists, usable, int(counts[usable].sum()))
-    seg_counts = counts[usable]
-    starts = np.concatenate(([0], np.cumsum(seg_counts)[:-1]))
-    seg_ids = np.repeat(np.arange(usable.size), seg_counts)
-
-    pts = index.points[flat]
-    sums = np.add.reduceat(pts, starts, axis=0)
-    means = sums / seg_counts[:, None]
-    centered = pts - means[seg_ids]
-    outer = centered[:, :, None] * centered[:, None, :]
-    cov = np.add.reduceat(outer.reshape(-1, 9), starts, axis=0).reshape(-1, 3, 3)
-    cov /= seg_counts[:, None, None]
-
-    eigvals, eigvecs = np.linalg.eigh(cov)
-    rank_ok = eigvals[:, 1] > _RANK_RATIO * eigvals[:, 2]
-    cand = _orient_normals(eigvecs[:, :, 0])
-
-    ok_rows = usable[rank_ok]
-    normals[ok_rows] = cand[rank_ok]
-    valid[ok_rows] = True
+    normals = np.zeros((at.shape[0], 3))
+    valid = np.zeros(at.shape[0], dtype=bool)
+    for lo, hi, q, p in _pair_blocks(index, at.shape[0], lambda lo, hi: at[lo:hi], scale):
+        m = hi - lo
+        counts = np.bincount(q, minlength=m)
+        pts = index.points[p]
+        sums = np.column_stack([np.bincount(q, pts[:, d], m) for d in range(3)])
+        means = sums / np.maximum(counts, 1)[:, None]
+        centered = pts - means[q]
+        cov = np.empty((m, 3, 3))
+        for a, b in ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2)):
+            cov[:, a, b] = cov[:, b, a] = np.bincount(q, centered[:, a] * centered[:, b], m)
+        usable = np.flatnonzero(counts >= 3)
+        cov = cov[usable] / counts[usable, None, None]
+        eigvals, eigvecs = np.linalg.eigh(cov)
+        rank_ok = eigvals[:, 1] > _RANK_RATIO * eigvals[:, 2]
+        rows = lo + usable[rank_ok]
+        normals[rows] = _orient_normals(eigvecs[rank_ok, :, 0])
+        valid[rows] = True
     return normals, valid
 
 
@@ -389,18 +501,21 @@ class Bvh:
             inv_dir = 1.0 / direction
         best_t, best_id = np.inf, -1
         stack = [0]
-        while stack:
-            node = stack.pop()
-            entry = self._slab_entry(node, origin, inv_dir)
-            if entry > best_t or entry == np.inf:
-                continue
-            if self._count[node] > 0:
-                t, tid = self._leaf_best(node, origin, direction)
-                if t < best_t or (t == best_t and -1 < tid < best_id):
-                    best_t, best_id = t, tid
-                continue
-            stack.append(int(self._left[node]))
-            stack.append(int(self._right[node]))
+        # a zero direction component starting on a box face gives 0 * inf = nan
+        # in the slab test, which nanmax/nanmin skip
+        with np.errstate(invalid="ignore"):
+            while stack:
+                node = stack.pop()
+                entry = self._slab_entry(node, origin, inv_dir)
+                if entry > best_t or entry == np.inf:
+                    continue
+                if self._count[node] > 0:
+                    t, tid = self._leaf_best(node, origin, direction)
+                    if t < best_t or (t == best_t and -1 < tid < best_id):
+                        best_t, best_id = t, tid
+                    continue
+                stack.append(int(self._left[node]))
+                stack.append(int(self._right[node]))
         if best_id < 0:
             return None
         point = origin + best_t * direction

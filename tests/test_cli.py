@@ -71,6 +71,30 @@ class TestCompare:
         ])
         assert code == EXIT_CONFIG
 
+    @pytest.mark.parametrize(
+        "config,key",
+        [
+            ('{"alpha": NaN}', "alpha"),
+            ('{"m3c2": {"max_depth_m": NaN}}', "max_depth"),
+            ('{"m3c2": {"projection_radius_m": Infinity}}', "projection_radius"),
+            ('{"voxel_size_m": Infinity}', "voxel_size_m"),
+        ],
+        ids=["alpha-nan", "max-depth-nan", "projection-radius-inf", "voxel-size-inf"],
+    )
+    def test_non_finite_config_exit_2(self, tmp_path, scene_files, capsys, config, key):
+        real_path, synth_path, *_ = scene_files
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(config)
+        out = tmp_path / "r.json"
+        code = main([
+            "compare", "--real", str(real_path), "--synthetic", str(synth_path),
+            "--config", str(cfg), "--out", str(out),
+        ])
+        assert code == EXIT_CONFIG
+        assert key in json.loads(capsys.readouterr().err.strip())["error"]
+        assert not out.exists()
+        assert not (tmp_path / "r.json.manifest.json").exists()
+
     def test_degenerate_exit_4(self, tmp_path, capsys):
         # Vehicle-only clouds carry no weighted semantic content
         cloud = LabeledPointCloud(np.random.default_rng(0).normal(size=(50, 3)), np.full(50, 4))

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from pcgap.core import ClassWeights, LabeledPointCloud, SemanticClass
+from pcgap.core import ClassWeights, LabeledPointCloud, SemanticClass, partition_by_class
 from pcgap.errors import DegenerateDataError
 from pcgap.metric import (
     DIAGONAL_DIRECTION,
@@ -22,6 +22,7 @@ from pcgap.metric import (
     scalar_offsets_to_vectors,
     voxel_miou,
 )
+from pcgap.spatial import NnIndex
 
 from conftest import build_street_scene
 
@@ -347,6 +348,30 @@ class TestOffsetSensitivity:
         plain = dogss_pcl(real, synth)
         [series] = offset_sensitivity(real, synth, [(0.0, 0.0, 0.0)])
         assert series.to_json_dict() == plain.to_json_dict()
+
+    def test_series_builds_real_side_once(self, monkeypatch):
+        real = build_street_scene(48, scale=0.04)
+        synth = build_street_scene(49, scale=0.04)
+        shift = scalar_offsets_to_vectors([0.2])[0]
+        first, _ = offset_sensitivity(real, synth, [(0.0, 0.0, 0.0), shift])
+        assert first.to_json_dict() == dogss_pcl(real, synth).to_json_dict()
+
+        real_parts = [part.xyz for part in partition_by_class(real).values() if len(part)]
+        real_builds = []
+        init = NnIndex.__init__
+
+        def spy(self, xyz):
+            real_builds.append(any(np.array_equal(xyz, part) for part in real_parts))
+            init(self, xyz)
+
+        monkeypatch.setattr(NnIndex, "__init__", spy)
+        counts = []
+        for n_offsets in (1, 2, 4):
+            real_builds.clear()
+            offset_sensitivity(real, synth, [shift] * n_offsets)
+            counts.append(sum(real_builds))
+        assert counts[0] > 0
+        assert counts == [counts[0]] * 3
 
     def test_two_voxel_shift_zeroes_miou(self):
         # slab scene: every class sits in a fixed z layer; shifting by two

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -211,6 +213,19 @@ class TestBvh:
         assert hit.t == 10.0
         assert hit.class_id == 6
         assert np.allclose(hit.point, [0, 0, 10])
+
+    def test_grid_aligned_ray_from_box_face_warns_nothing(self):
+        # x direction 0 from x = 0 on the box face: the slab test meets 0 * inf
+        mesh = ClassedMesh(
+            np.array([[0.0, 0, 10], [2.0, 0, 10], [0.0, 2, 10]]),
+            np.array([[0, 1, 2]]),
+            np.array([6], dtype=np.uint8),
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            hit = Bvh(mesh).raycast((0.0, 0.5, 0.0), (0.0, 0.0, 1.0))
+        assert hit.t == 10.0
+        assert hit.triangle == 0
 
     def test_parallel_ray_misses(self):
         mesh = ClassedMesh(
