@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 from dataclasses import dataclass
 from enum import IntEnum
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
@@ -363,8 +364,8 @@ class ClassWeights:
         for cls, w in self.weights.items():
             cls = SemanticClass(cls)
             w = float(w)
-            if w < 0:
-                raise ValueError(f"negative weight for {cls.canonical_name}: {w}")
+            if not (math.isfinite(w) and w >= 0):
+                raise ValueError(f"weight for {cls.canonical_name} must be finite and non-negative: {w}")
             cleaned[cls] = w
         total = sum(cleaned.values())
         if abs(total - 1.0) > WEIGHT_SUM_TOL:

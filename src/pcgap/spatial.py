@@ -9,6 +9,7 @@ are pure, so they are safe to share across threads.
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -361,26 +362,30 @@ class RayHit:
     point: np.ndarray
 
 
-def ray_triangles(origin: np.ndarray, direction: np.ndarray,
-                  v0: np.ndarray, v1: np.ndarray, v2: np.ndarray) -> np.ndarray:
-    """Moller-Trumbore distances from rays to triangles (inf = miss).
+def _moller_trumbore(o, d, v0, e1, e2) -> np.ndarray:
+    """Moller-Trumbore distances (inf = miss) on component-first inputs.
 
-    Inputs broadcast over leading axes, e.g. one ray against (T, 3) triangles
-    or (R, 1, 3) rays against (T, 3) triangles. Boundary comparisons are
-    inclusive so rays hitting a shared edge register on both triangles; hits
-    closer than MIN_RAY_T are discarded.
+    Each argument is an (x, y, z) triple of arrays, all broadcasting
+    together: ray origins ``o`` and directions ``d``, triangle corners
+    ``v0`` and edges ``e1 = v1 - v0``, ``e2 = v2 - v0``. Every product and
+    sum follows ``np.cross`` and ``.sum(axis=-1)`` term by term, so the
+    result is bit-identical to the row-vector form of the test.
     """
-    e1 = v1 - v0
-    e2 = v2 - v0
-    pvec = np.cross(direction, e2)
-    det = (e1 * pvec).sum(axis=-1)
+    (ox, oy, oz), (dx, dy, dz) = o, d
+    (ax, ay, az), (e1x, e1y, e1z), (e2x, e2y, e2z) = v0, e1, e2
+    px = dy * e2z - dz * e2y
+    py = dz * e2x - dx * e2z
+    pz = dx * e2y - dy * e2x
+    det = e1x * px + e1y * py + e1z * pz
     with np.errstate(divide="ignore", invalid="ignore"):
         inv_det = 1.0 / det
-        tvec = origin - v0
-        u = (tvec * pvec).sum(axis=-1) * inv_det
-        qvec = np.cross(tvec, e1)
-        v = (direction * qvec).sum(axis=-1) * inv_det
-        t = (e2 * qvec).sum(axis=-1) * inv_det
+        tx, ty, tz = ox - ax, oy - ay, oz - az
+        u = (tx * px + ty * py + tz * pz) * inv_det
+        qx = ty * e1z - tz * e1y
+        qy = tz * e1x - tx * e1z
+        qz = tx * e1y - ty * e1x
+        v = (dx * qx + dy * qy + dz * qz) * inv_det
+        t = (e2x * qx + e2y * qy + e2z * qz) * inv_det
         hit = (
             (np.abs(det) > _PARALLEL_EPS)
             & (u >= 0.0)
@@ -391,22 +396,28 @@ def ray_triangles(origin: np.ndarray, direction: np.ndarray,
     return np.where(hit, t, np.inf)
 
 
-def _check_unit(direction: np.ndarray) -> np.ndarray:
-    direction = np.asarray(direction, dtype=np.float64)
-    norms = np.linalg.norm(direction, axis=-1)
-    if not np.all(np.abs(norms - 1.0) <= 1e-9):
-        raise ValueError("ray directions must be unit length")
-    return direction
+def ray_triangles(origin: np.ndarray, direction: np.ndarray,
+                  v0: np.ndarray, v1: np.ndarray, v2: np.ndarray) -> np.ndarray:
+    """Moller-Trumbore distances from rays to triangles (inf = miss).
+
+    Inputs broadcast over leading axes, e.g. one ray against (T, 3) triangles
+    or (R, 1, 3) rays against (T, 3) triangles. Boundary comparisons are
+    inclusive so rays hitting a shared edge register on both triangles; hits
+    closer than MIN_RAY_T are discarded.
+    """
+    v0 = np.asarray(v0, dtype=np.float64)
+    # (..., 3) vectors as (3, ...) stacks of x, y, z arrays
+    return _moller_trumbore(*(np.moveaxis(np.asarray(a, dtype=np.float64), -1, 0)
+                              for a in (origin, direction, v0, v1 - v0, v2 - v0)))
 
 
-_LEAF_SIZE = 8
-_SMALL_MESH_TRIS = 512
+_LEAF_SIZE = 32
 
 
 class Bvh:
     """Median-split bounding-volume hierarchy over a class-tagged triangle soup.
 
-    ``raycast`` returns the nearest intersection with t > MIN_RAY_T, matching
+    Casting returns the nearest intersection with t > MIN_RAY_T, matching
     a brute-force scan over all triangles (ties broken by lowest triangle id).
     """
 
@@ -415,40 +426,26 @@ class Bvh:
             raise ValueError("cannot build a BVH over an empty mesh")
         tri = np.asarray(mesh.triangles, dtype=np.int64)
         verts = np.asarray(mesh.vertices, dtype=np.float64)
-        self.v0 = np.ascontiguousarray(verts[tri[:, 0]])
-        self.v1 = np.ascontiguousarray(verts[tri[:, 1]])
-        self.v2 = np.ascontiguousarray(verts[tri[:, 2]])
+        v0, v1, v2 = verts[tri[:, 0]], verts[tri[:, 1]], verts[tri[:, 2]]
         self.tri_class = np.asarray(mesh.triangle_classes, dtype=np.uint8)
         self.n_tris = tri.shape[0]
-        self._build()
 
-    def _build(self):
-        tri_min = np.minimum(np.minimum(self.v0, self.v1), self.v2)
-        tri_max = np.maximum(np.maximum(self.v0, self.v1), self.v2)
-        centroids = (self.v0 + self.v1 + self.v2) / 3.0
-
+        tri_min = np.minimum(np.minimum(v0, v1), v2)
+        tri_max = np.maximum(np.maximum(v0, v1), v2)
+        centroids = (v0 + v1 + v2) / 3.0
         order = np.arange(self.n_tris)
-        node_min, node_max, node_left, node_right = [], [], [], []
-        node_start, node_count = [], []
-
-        def new_node():
-            node_min.append(None)
-            node_max.append(None)
-            node_left.append(-1)
-            node_right.append(-1)
-            node_start.append(-1)
-            node_count.append(0)
-            return len(node_min) - 1
-
-        stack = [(new_node(), 0, self.n_tris)]
-        while stack:
-            node, lo, hi = stack.pop()
+        node_min, node_max, children = [], [], []
+        leaves = []  # (node, ascending triangle ids)
+        # breadth first: node i is the i-th range taken from the queue
+        queue = deque([(0, self.n_tris)])
+        while queue:
+            lo, hi = queue.popleft()
             ids = order[lo:hi]
-            node_min[node] = tri_min[ids].min(axis=0)
-            node_max[node] = tri_max[ids].max(axis=0)
+            node_min.append(tri_min[ids].min(axis=0))
+            node_max.append(tri_max[ids].max(axis=0))
             if hi - lo <= _LEAF_SIZE:
-                node_start[node] = lo
-                node_count[node] = hi - lo
+                leaves.append((len(children), np.sort(ids)))
+                children.append((-1, -1))
                 continue
             cen = centroids[ids]
             extent = cen.max(axis=0) - cen.min(axis=0)
@@ -456,107 +453,110 @@ class Bvh:
             mid = (hi - lo) // 2
             part = np.argpartition(cen[:, axis], mid)
             order[lo:hi] = ids[part]
-            left, right = new_node(), new_node()
-            node_left[node] = left
-            node_right[node] = right
-            stack.append((left, lo, lo + mid))
-            stack.append((right, lo + mid, hi))
+            first = len(children) + len(queue) + 1
+            children.append((first, first + 1))
+            queue.extend([(lo, lo + mid), (lo + mid, hi)])
 
-        self._order = order
         self._node_min = np.array(node_min)
         self._node_max = np.array(node_max)
-        self._left = np.array(node_left, dtype=np.int64)
-        self._right = np.array(node_right, dtype=np.int64)
-        self._start = np.array(node_start, dtype=np.int64)
-        self._count = np.array(node_count, dtype=np.int64)
-
-    def _slab_entry(self, node: int, origin: np.ndarray, inv_dir: np.ndarray) -> float:
-        """Entry distance of the ray into the node box, or inf when missed."""
-        t1 = (self._node_min[node] - origin) * inv_dir
-        t2 = (self._node_max[node] - origin) * inv_dir
-        tmin = np.minimum(t1, t2)
-        tmax = np.maximum(t1, t2)
-        enter = np.nanmax(tmin)
-        leave = np.nanmin(tmax)
-        if leave < max(enter, 0.0):
-            return np.inf
-        return max(enter, 0.0)
-
-    def _leaf_best(self, node: int, origin, direction) -> tuple[float, int]:
-        lo = self._start[node]
-        ids = self._order[lo : lo + self._count[node]]
-        t = ray_triangles(origin, direction, self.v0[ids], self.v1[ids], self.v2[ids])
-        best_t, best_id = np.inf, -1
-        for k in range(len(ids)):
-            tk, idk = t[k], int(ids[k])
-            if tk < best_t or (tk == best_t and idk < best_id):
-                best_t, best_id = tk, idk
-        return best_t, best_id
+        self._left, self._right = np.array(children, dtype=np.int64).T
+        # one row of triangle ids per leaf, padded with triangle n_tris, which
+        # has zero area (det = 0, never hit); corners and edges are stored
+        # component-first
+        self._leaf_row = np.full(len(children), -1, dtype=np.int64)
+        self._leaf_ids = np.full((len(leaves), max(ids.size for _, ids in leaves)),
+                                 self.n_tris, dtype=np.int64)
+        for row, (node, ids) in enumerate(leaves):
+            self._leaf_row[node] = row
+            self._leaf_ids[row, : ids.size] = ids
+        pad = np.zeros((1, 3))
+        self._v0, self._e1, self._e2 = (
+            np.ascontiguousarray(np.concatenate([a, pad]).T) for a in (v0, v1 - v0, v2 - v0)
+        )
 
     def raycast(self, origin, direction) -> RayHit | None:
         """Nearest hit along a unit-direction ray, or None on miss."""
         origin = np.asarray(origin, dtype=np.float64).reshape(3)
-        direction = _check_unit(np.asarray(direction, dtype=np.float64).reshape(3))
+        direction = np.asarray(direction, dtype=np.float64).reshape(3)
+        t, tid, cls = self.raycast_many(origin, direction)
+        if tid[0] < 0:
+            return None
+        return RayHit(float(t[0]), int(tid[0]), int(cls[0]), origin + t[0] * direction)
+
+    def raycast_many(self, origins: np.ndarray, directions: np.ndarray):
+        """Vector form: returns (t, triangle id, class id) arrays; misses are
+        (inf, -1, 0).
+
+        All rays descend the tree together as a frontier of (ray, node)
+        pairs, kept on a stack of batches of at most ``_CANDIDATE_BUDGET``
+        pairs. Each batch is slab-tested at once; pairs that miss the node's
+        box, or enter it beyond the ray's best hit so far, are dropped.
+        Leaves are tested against every triangle they hold. Rays stay in
+        ascending order within every batch.
+        """
+        origins = np.asarray(origins, dtype=np.float64).reshape(-1, 3)
+        directions = np.asarray(directions, dtype=np.float64).reshape(-1, 3)
+        if not np.all(np.abs(np.linalg.norm(directions, axis=1) - 1.0) <= 1e-9):
+            raise ValueError("ray directions must be unit length")
+        n = origins.shape[0]
+        best_t = np.full(n, np.inf)
+        best_id = np.full(n, -1, dtype=np.int64)
         with np.errstate(divide="ignore"):
-            inv_dir = 1.0 / direction
-        best_t, best_id = np.inf, -1
-        stack = [0]
+            inv_dir = 1.0 / directions
+        stack = []
+
+        def push(ray, node):
+            for lo in range(0, ray.size, _CANDIDATE_BUDGET):
+                stack.append((ray[lo : lo + _CANDIDATE_BUDGET], node[lo : lo + _CANDIDATE_BUDGET]))
+
+        push(np.arange(n), np.zeros(n, dtype=np.int64))
         # a zero direction component starting on a box face gives 0 * inf = nan
         # in the slab test, which nanmax/nanmin skip
         with np.errstate(invalid="ignore"):
             while stack:
-                node = stack.pop()
-                entry = self._slab_entry(node, origin, inv_dir)
-                if entry > best_t or entry == np.inf:
-                    continue
-                if self._count[node] > 0:
-                    t, tid = self._leaf_best(node, origin, direction)
-                    if t < best_t or (t == best_t and -1 < tid < best_id):
-                        best_t, best_id = t, tid
-                    continue
-                stack.append(int(self._left[node]))
-                stack.append(int(self._right[node]))
-        if best_id < 0:
-            return None
-        point = origin + best_t * direction
-        return RayHit(float(best_t), best_id, int(self.tri_class[best_id]), point)
+                ray, node = stack.pop()
+                t1 = (self._node_min[node] - origins[ray]) * inv_dir[ray]
+                t2 = (self._node_max[node] - origins[ray]) * inv_dir[ray]
+                entry = np.maximum(np.nanmax(np.minimum(t1, t2), axis=1), 0.0)
+                leave = np.nanmin(np.maximum(t1, t2), axis=1)
+                # strict: a box entered exactly at the best t may hold a tied lower id
+                live = (leave >= entry) & ~(entry > best_t[ray])
+                ray, node = ray[live], node[live]
+                row = self._leaf_row[node]
+                leaf = row >= 0
+                if leaf.any():
+                    self._leaf_pass(origins, directions, ray[leaf], row[leaf], best_t, best_id)
+                inner = node[~leaf]
+                push(np.repeat(ray[~leaf], 2),
+                     np.column_stack([self._left[inner], self._right[inner]]).ravel())
+        cls_out = np.where(best_id >= 0, self.tri_class[np.maximum(best_id, 0)], 0).astype(np.uint8)
+        return best_t, best_id, cls_out
 
-    def _raycast_small_batch(self, origins: np.ndarray, directions: np.ndarray):
-        """All-pairs kernel; exact match of per-ray traversal for small meshes."""
-        n = origins.shape[0]
-        t_out = np.full(n, np.inf)
-        id_out = np.full(n, -1, dtype=np.int64)
-        chunk = max(1, 2_000_000 // max(self.n_tris, 1))
-        for s in range(0, n, chunk):
-            e = min(s + chunk, n)
-            t = ray_triangles(
-                origins[s:e, None, :], directions[s:e, None, :], self.v0, self.v1, self.v2
-            )
-            best = np.argmin(t, axis=1)  # first minimum = lowest triangle id
-            best_t = t[np.arange(e - s), best]
-            found = best_t < np.inf
-            t_out[s:e][found] = best_t[found]
-            id_out[s:e][found] = best[found]
-        return t_out, id_out
-
-    def raycast_many(self, origins: np.ndarray, directions: np.ndarray):
-        """Vector form: returns (t, triangle id, class id) arrays; misses are
-        (inf, -1, 0)."""
-        origins = np.asarray(origins, dtype=np.float64).reshape(-1, 3)
-        directions = _check_unit(np.asarray(directions, dtype=np.float64).reshape(-1, 3))
-        n = origins.shape[0]
-        if self.n_tris <= _SMALL_MESH_TRIS:
-            t_out, id_out = self._raycast_small_batch(origins, directions)
-        else:
-            t_out = np.full(n, np.inf)
-            id_out = np.full(n, -1, dtype=np.int64)
-            for i in range(n):
-                hit = self.raycast(origins[i], directions[i])
-                if hit is not None:
-                    t_out[i] = hit.t
-                    id_out[i] = hit.triangle
-        cls_out = np.where(id_out >= 0, self.tri_class[np.maximum(id_out, 0)], 0).astype(np.uint8)
-        return t_out, id_out, cls_out
+    def _leaf_pass(self, origins, directions, ray, row, best_t, best_id):
+        """Test (ray, leaf row) pairs against their leaves' triangles and merge
+        each ray's nearest hit into ``best_t`` / ``best_id``, ties to the
+        lowest triangle id."""
+        step = max(1, _CANDIDATE_BUDGET // self._leaf_ids.shape[1])
+        for lo in range(0, ray.size, step):
+            r, w = ray[lo : lo + step], row[lo : lo + step]
+            # one leaf for the whole pass is broadcast rather than gathered
+            ids = self._leaf_ids[w[:1] if (w == w[0]).all() else w]
+            t = _moller_trumbore(origins[r].T[:, :, None], directions[r].T[:, :, None],
+                                 self._v0[:, ids], self._e1[:, ids], self._e2[:, ids])
+            # ids ascend along a row, so the first minimum is the lowest id
+            k = np.argmin(t, axis=1)[:, None]
+            t = np.take_along_axis(t, k, axis=1)[:, 0]
+            tid = np.take_along_axis(ids, k, axis=1)[:, 0]
+            # rays ascend, so a ray met in several leaves repeats in a run: keep its best
+            if (r[1:] == r[:-1]).any():
+                order = np.lexsort((tid, t, r))
+                r, t, tid = r[order], t[order], tid[order]
+                first = np.r_[True, r[1:] != r[:-1]]
+                r, t, tid = r[first], t[first], tid[first]
+            cur_t, cur_id = best_t[r], best_id[r]
+            win = (t < cur_t) | ((t == cur_t) & (tid < cur_id))
+            best_t[r[win]] = t[win]
+            best_id[r[win]] = tid[win]
 
 
 def build_bvh(mesh) -> Bvh:

@@ -71,6 +71,40 @@ def build_room_mesh() -> ClassedMesh:
     return ClassedMesh(np.array(V, dtype=np.float64), np.array(T), np.array(C, dtype=np.uint8))
 
 
+def height_field_mesh(rng, cells: int, cell_m: float = 0.5, step_m: float = 0.25) -> ClassedMesh:
+    """Tessellated ground over a ``cells`` x ``cells`` grid: two triangles per
+    cell sharing its diagonal, consecutive ids, a road band (class 1) across
+    the middle and ground (class 2) elsewhere. Heights follow a smooth
+    random relief rounded to ``step_m``, so many neighbouring cells are
+    coplanar and grid-aligned rays meet exact ties on their shared edges."""
+    n = cells + 1
+    x, y = np.meshgrid(np.arange(n) * cell_m, np.arange(n) * cell_m, indexing="ij")
+    fx, fy = rng.uniform(0.1, 0.6, size=2)
+    px, py = rng.uniform(0, 2 * np.pi, size=2)
+    z = np.round((np.sin(fx * x + px) + np.cos(fy * y + py)) / step_m) * step_m
+    verts = np.column_stack([x.ravel(), y.ravel(), z.ravel()])
+    i, j = np.meshgrid(np.arange(cells), np.arange(cells), indexing="ij")
+    a = (i * n + j).ravel()
+    tris = np.stack([np.column_stack([a, a + n, a + n + 1]),
+                     np.column_stack([a, a + n + 1, a + 1])], axis=1).reshape(-1, 3)
+    road = np.abs(j.ravel() - cells // 2) < max(1, cells // 8)
+    classes = np.repeat(np.where(road, 1, 2), 2).astype(np.uint8)
+    return ClassedMesh(verts, tris, classes)
+
+
+def sensor_rays(rng, mesh, n_steps: int, channels: int = 16):
+    """Rays of a 16-channel spinning sensor (-25 to 15 deg) fired once from
+    each of ``n_steps`` random spots 1.8 m above the relief."""
+    lo, hi = mesh.vertices.min(axis=0), mesh.vertices.max(axis=0)
+    pos = rng.uniform(lo, hi, size=(n_steps, 3))
+    pos[:, 2] = hi[2] + 1.8
+    azimuth = rng.uniform(0, 2 * np.pi, size=(n_steps, 1))
+    elevation = np.radians(np.linspace(-25, 15, channels))[None, :]
+    dirs = np.stack([np.cos(azimuth) * np.cos(elevation), np.sin(azimuth) * np.cos(elevation),
+                     np.broadcast_to(np.sin(elevation), (n_steps, channels))], axis=-1)
+    return np.repeat(pos, channels, axis=0), dirs.reshape(-1, 3)
+
+
 _CLASS_GROUPS = {2: "GroundSurface", 3: "CityFurniture", 6: "WallSurface", 7: "RoofSurface",
                  8: "Door", 9: "Window", 10: "BuildingInstallation"}
 

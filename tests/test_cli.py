@@ -78,8 +78,11 @@ class TestCompare:
             ('{"m3c2": {"max_depth_m": NaN}}', "max_depth"),
             ('{"m3c2": {"projection_radius_m": Infinity}}', "projection_radius"),
             ('{"voxel_size_m": Infinity}', "voxel_size_m"),
+            ('{"class_weights": {"WallSurface": NaN}}', "class_weights: weight for WallSurface must be finite"),
+            ('{"class_weights": {"WallSurface": Infinity}}', "class_weights: weight for WallSurface must be finite"),
         ],
-        ids=["alpha-nan", "max-depth-nan", "projection-radius-inf", "voxel-size-inf"],
+        ids=["alpha-nan", "max-depth-nan", "projection-radius-inf", "voxel-size-inf",
+             "class-weight-nan", "class-weight-inf"],
     )
     def test_non_finite_config_exit_2(self, tmp_path, scene_files, capsys, config, key):
         real_path, synth_path, *_ = scene_files

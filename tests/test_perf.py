@@ -1,5 +1,6 @@
-"""Million-element build-time checks; long-running, so opt in with
-PCGAP_PERF=1 (e.g. ``PCGAP_PERF=1 pytest tests/test_perf.py -m perf``)."""
+"""Million-element build-time checks and a raycast throughput floor;
+long-running, so opt in with PCGAP_PERF=1
+(e.g. ``PCGAP_PERF=1 pytest tests/test_perf.py -m perf``)."""
 
 import os
 import time
@@ -9,6 +10,8 @@ import pytest
 
 from pcgap.io import ClassedMesh
 from pcgap.spatial import Bvh, NnIndex
+
+from conftest import height_field_mesh, sensor_rays
 
 pytestmark = [
     pytest.mark.perf,
@@ -33,3 +36,17 @@ def test_bvh_build_1m_under_30s():
     bvh = Bvh(mesh)
     assert time.time() - t0 < 30.0
     assert bvh.raycast((50.0, 50.0, -10.0), (0.0, 0.0, 1.0)) is not None
+
+
+def test_ground_scan_under_25us_per_ray():
+    rng = np.random.default_rng(2)
+    mesh = height_field_mesh(rng, 120)
+    origins, dirs = sensor_rays(rng, mesh, 750)
+    bvh = Bvh(mesh)
+    elapsed = []
+    for _ in range(3):
+        t0 = time.perf_counter()
+        t, _, _ = bvh.raycast_many(origins, dirs)
+        elapsed.append(time.perf_counter() - t0)
+    assert (t < np.inf).any()
+    assert min(elapsed) / len(origins) < 25e-6
