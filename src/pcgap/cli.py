@@ -177,9 +177,7 @@ def cmd_mix(args) -> int:
         raise ConfigError(str(exc)) from exc
     result = dataset.mix(real, synth, spec)
     io.write_cloud(result.cloud, args.out, fmt=args.format)
-    with open(str(args.out) + ".provenance.txt", "w", encoding="utf-8", newline="\n") as fh:
-        for is_real in result.provenance:
-            fh.write("real\n" if is_real else "synthetic\n")
+    io.write_provenance(result.provenance, str(args.out) + ".provenance.txt")
     n_real, n_synth = result.counts()
     _write_manifest(
         args.out,

@@ -38,6 +38,8 @@ class Region:
     polygon: np.ndarray | None = None
 
     def __post_init__(self):
+        if not _is_file_name(self.name):
+            raise ValueError(f"region name {self.name!r} is not a plain file name")
         if (self.rect is None) == (self.polygon is None):
             raise ValueError(f"region {self.name!r}: exactly one of rect/polygon required")
         if self.rect is not None:
@@ -64,6 +66,12 @@ class Region:
                 & (xy[:, 1] >= ymin) & (xy[:, 1] <= ymax)
             )
         return _points_in_polygon(xy, self.polygon)
+
+
+def _is_file_name(name) -> bool:
+    """True when ``name`` can name a file inside a directory: not empty,
+    ``.`` or ``..``, and without a path separator or NUL."""
+    return str(name) not in ("", ".", "..") and not any(c in str(name) for c in "/\\\0")
 
 
 def _points_in_polygon(xy: np.ndarray, poly: np.ndarray) -> np.ndarray:
@@ -113,6 +121,8 @@ class SplitSpec:
         for i, entry in enumerate(raw["regions"]):
             try:
                 name = entry["name"]
+                if not _is_file_name(name):
+                    raise ConfigError(f"regions[{i}].name: {name!r} is not a plain file name")
                 if "rect" in entry:
                     regions.append(Region(name, rect=tuple(float(v) for v in entry["rect"])))
                 elif "polygon" in entry:

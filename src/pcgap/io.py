@@ -14,7 +14,9 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 import re
+import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Mapping
@@ -25,6 +27,7 @@ from .core import (
     ClassWeights,
     LabeledPointCloud,
     SemanticClass,
+    coerce_labels,
     default_weights,
 )
 from .errors import ConfigError, FormatError, ParseError
@@ -80,7 +83,7 @@ def write_cloud(cloud: LabeledPointCloud, path, fmt: str = "auto") -> None:
     if fmt == "auto":
         fmt = FORMAT_PLY_BINARY if path.suffix.lower() == ".ply" else FORMAT_XYZL
     if fmt == FORMAT_XYZL:
-        _write_xyzl(cloud, path)
+        _write_rows(path, "cloud", _XYZL_ROW, *cloud.xyz.T, cloud.labels)
     elif fmt == FORMAT_PLY_ASCII:
         _write_ply(cloud, path, binary=False)
     elif fmt == FORMAT_PLY_BINARY:
@@ -90,42 +93,114 @@ def write_cloud(cloud: LabeledPointCloud, path, fmt: str = "auto") -> None:
 
 
 def _read_xyzl(path: Path) -> LabeledPointCloud:
-    xs, labels = [], []
-    with open(path, "r", encoding="utf-8", errors="replace") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            body = line.split("#", 1)[0].strip()
-            if not body:
-                continue
-            parts = body.split()
-            if len(parts) != 4:
-                raise ParseError(path, f"expected 4 fields, got {len(parts)}", line=lineno)
-            try:
-                x, y, z = float(parts[0]), float(parts[1]), float(parts[2])
-                label = int(parts[3])
-            except ValueError as exc:
-                raise ParseError(path, f"bad numeric field: {exc}", line=lineno) from exc
-            if not (np.isfinite(x) and np.isfinite(y) and np.isfinite(z)):
-                raise ParseError(path, "non-finite coordinate", line=lineno)
-            if not 0 <= label <= 255:
-                raise ParseError(path, f"label {label} outside uint8 range", line=lineno)
-            xs.append((x, y, z))
-            labels.append(label)
-    xyz = np.array(xs, dtype=np.float64).reshape(-1, 3)
-    return LabeledPointCloud.from_arrays(
-        xyz, np.array(labels, dtype=np.int64), coerce=True, context=str(path)
-    )
+    table = _read_text_table(path, _XYZL)
+    xyz = np.column_stack([table["x"], table["y"], table["z"]])
+    return LabeledPointCloud.from_arrays(xyz, table["label"], coerce=True, context=str(path))
 
 
-def _write_xyzl(cloud: LabeledPointCloud, path: Path) -> None:
+# ---------------------------------------------------------------------------
+# text tables: one bulk parse, the line scan only to name a bad line
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class _TextTable:
+    """A whitespace-separated text format, one ``dtype`` record per data
+    line; the messages take ``n`` (fields found), ``exc`` and ``body``."""
+
+    dtype: np.dtype
+    count_msg: str
+    value_msg: str
+    finite: bool = False  # x, y, z must be finite
+    byte_labels: bool = False  # label must be in 0..255
+    comments: bool = True  # "#" starts a comment
+
+
+_XYZL = _TextTable(
+    np.dtype([("x", "f8"), ("y", "f8"), ("z", "f8"), ("label", "i8")]),
+    "expected 4 fields, got {n}", "bad numeric field: {exc}", finite=True, byte_labels=True,
+)
+_ORIGINS = _TextTable(
+    np.dtype([("x", "f8"), ("y", "f8"), ("z", "f8")]),
+    "expected 3 fields, got {n}", "bad coordinate: {exc}", finite=True,
+)
+_LABELS = _TextTable(np.dtype([("label", "i8")]), "bad label: {body!r}", "bad label: {body!r}")
+
+_CHUNK_ROWS = 8192  # rows formatted per write; bounds the text held at once
+_XYZL_ROW = f"{_FLOAT_FMT} {_FLOAT_FMT} {_FLOAT_FMT} %d\n"
+
+
+def _scan_table(path, spec: _TextTable, lines, first_line: int = 1, max_rows: int | None = None) -> np.ndarray:
+    """Records of a text table, one line at a time: the definition of every
+    text format, and the source of each error, naming the first bad line."""
+    types = [float if spec.dtype[i].kind == "f" else int for i in range(len(spec.dtype))]
+    rows = []
+    for lineno, line in enumerate(lines, start=first_line):
+        if len(rows) == max_rows:
+            break
+        body = (line.split("#", 1)[0] if spec.comments else line).strip()
+        if not body:
+            continue
+        parts = body.split()
+        if len(parts) != len(types):
+            raise ParseError(path, spec.count_msg.format(n=len(parts), body=body), line=lineno)
+        try:
+            row = tuple(t(v) for t, v in zip(types, parts))
+        except ValueError as exc:
+            raise ParseError(path, spec.value_msg.format(exc=exc, body=body), line=lineno) from exc
+        if spec.finite and not all(map(math.isfinite, row[:3])):
+            raise ParseError(path, "non-finite coordinate", line=lineno)
+        if spec.byte_labels and not 0 <= row[-1] <= 255:
+            raise ParseError(path, f"label {row[-1]} outside uint8 range", line=lineno)
+        if any(isinstance(v, int) and not -(2**63) <= v < 2**63 for v in row):
+            raise ParseError(path, spec.value_msg.format(exc="beyond int64", body=body), line=lineno)
+        rows.append(row)
+    return np.array(rows, dtype=spec.dtype)
+
+
+def _bulk_table(spec: _TextTable, source, max_rows: int | None = None) -> np.ndarray | None:
+    """The same records from one C parse of ASCII text, or None when the
+    parse or a vectorized row check refuses it (the line scan then decides).
+    Non-ASCII text must not come here: numpy reads some non-ASCII
+    characters as integer digits."""
     try:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            for i in range(len(cloud)):
-                x, y, z = cloud.xyz[i]
-                fh.write(
-                    f"{_FLOAT_FMT % x} {_FLOAT_FMT % y} {_FLOAT_FMT % z} {int(cloud.labels[i])}\n"
-                )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # e.g. "input contained no data"
+            table = np.loadtxt(
+                source, dtype=spec.dtype, comments="#" if spec.comments else None,
+                ndmin=1, max_rows=max_rows,
+            )
+    except (ValueError, OverflowError, Warning):
+        return None
+    if spec.finite and not all(np.isfinite(table[c]).all() for c in "xyz"):
+        return None
+    if spec.byte_labels and not ((table["label"] >= 0) & (table["label"] <= 255)).all():
+        return None
+    return table
+
+
+def _read_text_table(path, spec: _TextTable) -> np.ndarray:
+    with open(path, "rb") as fh:
+        ascii_only = all(chunk.isascii() for chunk in iter(lambda: fh.read(1 << 20), b""))
+    with open(path, "r", encoding="utf-8", errors="replace") as fh:
+        table = _bulk_table(spec, fh) if ascii_only else None
+        if table is None:
+            fh.seek(0)
+            table = _scan_table(path, spec, fh)
+    return table
+
+
+def _write_rows(path, what: str, row_fmt: str, *columns, header: str = "") -> None:
+    """Write ``header``, then ``row_fmt % row`` for every row of the
+    equal-length columns, formatting ``_CHUNK_ROWS`` rows at a time."""
+    try:
+        with open(path, "wb") as fh:
+            fh.write(header.encode("ascii"))
+            for start in range(0, len(columns[0]), _CHUNK_ROWS):
+                chunk = [np.asarray(c[start:start + _CHUNK_ROWS]).tolist() for c in columns]
+                fh.write("".join(map(row_fmt.__mod__, zip(*chunk))).encode("ascii"))
     except OSError as exc:
-        raise OSError(f"cannot write cloud to {path}: {exc}") from exc
+        raise OSError(f"cannot write {what} to {path}: {exc}") from exc
 
 
 _PLY_TYPES = {
@@ -220,33 +295,19 @@ def _read_ply(path: Path) -> LabeledPointCloud:
                 offset=header_end + 1 + len(body),
             )
         table = np.frombuffer(body[:need], dtype=dtype)
-        columns = {lower[i]: table[f"f{i}"] for i in range(len(props))}
     else:
+        spec = _TextTable(
+            np.dtype([(f"f{i}", "f8") for i in range(len(props))]),
+            f"vertex row has {{n}} fields, expected {len(props)}", "bad vertex value: {exc}",
+            comments=False,
+        )
         rows = body.decode("ascii", errors="replace").splitlines()
-        values = []
-        seen = 0
-        for k, row in enumerate(rows):
-            row = row.strip()
-            if not row:
-                continue
-            if seen == count:
-                break
-            parts = row.split()
-            if len(parts) != len(props):
-                raise ParseError(
-                    path,
-                    f"vertex row has {len(parts)} fields, expected {len(props)}",
-                    line=len(header) + 1 + k + 1,
-                )
-            try:
-                values.append([float(v) for v in parts])
-            except ValueError as exc:
-                raise ParseError(path, f"bad vertex value: {exc}", line=len(header) + 1 + k + 1) from exc
-            seen += 1
-        if seen != count:
-            raise ParseError(path, f"vertex data truncated: {seen} of {count} rows")
-        arr = np.array(values, dtype=np.float64).reshape(count, len(props))
-        columns = {lower[i]: arr[:, i] for i in range(len(props))}
+        table = _bulk_table(spec, rows, max_rows=count) if body.isascii() else None
+        if table is None:
+            table = _scan_table(path, spec, rows, first_line=len(header) + 2, max_rows=count)
+        if len(table) != count:
+            raise ParseError(path, f"vertex data truncated: {len(table)} of {count} rows")
+    columns = {lower[i]: table[f"f{i}"] for i in range(len(props))}
 
     xyz = np.column_stack([
         np.asarray(columns["x"], dtype=np.float64),
@@ -274,23 +335,17 @@ def _write_ply(cloud: LabeledPointCloud, path: Path, binary: bool) -> None:
         "property uchar class_id\n"
         "end_header\n"
     )
+    if not binary:
+        _write_rows(path, "cloud", _XYZL_ROW, *cloud.xyz.T, cloud.labels, header=header)
+        return
     try:
         with open(path, "wb") as fh:
             fh.write(header.encode("ascii"))
-            if binary:
-                rec = np.dtype([("x", "<f8"), ("y", "<f8"), ("z", "<f8"), ("c", "u1")])
-                table = np.empty(len(cloud), dtype=rec)
-                table["x"], table["y"], table["z"] = cloud.xyz[:, 0], cloud.xyz[:, 1], cloud.xyz[:, 2]
-                table["c"] = cloud.labels
-                fh.write(table.tobytes())
-            else:
-                lines = []
-                for i in range(len(cloud)):
-                    x, y, z = cloud.xyz[i]
-                    lines.append(
-                        f"{_FLOAT_FMT % x} {_FLOAT_FMT % y} {_FLOAT_FMT % z} {int(cloud.labels[i])}\n"
-                    )
-                fh.write("".join(lines).encode("ascii"))
+            rec = np.dtype([("x", "<f8"), ("y", "<f8"), ("z", "<f8"), ("c", "u1")])
+            table = np.empty(len(cloud), dtype=rec)
+            table["x"], table["y"], table["z"] = cloud.xyz[:, 0], cloud.xyz[:, 1], cloud.xyz[:, 2]
+            table["c"] = cloud.labels
+            fh.write(table.tobytes())
     except OSError as exc:
         raise OSError(f"cannot write cloud to {path}: {exc}") from exc
 
@@ -298,48 +353,23 @@ def _write_ply(cloud: LabeledPointCloud, path: Path, binary: bool) -> None:
 def write_ray_origins(origins: np.ndarray, path) -> None:
     """Sidecar for simulated scans: one ``x y z`` ray origin per point."""
     origins = np.asarray(origins, dtype=np.float64).reshape(-1, 3)
-    try:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            for x, y, z in origins:
-                fh.write(f"{_FLOAT_FMT % x} {_FLOAT_FMT % y} {_FLOAT_FMT % z}\n")
-    except OSError as exc:
-        raise OSError(f"cannot write ray origins to {path}: {exc}") from exc
+    _write_rows(path, "ray origins", f"{_FLOAT_FMT} {_FLOAT_FMT} {_FLOAT_FMT}\n", *origins.T)
 
 
 def read_ray_origins(path) -> np.ndarray:
-    path = Path(path)
-    rows = []
-    with open(path, "r", encoding="utf-8", errors="replace") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            body = line.split("#", 1)[0].strip()
-            if not body:
-                continue
-            parts = body.split()
-            if len(parts) != 3:
-                raise ParseError(path, f"expected 3 fields, got {len(parts)}", line=lineno)
-            try:
-                rows.append(tuple(float(v) for v in parts))
-            except ValueError as exc:
-                raise ParseError(path, f"bad coordinate: {exc}", line=lineno) from exc
-    return np.array(rows, dtype=np.float64).reshape(-1, 3)
+    table = _read_text_table(path, _ORIGINS)
+    return np.column_stack([table["x"], table["y"], table["z"]])
 
 
 def read_label_file(path) -> np.ndarray:
     """Prediction labels, one integer per line; out-of-range goes to Noise."""
-    path = Path(path)
-    values = []
-    with open(path, "r", encoding="utf-8", errors="replace") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            body = line.split("#", 1)[0].strip()
-            if not body:
-                continue
-            try:
-                values.append(int(body))
-            except ValueError as exc:
-                raise ParseError(path, f"bad label: {body!r}", line=lineno) from exc
-    from .core import coerce_labels
+    return coerce_labels(_read_text_table(path, _LABELS)["label"], context=str(path))
 
-    return coerce_labels(np.array(values, dtype=np.int64), context=str(path))
+
+def write_provenance(provenance: np.ndarray, path) -> None:
+    """Mix sidecar: ``real`` or ``synthetic`` per point, in cloud order."""
+    names = np.where(np.asarray(provenance, dtype=bool), "real", "synthetic")
+    _write_rows(path, "provenance", "%s\n", names)
 
 
 # ---------------------------------------------------------------------------
@@ -382,7 +412,11 @@ class ClassedMesh:
 _GROUP_SUFFIX = re.compile(r"[_\-. ]")
 
 
-def _class_for_group(name: str, path, lineno: int) -> SemanticClass:
+def _group_class(tokens: list[str], path, lineno: int) -> SemanticClass:
+    """Class of a ``g``/``o`` line's tokens; a nameless group is Noise."""
+    name = " ".join(tokens[1:])
+    if not name:
+        return SemanticClass.NOISE
     token = name.strip()
     stem = _GROUP_SUFFIX.split(token, 1)[0]
     for candidate in (token, stem):
@@ -403,61 +437,12 @@ def read_mesh(path) -> ClassedMesh:
     path = Path(path)
     if not path.exists():
         raise FileNotFoundError(f"no such mesh file: {path}")
-    vertices: list[tuple[float, float, float]] = []
-    tris: list[tuple[int, int, int]] = []
-    tri_cls: list[int] = []
-    current = SemanticClass.NOISE
-    group_seen = False
-
-    with open(path, "r", encoding="utf-8", errors="replace") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            body = line.split("#", 1)[0].strip()
-            if not body:
-                continue
-            tokens = body.split()
-            tag = tokens[0]
-            if tag == "v":
-                if len(tokens) < 4:
-                    raise ParseError(path, "vertex needs 3 coordinates", line=lineno)
-                try:
-                    vertices.append((float(tokens[1]), float(tokens[2]), float(tokens[3])))
-                except ValueError as exc:
-                    raise ParseError(path, f"bad vertex coordinate: {exc}", line=lineno) from exc
-            elif tag in ("g", "o"):
-                name = " ".join(tokens[1:]) if len(tokens) > 1 else ""
-                current = _class_for_group(name, path, lineno) if name else SemanticClass.NOISE
-                group_seen = True
-            elif tag == "f":
-                if len(tokens) < 4:
-                    raise ParseError(path, "face needs at least 3 vertices", line=lineno)
-                idx = []
-                for ref in tokens[1:]:
-                    first = ref.split("/", 1)[0]
-                    try:
-                        i = int(first)
-                    except ValueError as exc:
-                        raise ParseError(path, f"bad face index {ref!r}", line=lineno) from exc
-                    if i > 0:
-                        i -= 1
-                    elif i < 0:
-                        i += len(vertices)
-                    else:
-                        raise ParseError(path, "face index 0 is invalid", line=lineno)
-                    if not 0 <= i < len(vertices):
-                        raise ParseError(path, f"face index {ref!r} out of range", line=lineno)
-                    idx.append(i)
-                if not group_seen:
-                    logger.warning("%s:%d: face outside any group, using Noise", path, lineno)
-                    group_seen = True
-                for k in range(1, len(idx) - 1):
-                    tris.append((idx[0], idx[k], idx[k + 1]))
-                    tri_cls.append(int(current))
-
-    verts = np.array(vertices, dtype=np.float64).reshape(-1, 3)
+    text = path.read_text(encoding="utf-8", errors="replace")
+    lines = text.split("\n")
+    parsed = _bulk_obj(path, lines) if text.isascii() else None
+    verts, tri_arr, cls_arr = parsed or _scan_obj(path, lines)
     if verts.size and not np.isfinite(verts).all():
         raise ParseError(path, "non-finite vertex coordinate")
-    tri_arr = np.array(tris, dtype=np.int64).reshape(-1, 3)
-    cls_arr = np.array(tri_cls, dtype=np.uint8)
     mesh = ClassedMesh(verts, tri_arr, cls_arr)
     areas = mesh.triangle_areas()
     keep = areas > MIN_TRIANGLE_AREA
@@ -466,6 +451,90 @@ def read_mesh(path) -> ClassedMesh:
         logger.warning("%s: dropped %d degenerate triangle(s)", path, dropped)
         mesh = ClassedMesh(verts, tri_arr[keep], cls_arr[keep], dropped_degenerate=dropped)
     return mesh
+
+
+def _scan_obj(path: Path, lines) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Vertices, triangles and triangle classes of OBJ lines, one line at a
+    time: the definition of the format, and the source of each error."""
+    vertices: list[tuple[float, float, float]] = []
+    tris: list[tuple[int, int, int]] = []
+    tri_cls: list[int] = []
+    current = SemanticClass.NOISE
+    group_seen = False
+
+    for lineno, line in enumerate(lines, start=1):
+        body = line.split("#", 1)[0].strip()
+        if not body:
+            continue
+        tokens = body.split()
+        tag = tokens[0]
+        if tag == "v":
+            if len(tokens) < 4:
+                raise ParseError(path, "vertex needs 3 coordinates", line=lineno)
+            try:
+                vertices.append((float(tokens[1]), float(tokens[2]), float(tokens[3])))
+            except ValueError as exc:
+                raise ParseError(path, f"bad vertex coordinate: {exc}", line=lineno) from exc
+        elif tag in ("g", "o"):
+            current = _group_class(tokens, path, lineno)
+            group_seen = True
+        elif tag == "f":
+            if len(tokens) < 4:
+                raise ParseError(path, "face needs at least 3 vertices", line=lineno)
+            idx = []
+            for ref in tokens[1:]:
+                first = ref.split("/", 1)[0]
+                try:
+                    i = int(first)
+                except ValueError as exc:
+                    raise ParseError(path, f"bad face index {ref!r}", line=lineno) from exc
+                if i > 0:
+                    i -= 1
+                elif i < 0:
+                    i += len(vertices)
+                else:
+                    raise ParseError(path, "face index 0 is invalid", line=lineno)
+                if not 0 <= i < len(vertices):
+                    raise ParseError(path, f"face index {ref!r} out of range", line=lineno)
+                idx.append(i)
+            if not group_seen:
+                logger.warning("%s:%d: face outside any group, using Noise", path, lineno)
+                group_seen = True
+            for k in range(1, len(idx) - 1):
+                tris.append((idx[0], idx[k], idx[k + 1]))
+                tri_cls.append(int(current))
+
+    return (
+        np.array(vertices, dtype=np.float64).reshape(-1, 3),
+        np.array(tris, dtype=np.int64).reshape(-1, 3),
+        np.array(tri_cls, dtype=np.uint8),
+    )
+
+
+def _bulk_obj(path: Path, lines) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+    """The same arrays from bulk parses of the ``v`` and ``f`` lines of
+    ASCII text, or None when the loop must decide: a face that is not a
+    triangle of positive refs to vertices defined above it, or any line
+    that does not parse. Nothing is logged before that is settled."""
+    tags = np.array([(line.split("#", 1)[0].split(None, 1) or ("",))[0] for line in lines])
+    v_at, f_at = np.flatnonzero(tags == "v"), np.flatnonzero(tags == "f")
+    g_at = np.flatnonzero((tags == "g") | (tags == "o"))
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # e.g. "input contained no data"
+            verts = np.loadtxt([lines[i] for i in v_at], usecols=(1, 2, 3), ndmin=2, comments="#")
+            faces = np.loadtxt([lines[i] for i in f_at], dtype="U1,i8,i8,i8", ndmin=1, comments="#")
+    except (ValueError, Warning):
+        return None
+    refs = np.column_stack([faces["f1"], faces["f2"], faces["f3"]])
+    if refs.min() < 1 or (refs.max(axis=1) > np.searchsorted(v_at, f_at)).any():
+        return None
+    if not g_at.size or f_at[0] < g_at[0]:
+        logger.warning("%s:%d: face outside any group, using Noise", path, f_at[0] + 1)
+    group_cls = [_group_class(lines[i].split("#", 1)[0].split(), path, i + 1) for i in g_at]
+    owner = np.searchsorted(g_at, f_at) - 1  # -1 (no group yet) picks the Noise at the end
+    classes = np.array(group_cls + [SemanticClass.NOISE], dtype=np.uint8)[owner]
+    return verts, refs - 1, classes
 
 
 # ---------------------------------------------------------------------------

@@ -226,13 +226,21 @@ class _RealSide:
 
 
 class _RealSides(dict):
-    """Prepared :class:`_RealSide` of every positively weighted class."""
+    """Prepared :class:`_RealSide` of every positively weighted class, and
+    the real cloud's per-class voxel sets once asked for."""
 
     def __init__(self, real: LabeledPointCloud, weights: ClassWeights, params: M3c2Params):
         parts = partition_by_class(real)
         super().__init__(
             (cls, _RealSide(parts[cls], params)) for cls in SemanticClass if weights.get(cls) > 0
         )
+        self.cloud = real
+        self._voxels: dict[float, tuple] = {}
+
+    def voxels(self, edge: float) -> tuple[np.ndarray, dict]:
+        if edge not in self._voxels:
+            self._voxels[edge] = _class_voxels(self.cloud, edge)
+        return self._voxels[edge]
 
 
 def m3c2_class_distance(
@@ -307,6 +315,15 @@ def compute_m3c2_per_class(
 # ---------------------------------------------------------------------------
 
 
+def _class_voxels(cloud: LabeledPointCloud, edge: float, origin=None) -> tuple[np.ndarray, dict]:
+    """Grid origin (the cloud's own unless given) and each class's set of
+    occupied voxels on that grid."""
+    if origin is None:
+        origin = grid_origin(cloud.xyz, edge)
+    grid = voxelize(cloud, edge, origin)
+    return origin, {cls: grid.class_voxels(cls.value) for cls in SemanticClass}
+
+
 @dataclass(frozen=True)
 class VoxelIouResult:
     per_class: Mapping[SemanticClass, float | None]  # None = class in neither cloud
@@ -326,16 +343,18 @@ def voxel_miou(
     class falls in it. The weighted mean renormalizes over classes whose
     occupancy union is non-empty, so a class absent from both clouds never
     penalizes the score.
+
+    ``real`` may also be the prepared real sides of an earlier call, which
+    keep the real voxel sets for an offset series.
     """
     weights = weights or default_weights()
-    origin = grid_origin(real.xyz, edge)
-    grid_r = voxelize(real, edge, origin)
-    grid_s = voxelize(synth, edge, origin)
+    prepared = isinstance(real, _RealSides)
+    origin, voxels_r = real.voxels(edge) if prepared else _class_voxels(real, edge)
+    _, voxels_s = _class_voxels(synth, edge, origin)
 
     per_class: dict[SemanticClass, float | None] = {}
     for cls in SemanticClass:
-        vr = grid_r.class_voxels(cls.value)
-        vs = grid_s.class_voxels(cls.value)
+        vr, vs = voxels_r[cls], voxels_s[cls]
         union = vr | vs
         per_class[cls] = len(vr & vs) / len(union) if union else None
 
@@ -429,7 +448,7 @@ def _gap_report(
     d_c2c = c2c_distance(real, synth, params.c2c_mode)
     m3c2_results = compute_m3c2_per_class(sides, synth, params.weights, params.m3c2)
     d_mm3c2 = aggregate_mm3c2(m3c2_results, params.weights)
-    iou = voxel_miou(real, synth, params.voxel_edge, params.weights)
+    iou = voxel_miou(sides, synth, params.voxel_edge, params.weights)
     d, f_miou, m = compose_score(d_mm3c2, d_c2c, iou.miou, params)
 
     per_class = {

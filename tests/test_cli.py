@@ -195,6 +195,18 @@ class TestSimulateNoise:
                      "--seed", "1", "--out", str(tmp_path / "n.xyzl")])
         assert code == EXIT_IO
 
+    def test_noise_non_finite_origin_exit_3(self, tmp_path, capsys):
+        cloud_path = tmp_path / "c.xyzl"
+        write_cloud(random_cloud(np.random.default_rng(2), 3), cloud_path, FORMAT_XYZL)
+        origins = tmp_path / "c.xyzl.origins"
+        origins.write_text("0 0 0\nnan 0 0\n0 0 0\n")
+        code = main(["noise", "--cloud", str(cloud_path), "--sigma", "0.02",
+                     "--seed", "1", "--out", str(tmp_path / "n.xyzl")])
+        assert code == EXIT_IO
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert f"{origins}:2: non-finite coordinate" in err
+        assert not (tmp_path / "n.xyzl").exists()
+
     def test_simulate_with_sigma_requires_seed(self, tmp_path, sim_inputs):
         mesh_path, traj_path, scan_path = sim_inputs
         code = main([
@@ -260,6 +272,23 @@ class TestMixSplit:
         train = read_cloud(out_dir / "train.xyzl")
         test = read_cloud(out_dir / "test.xyzl")
         assert len(train) + len(test) == len(cloud)
+
+    @pytest.mark.parametrize("name", ["../escape", "a/b", "a\\b", "..", ".", "", "nul\0"])
+    def test_split_region_name_escape_exit_2(self, tmp_path, name, capsys):
+        cloud_path = tmp_path / "c.xyzl"
+        write_cloud(random_cloud(np.random.default_rng(76), 200, span=10.0), cloud_path, FORMAT_XYZL)
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps({"regions": [
+            {"name": "ok", "rect": [-10, -10, 0, 10]},
+            {"name": name, "rect": [0, -10, 10, 10]},
+        ]}))
+        out_dir = tmp_path / "work" / "splits"
+        before = sorted(tmp_path.rglob("*"))
+        code = main(["split", "--cloud", str(cloud_path), "--spec", str(spec_path),
+                     "--out-dir", str(out_dir)])
+        assert code == EXIT_CONFIG
+        assert "regions[1].name" in capsys.readouterr().err
+        assert sorted(tmp_path.rglob("*")) == before  # nothing written, in or out of --out-dir
 
     def test_mix_bad_fraction_exit_2(self, tmp_path):
         rng = np.random.default_rng(75)

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from pcgap import metric
 from pcgap.core import ClassWeights, LabeledPointCloud, SemanticClass, partition_by_class
 from pcgap.errors import DegenerateDataError
 from pcgap.metric import (
@@ -365,13 +366,23 @@ class TestOffsetSensitivity:
             init(self, xyz)
 
         monkeypatch.setattr(NnIndex, "__init__", spy)
+        real_voxelized = []
+        voxelize = metric.voxelize
+
+        def voxel_spy(cloud, edge, origin=None):
+            real_voxelized.append(cloud is real)
+            return voxelize(cloud, edge, origin)
+
+        monkeypatch.setattr(metric, "voxelize", voxel_spy)
         counts = []
         for n_offsets in (1, 2, 4):
             real_builds.clear()
+            real_voxelized.clear()
             offset_sensitivity(real, synth, [shift] * n_offsets)
-            counts.append(sum(real_builds))
-        assert counts[0] > 0
-        assert counts == [counts[0]] * 3
+            counts.append((sum(real_builds), sum(real_voxelized), len(real_voxelized)))
+        assert counts[0][0] > 0
+        assert [c[:2] for c in counts] == [(counts[0][0], 1)] * 3
+        assert [c[2] for c in counts] == [2, 3, 5]  # one real, one per offset
 
     def test_two_voxel_shift_zeroes_miou(self):
         # slab scene: every class sits in a fixed z layer; shifting by two

@@ -1,5 +1,5 @@
-"""Million-element build-time checks and a raycast throughput floor;
-long-running, so opt in with PCGAP_PERF=1
+"""Million-element build-time checks and raycast and XYZL throughput
+floors; long-running, so opt in with PCGAP_PERF=1
 (e.g. ``PCGAP_PERF=1 pytest tests/test_perf.py -m perf``)."""
 
 import os
@@ -8,10 +8,10 @@ import time
 import numpy as np
 import pytest
 
-from pcgap.io import ClassedMesh
+from pcgap.io import FORMAT_XYZL, ClassedMesh, read_cloud, write_cloud
 from pcgap.spatial import Bvh, NnIndex
 
-from conftest import height_field_mesh, sensor_rays
+from conftest import build_street_scene, height_field_mesh, sensor_rays
 
 pytestmark = [
     pytest.mark.perf,
@@ -50,3 +50,20 @@ def test_ground_scan_under_25us_per_ray():
         elapsed.append(time.perf_counter() - t0)
     assert (t < np.inf).any()
     assert min(elapsed) / len(origins) < 25e-6
+
+
+def test_xyzl_204k_read_under_045s_round_trip_under_12s(tmp_path):
+    cloud = build_street_scene(10, scale=4.0)  # 204,400 points
+    path, copy = tmp_path / "street.xyzl", tmp_path / "copy.xyzl"
+    write_cloud(cloud, path, FORMAT_XYZL)
+    reads, trips = [], []
+    for _ in range(3):
+        t0 = time.perf_counter()
+        back = read_cloud(path)
+        t1 = time.perf_counter()
+        write_cloud(back, copy, FORMAT_XYZL)
+        reads.append(t1 - t0)
+        trips.append(time.perf_counter() - t0)
+    assert back == cloud and copy.read_bytes() == path.read_bytes()
+    assert min(reads) <= 0.45
+    assert min(trips) <= 1.2
