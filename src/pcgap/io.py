@@ -253,11 +253,11 @@ def _read_ply(path: Path) -> LabeledPointCloud:
         elif tokens[0] == "property":
             if not elements:
                 raise ParseError(path, "property before any element", line=lineno)
-            if tokens[1] == "list":
+            if len(tokens) > 1 and tokens[1] == "list":
                 elements[-1][2].append(("__list__", " ".join(tokens[2:])))
+            elif len(tokens) != 3:
+                raise ParseError(path, "malformed property line", line=lineno)
             else:
-                if len(tokens) != 3:
-                    raise ParseError(path, "malformed property line", line=lineno)
                 elements[-1][2].append((tokens[2], tokens[1]))
     if fmt is None:
         raise ParseError(path, "ply header has no format line")

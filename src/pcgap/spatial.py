@@ -9,7 +9,6 @@ are pure, so they are safe to share across threads.
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -19,9 +18,11 @@ from scipy.spatial import cKDTree
 MIN_RAY_T = 1e-6  # meters; avoids self-intersection at the emitter origin
 _PARALLEL_EPS = 1e-12
 _RANK_RATIO = 1e-12
+_SIGN_EPS = 1e-12  # normal components this small are rounding noise
 _CANDIDATE_BUDGET = 1_000_000  # (query, point) candidate rows held by one gather pass
 _BOUND_BLOCK = 65_536  # items whose pair bounds are computed at once
 _MAX_SLABS = 9
+_LEAF_SIZE = 32  # most triangles in a BVH leaf
 
 
 class NnIndex:
@@ -238,12 +239,11 @@ def cylinder_means(index: NnIndex, centers: np.ndarray, axes: np.ndarray,
 
 
 def _orient_normals(normals: np.ndarray) -> np.ndarray:
-    """Fix sign so z >= 0, breaking ties by y >= 0 then x >= 0."""
-    z, y, x = normals[:, 2], normals[:, 1], normals[:, 0]
+    """Fix sign so z >= 0, breaking ties by y >= 0 then x >= 0; components within
+    _SIGN_EPS of zero (rounding noise, like z on a vertical wall) count as zero."""
+    x, y, z = np.where(np.abs(normals) <= _SIGN_EPS, 0.0, normals).T
     flip = (z < 0) | ((z == 0) & (y < 0)) | ((z == 0) & (y == 0) & (x < 0))
-    out = normals.copy()
-    out[flip] *= -1.0
-    return out
+    return np.where(flip[:, None], -normals, normals)
 
 
 def estimate_normals(index: NnIndex, at: np.ndarray, scale: float) -> tuple[np.ndarray, np.ndarray]:
@@ -411,9 +411,6 @@ def ray_triangles(origin: np.ndarray, direction: np.ndarray,
                               for a in (origin, direction, v0, v1 - v0, v2 - v0)))
 
 
-_LEAF_SIZE = 32
-
-
 class Bvh:
     """Median-split bounding-volume hierarchy over a class-tagged triangle soup.
 
@@ -428,47 +425,50 @@ class Bvh:
         verts = np.asarray(mesh.vertices, dtype=np.float64)
         v0, v1, v2 = verts[tri[:, 0]], verts[tri[:, 1]], verts[tri[:, 2]]
         self.tri_class = np.asarray(mesh.triangle_classes, dtype=np.uint8)
-        self.n_tris = tri.shape[0]
-
-        tri_min = np.minimum(np.minimum(v0, v1), v2)
-        tri_max = np.maximum(np.maximum(v0, v1), v2)
-        centroids = (v0 + v1 + v2) / 3.0
-        order = np.arange(self.n_tris)
-        node_min, node_max, children = [], [], []
-        leaves = []  # (node, ascending triangle ids)
-        # breadth first: node i is the i-th range taken from the queue
-        queue = deque([(0, self.n_tris)])
-        while queue:
-            lo, hi = queue.popleft()
-            ids = order[lo:hi]
-            node_min.append(tri_min[ids].min(axis=0))
-            node_max.append(tri_max[ids].max(axis=0))
-            if hi - lo <= _LEAF_SIZE:
-                leaves.append((len(children), np.sort(ids)))
-                children.append((-1, -1))
-                continue
-            cen = centroids[ids]
-            extent = cen.max(axis=0) - cen.min(axis=0)
-            axis = int(np.argmax(extent))
-            mid = (hi - lo) // 2
-            part = np.argpartition(cen[:, axis], mid)
-            order[lo:hi] = ids[part]
-            first = len(children) + len(queue) + 1
-            children.append((first, first + 1))
-            queue.extend([(lo, lo + mid), (lo + mid, hi)])
-
-        self._node_min = np.array(node_min)
-        self._node_max = np.array(node_max)
-        self._left, self._right = np.array(children, dtype=np.int64).T
-        # one row of triangle ids per leaf, padded with triangle n_tris, which
-        # has zero area (det = 0, never hit); corners and edges are stored
-        # component-first
-        self._leaf_row = np.full(len(children), -1, dtype=np.int64)
-        self._leaf_ids = np.full((len(leaves), max(ids.size for _, ids in leaves)),
-                                 self.n_tris, dtype=np.int64)
-        for row, (node, ids) in enumerate(leaves):
-            self._leaf_row[node] = row
-            self._leaf_ids[row, : ids.size] = ids
+        self.n_tris = n = tri.shape[0]
+        centroids = ((v0 + v1 + v2) / 3.0).T
+        # r[a, t]: place of triangle t in centroid order along axis a, ties to the lower id
+        by_rank = np.argsort(centroids, axis=1, kind="stable")
+        r = np.empty_like(by_rank)
+        np.put_along_axis(r, by_rank, np.arange(n)[None], axis=1)
+        ranked = np.take_along_axis(centroids, by_rank, axis=1)
+        # breadth first, one level per pass, ``r`` holding the level's ranks node by node;
+        # a split node's left child takes the lower half along its widest centroid extent
+        sizes, splits, leaves = np.array([n]), [], []
+        while sizes.size:
+            split = sizes > _LEAF_SIZE
+            splits.append(split)
+            inner = np.repeat(split, sizes)
+            leaves.append((r[0, ~inner], sizes[~split]))
+            r, sizes = np.compress(inner, r, axis=1), sizes[split]
+            starts = np.cumsum(sizes) - sizes
+            extent = (np.take_along_axis(ranked, np.maximum.reduceat(r, starts, axis=1), axis=1)
+                      - np.take_along_axis(ranked, np.minimum.reduceat(r, starts, axis=1), axis=1))
+            node = np.repeat(np.arange(sizes.size), sizes)
+            key = node * n + np.take_along_axis(r, np.argmax(extent, axis=0)[node][None], axis=0)[0]
+            r = np.take(r, np.argsort(key), axis=1)
+            sizes = np.column_stack([sizes // 2, sizes - sizes // 2]).ravel()
+        # in breadth-first order the k-th split node's children are 2k + 1 and 2k + 2
+        split = np.concatenate(splits)
+        self._left = np.where(split, 2 * np.cumsum(split) - 1, -1)
+        self._right = np.where(split, self._left + 1, -1)
+        self._leaf_row = np.where(split, -1, np.cumsum(~split) - 1)
+        # one row of triangle ids per leaf, ascending, padded with triangle
+        # n_tris, which has zero area (det = 0, never hit)
+        ranks, sizes = map(np.concatenate, zip(*leaves))
+        col = np.arange(sizes.max())
+        at = np.where(col < sizes[:, None], (np.cumsum(sizes) - sizes)[:, None] + col, -1)
+        self._leaf_ids = np.sort(np.append(by_rank[0, ranks], n)[at], axis=1)
+        # boxes as (min, -max), so that one minimum serves both: a leaf's from
+        # its triangles; pass h settles every node h levels above its leaves
+        tri_box = np.vstack([np.hstack([np.minimum(np.minimum(v0, v1), v2),
+                                        -np.maximum(np.maximum(v0, v1), v2)]), np.full(6, np.inf)])
+        box = np.full((split.size, 6), np.inf)
+        box[~split] = np.take(tri_box, self._leaf_ids.T, axis=0).min(axis=0)
+        for _ in splits:
+            box[split] = np.minimum(box[self._left[split]], box[self._right[split]])
+        self._node_min, self._node_max = box[:, :3].copy(), -box[:, 3:]
+        # corners and edges are stored component-first
         pad = np.zeros((1, 3))
         self._v0, self._e1, self._e2 = (
             np.ascontiguousarray(np.concatenate([a, pad]).T) for a in (v0, v1 - v0, v2 - v0)

@@ -273,7 +273,20 @@ class TestMixSplit:
         test = read_cloud(out_dir / "test.xyzl")
         assert len(train) + len(test) == len(cloud)
 
-    @pytest.mark.parametrize("name", ["../escape", "a/b", "a\\b", "..", ".", "", "nul\0"])
+    def test_split_ply_property_without_type_exit_3(self, tmp_path, capsys):
+        cloud_path = tmp_path / "bad.ply"
+        cloud_path.write_text("ply\nformat ascii 1.0\nelement vertex 1\nproperty\n"
+                              "end_header\n0 0 0\n")
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps({"regions": [{"name": "all", "rect": [-1, -1, 1, 1]}]}))
+        code = main(["split", "--cloud", str(cloud_path), "--spec", str(spec_path),
+                     "--out-dir", str(tmp_path / "splits")])
+        assert code == EXIT_IO
+        err = capsys.readouterr().err
+        assert f"{cloud_path}:4: malformed property line" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("name",["../escape", "a/b", "a\\b", "..", ".", "", "nul\0"])
     def test_split_region_name_escape_exit_2(self, tmp_path, name, capsys):
         cloud_path = tmp_path / "c.xyzl"
         write_cloud(random_cloud(np.random.default_rng(76), 200, span=10.0), cloud_path, FORMAT_XYZL)

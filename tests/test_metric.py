@@ -23,9 +23,10 @@ from pcgap.metric import (
     scalar_offsets_to_vectors,
     voxel_miou,
 )
+from pcgap.simulate import NoiseModel, ScanConfig, Trajectory, apply_range_noise, simulate_scan
 from pcgap.spatial import NnIndex
 
-from conftest import build_street_scene
+from conftest import build_room_mesh, build_street_scene
 
 
 def plane_cloud(seed, n, z, cls=6, span=10.0):
@@ -154,6 +155,31 @@ class TestM3c2:
         for dz in (0.02, 0.07, 0.2):
             shifted = m3c2_class_distance(r, s.translate((0, 0, dz))).median
             assert shifted - base == pytest.approx(dz, abs=1e-3)
+
+    def test_wall_medians_do_not_follow_point_order(self):
+        # on the room's vertical walls a normal's z is rounding noise, whose
+        # sign follows the summation order of the covariance
+        trajectory = Trajectory.from_samples([
+            {"t": 0.0, "x": 2.0, "y": 4.0, "z": 1.5, "yaw": 0.0},
+            {"t": 0.3, "x": 8.0, "y": 4.0, "z": 1.5, "yaw": 0.0},
+        ])
+        config = ScanConfig(channels=16, vertical_fov_deg=(-30.0, 30.0), rotation_rate_hz=10.0,
+                            points_per_second=24_000, max_range_m=50.0)
+        scan = simulate_scan(build_room_mesh(), trajectory, config, seed=7)
+        real, synth = scan.cloud, apply_range_noise(scan, NoiseModel(0.02, seed=8)).cloud
+        p = MetricParams()
+        base = metric.compute_m3c2_per_class(real, synth, p.weights, p.m3c2)
+        rng = np.random.default_rng(41)
+        for _ in range(3):
+            pr, ps = rng.permutation(len(real)), rng.permutation(len(synth))
+            got = metric.compute_m3c2_per_class(
+                LabeledPointCloud(real.xyz[pr], real.labels[pr]),
+                LabeledPointCloud(synth.xyz[ps], synth.labels[ps]), p.weights, p.m3c2,
+            )
+            for cls, res in base.items():
+                assert got[cls].inliers == res.inliers
+                if res.median is not None:
+                    assert got[cls].median == pytest.approx(res.median, rel=1e-9), cls
 
 
 class TestMm3c2:

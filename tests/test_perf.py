@@ -1,5 +1,5 @@
-"""Million-element build-time checks and raycast and XYZL throughput
-floors; long-running, so opt in with PCGAP_PERF=1
+"""Million-element and ground-mesh build-time checks and raycast and XYZL
+throughput floors; long-running, so opt in with PCGAP_PERF=1
 (e.g. ``PCGAP_PERF=1 pytest tests/test_perf.py -m perf``)."""
 
 import os
@@ -36,6 +36,28 @@ def test_bvh_build_1m_under_30s():
     bvh = Bvh(mesh)
     assert time.time() - t0 < 30.0
     assert bvh.raycast((50.0, 50.0, -10.0), (0.0, 0.0, 1.0)) is not None
+
+
+def best_build_time(mesh, runs):
+    elapsed = []
+    for _ in range(runs):
+        t0 = time.perf_counter()
+        Bvh(mesh)
+        elapsed.append(time.perf_counter() - t0)
+    return min(elapsed)
+
+
+def test_bvh_build_1m_under_4s():
+    rng = np.random.default_rng(1)
+    n = 1_000_000
+    verts = rng.uniform(0, 100, size=(3 * n, 3))
+    mesh = ClassedMesh(verts, np.arange(3 * n).reshape(n, 3), np.ones(n, dtype=np.uint8))
+    assert best_build_time(mesh, 2) <= 4.0
+
+
+def test_ground_build_under_40ms():
+    mesh = height_field_mesh(np.random.default_rng(2), 120)  # 28,800 triangles
+    assert best_build_time(mesh, 3) <= 0.040
 
 
 def test_ground_scan_under_25us_per_ray():

@@ -8,7 +8,7 @@ from pcgap import spatial
 from pcgap.io import ClassedMesh
 from pcgap.spatial import MIN_RAY_T, Bvh, ray_triangles
 
-from conftest import height_field_mesh, sensor_rays
+from conftest import build_room_mesh, height_field_mesh, sensor_rays
 
 
 def cross_form_ray_triangles(origin, direction, v0, v1, v2):
@@ -206,3 +206,89 @@ class TestKernelArithmetic:
             got = ray_triangles(origins, d, *tri)
             assert_bit_identical(origins, d, *tri)
             assert np.isinf(got[0]) and np.isfinite(got[-1])
+
+
+def centred_soup(rng, centres):
+    """One triangle per row of ``centres``, each of random shape with its
+    centroid exactly on its centre: corners c + a, c + b, c - (a + b), with
+    offsets in eighths so that every sum is exact."""
+    a, b = rng.integers(-8, 9, size=(2, len(centres), 3)) / 8.0
+    verts = np.stack([centres + a, centres + b, centres - (a + b)], axis=1).reshape(-1, 3)
+    n = len(centres)
+    return ClassedMesh(verts, np.arange(3 * n).reshape(n, 3), np.full(n, 2, dtype=np.uint8))
+
+
+def random_soup(rng, n):
+    return ClassedMesh(rng.uniform(-5, 5, size=(3 * n, 3)), np.arange(3 * n).reshape(n, 3),
+                       rng.integers(1, 13, size=n).astype(np.uint8))
+
+
+STRUCTURE_MESHES = {
+    "height-field-18": lambda rng: height_field_mesh(rng, 18),
+    "height-field-122": lambda rng: height_field_mesh(rng, 122),
+    "soup-600": lambda rng: random_soup(rng, 600),
+    "soup-3000": lambda rng: random_soup(rng, 3000),
+    "room": lambda rng: build_room_mesh(),
+    "one-triangle": lambda rng: random_soup(rng, 1),
+    "identical-centroids": lambda rng: centred_soup(rng, np.zeros((500, 3))),
+    "tied-centroids": lambda rng: centred_soup(rng, rng.integers(0, 4, size=(3000, 3)).astype(float)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(STRUCTURE_MESHES))
+def test_bvh_structure(name):
+    mesh = STRUCTURE_MESHES[name](np.random.default_rng(16))
+    bvh = Bvh(mesh)
+    n = len(mesh.triangles)
+    corners = mesh.vertices[mesh.triangles]
+    centroids = (corners[:, 0] + corners[:, 1] + corners[:, 2]) / 3.0
+    left, right, ids = bvh._left, bvh._right, bvh._leaf_ids
+    leaf = left < 0
+
+    # breadth first: the k-th split node's children are 2k + 1 and 2k + 2
+    assert np.array_equal(left[~leaf], 2 * np.arange((~leaf).sum()) + 1)
+    assert np.array_equal(right, np.where(leaf, -1, left + 1))
+    assert np.array_equal(bvh._leaf_row, np.where(leaf, np.cumsum(leaf) - 1, -1))
+
+    # leaf rows ascend, padded with n_tris, and hold every triangle once
+    assert ids.shape[0] == leaf.sum()
+    assert np.all((ids[:, 1:] > ids[:, :-1]) | (ids[:, 1:] == n))
+    assert np.array_equal(np.sort(ids[ids < n]), np.arange(n))
+
+    members = [None] * left.size
+    for node in np.flatnonzero(leaf):
+        row = ids[bvh._leaf_row[node]]
+        members[node] = row[row < n]
+        assert 1 <= members[node].size <= spatial._LEAF_SIZE
+    for node in np.flatnonzero(~leaf)[::-1]:
+        lo, hi = members[left[node]], members[right[node]]
+        members[node] = np.concatenate([lo, hi])
+        size = members[node].size
+        assert size > spatial._LEAF_SIZE and lo.size == size // 2
+        # the median split along the widest centroid extent, ties to the lower id
+        axis = np.argmax(np.ptp(centroids[members[node]], axis=0))
+        boundary = centroids[lo, axis].max()
+        assert boundary <= centroids[hi, axis].min()
+        tied_hi = hi[centroids[hi, axis] == boundary]
+        assert tied_hi.size == 0 or lo[centroids[lo, axis] == boundary].max() < tied_hi.min()
+
+    # each box is the tight box of its triangles, so it contains its children's
+    for node, tris in enumerate(members):
+        np.testing.assert_array_equal(bvh._node_min[node], corners[tris].min(axis=(0, 1)))
+        np.testing.assert_array_equal(bvh._node_max[node], corners[tris].max(axis=(0, 1)))
+    assert np.all(bvh._node_min[~leaf] <= np.minimum(bvh._node_min[left[~leaf]], bvh._node_min[right[~leaf]]))
+    assert np.all(bvh._node_max[~leaf] >= np.maximum(bvh._node_max[left[~leaf]], bvh._node_max[right[~leaf]]))
+
+    again = Bvh(mesh)
+    for attr in ("_node_min", "_node_max", "_left", "_right", "_leaf_row", "_leaf_ids", "_v0", "_e1", "_e2"):
+        a, b = getattr(bvh, attr), getattr(again, attr)
+        assert a.dtype == b.dtype and np.array_equal(a, b), attr
+
+
+@pytest.mark.parametrize("name", ["identical-centroids", "tied-centroids"])
+def test_tied_centroids_match_brute_force(name):
+    rng = np.random.default_rng(17)
+    mesh = STRUCTURE_MESHES[name](rng)
+    lo, hi = mesh.vertices.min(axis=0) - 1.0, mesh.vertices.max(axis=0) + 1.0
+    tid = assert_same_hits(mesh, rng.uniform(lo, hi, size=(400, 3)), unit(rng.normal(size=(400, 3))))
+    assert (tid >= 0).any()
