@@ -11,8 +11,8 @@ from __future__ import annotations
 
 import argparse
 import csv
-import hashlib
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -28,6 +28,8 @@ EXIT_DEGENERATE = 4
 
 
 def _sha256(path) -> str:
+    import hashlib  # only manifests need it; kept off the import path
+
     h = hashlib.sha256()
     with open(path, "rb") as fh:
         for chunk in iter(lambda: fh.read(1 << 20), b""):
@@ -81,14 +83,25 @@ def _load_run_config(args) -> io.RunConfig:
 # ---------------------------------------------------------------------------
 
 
+def _offset_magnitudes(text: str) -> list[float]:
+    """The comma-separated ``--offset`` magnitudes: at least one, all finite."""
+    try:
+        magnitudes = [float(tok) for tok in text.split(",") if tok.strip() != ""]
+    except ValueError:
+        magnitudes = []
+    if not magnitudes or not all(map(math.isfinite, magnitudes)):
+        raise ConfigError(f"--offset must list finite magnitudes in meters, got {text!r}")
+    return magnitudes
+
+
 def cmd_compare(args) -> int:
     cfg = _load_run_config(args)
     params = metric.MetricParams.from_run_config(cfg)
+    magnitudes = _offset_magnitudes(args.offset) if args.offset is not None else None
     real = io.read_cloud(args.real)
     synth = io.read_cloud(args.synthetic)
 
-    if args.offset:
-        magnitudes = [float(tok) for tok in args.offset.split(",") if tok.strip() != ""]
+    if magnitudes is not None:
         vectors = metric.scalar_offsets_to_vectors(magnitudes)
         reports = metric.offset_sensitivity(real, synth, vectors, params)
         payload = {
@@ -417,10 +430,18 @@ def _fail(code: int, message: str) -> int:
     return code
 
 
+def _reject_non_finite(args) -> None:
+    """Every float flag must be finite; a NaN or inf names its flag."""
+    for dest, value in vars(args).items():
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ConfigError(f"--{dest.replace('_', '-')} must be finite, got {value}")
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _reject_non_finite(args)
         return args.func(args)
     except (ConfigError, ValueError) as exc:
         return _fail(EXIT_CONFIG, str(exc))

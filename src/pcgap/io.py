@@ -439,7 +439,7 @@ def read_mesh(path) -> ClassedMesh:
         raise FileNotFoundError(f"no such mesh file: {path}")
     text = path.read_text(encoding="utf-8", errors="replace")
     lines = text.split("\n")
-    parsed = _bulk_obj(path, lines) if text.isascii() else None
+    parsed = _bulk_obj(path, text, lines) if text.isascii() else None
     verts, tri_arr, cls_arr = parsed or _scan_obj(path, lines)
     if verts.size and not np.isfinite(verts).all():
         raise ParseError(path, "non-finite vertex coordinate")
@@ -511,14 +511,35 @@ def _scan_obj(path: Path, lines) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     )
 
 
-def _bulk_obj(path: Path, lines) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+_SPACE = np.zeros(256, dtype=bool)  # the ASCII bytes str.split() splits on
+_SPACE[[9, 10, 11, 12, 13, 28, 29, 30, 31, 32]] = True
+_TOKEN_END = _SPACE.copy()
+_TOKEN_END[ord("#")] = True
+
+
+def _obj_tags(text: str, lines: list[str]) -> np.ndarray:
+    """Per line of ASCII ``text`` (``lines`` is ``text`` split at "\\n"),
+    the byte of the first token of ``line.split("#", 1)[0].split()`` when
+    that token is one character long, else 0. Lines are classified by
+    their first two bytes; only a line that starts with whitespace is split."""
+    buf = np.frombuffer(text.encode("ascii") + b"\n\n", dtype=np.uint8)
+    starts = np.concatenate(([0], np.flatnonzero(buf[:-2] == ord("\n")) + 1))
+    first = buf[starts]
+    tags = np.where(_TOKEN_END[buf[starts + 1]] & ~_TOKEN_END[first], first, 0)
+    for i in np.flatnonzero(_SPACE[first] & (first != ord("\n"))):
+        token = (lines[i].split("#", 1)[0].split(None, 1) or ("",))[0]
+        tags[i] = ord(token) if len(token) == 1 else 0
+    return tags
+
+
+def _bulk_obj(path: Path, text: str, lines) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
     """The same arrays from bulk parses of the ``v`` and ``f`` lines of
     ASCII text, or None when the loop must decide: a face that is not a
     triangle of positive refs to vertices defined above it, or any line
     that does not parse. Nothing is logged before that is settled."""
-    tags = np.array([(line.split("#", 1)[0].split(None, 1) or ("",))[0] for line in lines])
-    v_at, f_at = np.flatnonzero(tags == "v"), np.flatnonzero(tags == "f")
-    g_at = np.flatnonzero((tags == "g") | (tags == "o"))
+    tags = _obj_tags(text, lines)
+    v_at, f_at = np.flatnonzero(tags == ord("v")), np.flatnonzero(tags == ord("f"))
+    g_at = np.flatnonzero((tags == ord("g")) | (tags == ord("o")))
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # e.g. "input contained no data"
@@ -708,12 +729,16 @@ def read_config(path) -> RunConfig:
 
 
 def dump_json(payload: Mapping, path) -> None:
-    """Deterministic JSON writer: sorted keys, fixed separators, newline end."""
+    """Deterministic JSON writer: sorted keys, fixed separators, newline end.
+    A NaN or infinity is refused (ValueError) before the file is opened."""
     path = Path(path)
     try:
+        text = json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n"
+    except ValueError as exc:
+        raise ValueError(f"cannot write {path}: {exc}") from exc
+    try:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            json.dump(payload, fh, sort_keys=True, indent=2)
-            fh.write("\n")
+            fh.write(text)
     except OSError as exc:
         raise OSError(f"cannot write report to {path}: {exc}") from exc
 
@@ -724,9 +749,14 @@ def write_report(report, path) -> None:
 
 
 def read_report(path) -> dict:
+    """A report JSON; reports never hold NaN or infinities, so those are a ParseError."""
     path = Path(path)
+
+    def refuse(constant):
+        raise ParseError(path, f"non-finite number {constant} in a report")
+
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            return json.load(fh, parse_constant=refuse)
     except json.JSONDecodeError as exc:
         raise ParseError(path, f"invalid JSON: {exc}") from exc

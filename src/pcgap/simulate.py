@@ -134,8 +134,8 @@ class NoiseModel:
     seed: int = 0
 
     def __post_init__(self):
-        if self.sigma < 0:
-            raise ValueError("sigma must be >= 0")
+        if not (math.isfinite(self.sigma) and self.sigma >= 0):
+            raise ValueError("sigma must be finite and >= 0")
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from typing import Mapping
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 MIN_RAY_T = 1e-6  # meters; avoids self-intersection at the emitter origin
 _PARALLEL_EPS = 1e-12
@@ -38,6 +37,10 @@ class NnIndex:
             raise ValueError("index requires a non-empty (N, 3) point array")
         xyz.setflags(write=False)
         self.points = xyz
+        # scipy is imported where a tree is built: only ``compare`` needs
+        # one, and every other command starts faster without it
+        from scipy.spatial import cKDTree
+
         self._tree = cKDTree(xyz)
 
     def __len__(self) -> int:
@@ -64,17 +67,12 @@ class NnIndex:
     def within_radius_many(self, points: np.ndarray, radius: float) -> tuple[np.ndarray, np.ndarray]:
         """Every (query row, point index) pair with distance <= radius, as two
         flat int64 arrays in an unspecified but deterministic order."""
+        from scipy.spatial import cKDTree
+
         # a median split is slower to build and no faster to join here
         queries = cKDTree(np.asarray(points, dtype=np.float64).reshape(-1, 3), balanced_tree=False)
         pairs = queries.sparse_distance_matrix(self._tree, radius, output_type="ndarray")
         return pairs["i"].astype(np.int64), pairs["j"].astype(np.int64)
-
-    def count_within_radius_many(self, points: np.ndarray, radius: float) -> np.ndarray:
-        return np.atleast_1d(
-            self._tree.query_ball_point(
-                np.asarray(points, dtype=np.float64), radius, workers=-1, return_length=True
-            )
-        )
 
     def within_cylinder(self, center, axis, radius: float, half_depth: float) -> np.ndarray:
         """Indices of points inside a finite cylinder.

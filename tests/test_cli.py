@@ -1,9 +1,14 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import pcgap
 from pcgap.cli import EXIT_CONFIG, EXIT_DEGENERATE, EXIT_IO, EXIT_OK, main
 from pcgap.core import LabeledPointCloud
 from pcgap.io import FORMAT_XYZL, read_cloud, read_report, write_cloud
@@ -21,6 +26,102 @@ def scene_files(tmp_path):
     write_cloud(real, real_path, FORMAT_XYZL)
     write_cloud(synth, synth_path, FORMAT_XYZL)
     return real_path, synth_path, real, synth
+
+
+@pytest.fixture()
+def small_inputs(tmp_path):
+    """Inputs on which every command below runs, and the argv of each; the
+    fresh-interpreter tests run them all with finite flags."""
+    rng = np.random.default_rng(74)
+    cloud = tmp_path / "c.xyzl"
+    write_cloud(random_cloud(rng, 10, classes=(1, 2, 6)), cloud, FORMAT_XYZL)
+    (tmp_path / "c.xyzl.origins").write_text("0 0 0\n" * 10)
+    (tmp_path / "pred.txt").write_text("1\n" * 10)
+    street = tmp_path / "street.xyzl"
+    write_cloud(build_street_scene(73, scale=0.02), street, FORMAT_XYZL)
+    (tmp_path / "room.obj").write_text(room_mesh_obj_text())
+    (tmp_path / "traj.json").write_text(json.dumps([
+        {"t": 0.0, "x": 2.0, "y": 4.0, "z": 1.5, "yaw": 0.0},
+        {"t": 0.1, "x": 3.0, "y": 4.0, "z": 1.5, "yaw": 0.0},
+    ]))
+    out = str(tmp_path / "out" / "o.xyzl")
+    return {
+        "compare": ["compare", "--real", str(street), "--synthetic", str(street),
+                    "--out", str(tmp_path / "out" / "gap.json")],
+        "simulate": ["simulate", "--mesh", str(tmp_path / "room.obj"), "--trajectory",
+                     str(tmp_path / "traj.json"), "--seed", "1", "--out", out],
+        "noise": ["noise", "--cloud", str(cloud), "--seed", "1", "--out", out],
+        "mix": ["mix", "--real", str(cloud), "--synthetic", str(cloud), "--count", "10",
+                "--seed", "1", "--out", out],
+        "eval-seg": ["eval-seg", "--truth", str(cloud), "--pred", str(tmp_path / "pred.txt"),
+                     "--out", str(tmp_path / "out" / "eval.json")],
+    }
+
+
+@pytest.mark.parametrize(
+    "command,flag,value",
+    [
+        ("simulate", "--sigma", "nan"),
+        ("noise", "--sigma", "nan"),
+        ("noise", "--sigma", "inf"),
+        ("mix", "--fraction", "nan"),
+        ("eval-seg", "--ratio", "nan"),
+        ("compare", "--offset", "nan"),
+        ("compare", "--offset", "0,inf"),
+        ("compare", "--offset", ", ,"),
+        ("compare", "--offset", "0,x"),
+        ("compare", "--alpha", "-inf"),
+        ("compare", "--voxel-size", "nan"),
+    ],
+)
+def test_non_finite_flag_exit_2(tmp_path, small_inputs, capsys, command, flag, value):
+    (tmp_path / "out").mkdir()
+    code = main(small_inputs[command] + [f"{flag}={value}"])
+    assert code == EXIT_CONFIG
+    assert flag in json.loads(capsys.readouterr().err)["error"]
+    assert list((tmp_path / "out").iterdir()) == []
+
+
+def _run_fresh(argvs) -> list[str]:
+    """Run CLI calls in a fresh interpreter that imports pcgap from this
+    source tree; return the scipy modules loaded when they are done."""
+    src = str(Path(pcgap.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    code = (
+        "import json, sys\n"
+        "import pcgap.cli\n"
+        "pcgap.cli.build_parser()\n"
+        "for argv in json.loads(sys.argv[1]):\n"
+        "    if pcgap.cli.main(argv) != 0:\n"
+        "        raise SystemExit(f'{argv} failed')\n"
+        "print(json.dumps(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy')))\n"
+    )
+    done = subprocess.run([sys.executable, "-c", code, json.dumps(argvs)], capture_output=True,
+                          text=True, timeout=120, env=dict(os.environ, PYTHONPATH=path))
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout.splitlines()[-1])
+
+
+def test_commands_without_a_kd_tree_never_import_scipy(tmp_path, small_inputs):
+    (tmp_path / "out").mkdir()
+    eval_json = small_inputs["eval-seg"][-1]
+    assert _run_fresh([
+        small_inputs["simulate"],
+        small_inputs["noise"] + ["--sigma", "0.01"],
+        small_inputs["mix"] + ["--fraction", "0.5"],
+        small_inputs["eval-seg"] + ["--ratio", "0.5"],
+        ["report", eval_json, "--out", str(tmp_path / "out" / "eval.csv")],
+    ]) == []
+
+
+def test_compare_in_a_fresh_interpreter_matches_in_process(tmp_path, small_inputs):
+    (tmp_path / "out").mkdir()
+    fresh, here = tmp_path / "out" / "fresh.json", tmp_path / "out" / "here.json"
+    argv = small_inputs["compare"][:-1]  # ends with --out
+    assert "scipy.spatial" in _run_fresh([argv + [str(fresh), "--offset", "0,0.1"]])
+    assert main(argv + [str(here), "--offset", "0,0.1"]) == EXIT_OK
+    for suffix in ("", ".manifest.json"):
+        assert Path(f"{fresh}{suffix}").read_bytes() == Path(f"{here}{suffix}").read_bytes()
 
 
 class TestCompare:
@@ -379,6 +480,23 @@ class TestEvalAndReport:
         assert rows[-1][0] == "mIoU"
         series = json.loads(plot.read_text())["series"]
         assert len(series["mIoU"]) == 5
+
+    @pytest.mark.parametrize("constant", ["NaN", "Infinity", "-Infinity"])
+    def test_report_refuses_non_finite_input_exit_3(self, tmp_path, capsys, constant):
+        real = build_street_scene(76, scale=0.02)
+        rp = tmp_path / "r.xyzl"
+        write_cloud(real, rp, FORMAT_XYZL)
+        gap = tmp_path / "gap.json"
+        assert main(["compare", "--real", str(rp), "--synthetic", str(rp), "--out", str(gap)]) == 0
+        doc = gap.read_text()
+        edited = doc.replace('"miou": ', f'"miou": {constant}, "was": ', 1)
+        assert edited != doc
+        gap.write_text(edited)
+        out_csv, plot = tmp_path / "summary.csv", tmp_path / "plot.json"
+        code = main(["report", str(gap), "--out", str(out_csv), "--plot-data", str(plot)])
+        assert code == EXIT_IO
+        assert f"{gap}: non-finite number {constant}" in json.loads(capsys.readouterr().err)["error"]
+        assert not out_csv.exists() and not plot.exists()
 
     def test_mixed_schema_rejected(self, tmp_path):
         real = build_street_scene(78, scale=0.02)

@@ -13,6 +13,7 @@ from pcgap.io import (
     FORMAT_XYZL,
     ClassedMesh,
     config_from_dict,
+    dump_json,
     read_cloud,
     read_config,
     read_label_file,
@@ -320,6 +321,21 @@ class TestReports:
             assert key in doc
         stats = doc["per_class"]["WallSurface"]
         assert set(stats) == {"m3c2_median", "inlier_count", "outlier_count", "iou"}
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    def test_dump_json_refuses_non_finite_and_keeps_the_file(self, tmp_path, value):
+        p = tmp_path / "report.json"
+        p.write_text("old\n")
+        with pytest.raises(ValueError, match=str(p)):
+            dump_json({"a": [1.0, {"b": value}]}, p)
+        assert p.read_text() == "old\n"
+
+    @pytest.mark.parametrize("constant", ["NaN", "Infinity", "-Infinity"])
+    def test_read_report_refuses_non_finite(self, tmp_path, constant):
+        p = tmp_path / "report.json"
+        p.write_text('{"report_type": "gap", "d": %s}\n' % constant)
+        with pytest.raises(ParseError, match=f"{p}: non-finite number {constant}"):
+            read_report(p)
 
     def test_ray_origin_round_trip(self, tmp_path):
         rng = np.random.default_rng(6)

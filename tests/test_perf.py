@@ -3,11 +3,15 @@ throughput floors; long-running, so opt in with PCGAP_PERF=1
 (e.g. ``PCGAP_PERF=1 pytest tests/test_perf.py -m perf``)."""
 
 import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import pcgap
 from pcgap.io import FORMAT_XYZL, ClassedMesh, read_cloud, write_cloud
 from pcgap.spatial import Bvh, NnIndex
 
@@ -89,3 +93,15 @@ def test_xyzl_204k_read_under_045s_round_trip_under_12s(tmp_path):
     assert back == cloud and copy.read_bytes() == path.read_bytes()
     assert min(reads) <= 0.45
     assert min(trips) <= 1.2
+
+
+def test_fresh_cli_import_under_0_35s():
+    """Every CLI call pays this before its command runs."""
+    env = dict(os.environ, PYTHONPATH=str(Path(pcgap.__file__).resolve().parents[1]))
+    elapsed = []
+    for _ in range(5):
+        t0 = time.perf_counter()
+        subprocess.run([sys.executable, "-c", "import pcgap.cli; pcgap.cli.build_parser()"],
+                       env=env, check=True, timeout=60)
+        elapsed.append(time.perf_counter() - t0)
+    assert min(elapsed) <= 0.35

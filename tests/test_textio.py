@@ -340,9 +340,42 @@ def test_obj_matches_line_scan(tmp_path, monkeypatch, caplog):
             "",
         ])
     ]
-    accepted = _compare(pio.read_mesh, clean + odd + edges, monkeypatch, caplog)
+    # how a line starts: the byte scan that finds the tags decides these
+    starts = [
+        _write(tmp_path, f"start-{k}.obj", text)
+        for k, text in enumerate([
+            " g WallSurface\n" + tri + "\tf 1 2 3\n",  # whitespace before a tag
+            "g WallSurface\n" + tri + " v 1 1 0\n\t f 1 2 4\n\x0bf 4 2 1\n",
+            "g WallSurface\n" + tri + "vn 0 0 1\nvt 0 0 0\nfo 1 2 3\nf 1 2 3\n",
+            "g WallSurface\n" + tri + "f 1 2 3",  # no newline at the end
+            "g WallSurface\r\n\r\n" + tri.replace("\n", "\r\n") + " f 1 2 3\r\n",
+            "g WallSurface\n" + tri + "v#c\nf 1 2 3\n",
+            "g WallSurface\n" + tri + "f#c\nf 1 2 3\n",
+            "g WallSurface\nv\x0b0 0 0\nv\x0c1 0 0\nv\x1c0 1 0\nf 1 2 3\n",
+            "g WallSurface\n" + tri + "f\x0b1 2 3\n",
+            "g WallSurface\n" + tri + "f\x0c1 2 3\n",
+            "g WallSurface\n" + tri + "f\x1c1 2 3\n",
+            "g\x1cDoor\n" + tri + "f 1 2 3\n",
+        ])
+    ]
+    accepted = _compare(pio.read_mesh, clean + odd + edges + starts, monkeypatch, caplog)
     assert all(accepted[:len(clean)])
     assert accepted[len(clean) + len(odd):][:2] == [True, True]
+    assert accepted[-len(starts):][:5] == [True] * 5
+
+
+def test_obj_tags_match_first_token():
+    """The byte scan gives every line the tag of its first token, as
+    ``line.split("#", 1)[0].split()`` does, on seeded lines of tag letters,
+    every ASCII whitespace byte, comments and line ends."""
+    rng = np.random.default_rng(6)
+    alphabet = list("vfgo#nt 1.a\t\x0b\x0c\r\n\x00") + [chr(c) for c in range(0x1c, 0x20)]
+    for _ in range(2000):
+        text = "".join(rng.choice(alphabet, size=int(rng.integers(0, 40))))
+        lines = text.split("\n")
+        want = [(line.split("#", 1)[0].split(None, 1) or ("",))[0] for line in lines]
+        got = pio._obj_tags(text, lines)
+        assert [chr(t) if t else "" for t in got] == [w if len(w) == 1 else "" for w in want]
 
 
 # ---------------------------------------------------------------------------
