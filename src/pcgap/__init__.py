@@ -4,7 +4,6 @@ for semantic point clouds."""
 from .core import (
     ClassMapping,
     ClassWeights,
-    LabeledPoint,
     LabeledPointCloud,
     SemanticClass,
     default_weights,
@@ -24,7 +23,7 @@ from .dataset import (
     split,
 )
 from .errors import ConfigError, DegenerateDataError, FormatError, ParseError, PcgapError
-from .io import ClassedMesh, RunConfig, read_cloud, read_config, read_mesh, write_cloud, write_report
+from .io import ClassedMesh, read_cloud, read_mesh, write_cloud, write_report
 from .metric import (
     GapReport,
     M3c2Params,
@@ -33,12 +32,11 @@ from .metric import (
     compose_score,
     dogss_pcl,
     m3c2_class_distance,
-    mm3c2_distance,
     offset_sensitivity,
     voxel_miou,
 )
 from .simulate import NoiseModel, ScanConfig, SimulatedScan, Trajectory, apply_range_noise, simulate_scan
-from .spatial import Bvh, NnIndex, VoxelGrid, build_bvh, build_index, estimate_normal, raycast, voxelize
+from .spatial import Bvh, NnIndex, VoxelGrid, voxelize
 
 __version__ = "0.1.0"
 
@@ -52,7 +50,6 @@ __all__ = [
     "EvalReport",
     "FormatError",
     "GapReport",
-    "LabeledPoint",
     "LabeledPointCloud",
     "M3c2Params",
     "MetricParams",
@@ -63,7 +60,6 @@ __all__ = [
     "PcgapError",
     "RatioMix",
     "Region",
-    "RunConfig",
     "ScanConfig",
     "SemanticClass",
     "SimulatedScan",
@@ -71,25 +67,19 @@ __all__ = [
     "Trajectory",
     "VoxelGrid",
     "apply_range_noise",
-    "build_bvh",
-    "build_index",
     "c2c_distance",
     "compose_score",
     "default_weights",
     "dogss_pcl",
-    "estimate_normal",
     "evaluate_segmentation",
     "m3c2_class_distance",
     "map_class",
     "mix",
-    "mm3c2_distance",
     "most_misclassified",
     "offset_sensitivity",
     "partition_by_class",
     "ratio_correlation",
-    "raycast",
     "read_cloud",
-    "read_config",
     "read_mesh",
     "simulate_scan",
     "split",

@@ -14,6 +14,7 @@ import csv
 import json
 import math
 import sys
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -48,19 +49,22 @@ def _write_manifest(out_path, command: str, config: dict, inputs: list, seed=Non
     io.dump_json(manifest, str(out_path) + ".manifest.json")
 
 
-def _load_run_config(args) -> io.RunConfig:
-    """Config file first, then flag overrides."""
-    raw = {}
-    if getattr(args, "config", None):
-        cfg_path = Path(args.config)
+def _read_json(path):
+    """The parsed JSON of an input file; text that is not JSON is a
+    ConfigError naming the file."""
+    with open(path, "r", encoding="utf-8") as fh:
         try:
-            with open(cfg_path, "r", encoding="utf-8") as fh:
-                raw = json.load(fh)
+            return json.load(fh)
         except json.JSONDecodeError as exc:
-            raise ConfigError(f"{cfg_path}: invalid JSON: {exc}") from exc
-        if not isinstance(raw, dict):
-            raise ConfigError(f"{cfg_path}: config root must be a JSON object")
-    overrides = {
+            raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
+
+
+def _metric_params(args) -> tuple[metric.MetricParams, int]:
+    """Parameters and seed from the config file, then flag overrides."""
+    raw = _read_json(args.config) if args.config else {}
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{args.config}: config root must be a JSON object")
+    flags = {
         "voxel_size_m": args.voxel_size,
         "lambda1": args.lambda1,
         "lambda2": args.lambda2,
@@ -72,10 +76,8 @@ def _load_run_config(args) -> io.RunConfig:
         "lambda_validation": args.lambda_validation,
         "seed": args.seed,
     }
-    for key, value in overrides.items():
-        if value is not None:
-            raw[key] = value
-    return io.config_from_dict(raw)
+    raw.update((key, value) for key, value in flags.items() if value is not None)
+    return metric.MetricParams.from_json_dict(raw)
 
 
 # ---------------------------------------------------------------------------
@@ -95,8 +97,7 @@ def _offset_magnitudes(text: str) -> list[float]:
 
 
 def cmd_compare(args) -> int:
-    cfg = _load_run_config(args)
-    params = metric.MetricParams.from_run_config(cfg)
+    params, seed = _metric_params(args)
     magnitudes = _offset_magnitudes(args.offset) if args.offset is not None else None
     real = io.read_cloud(args.real)
     synth = io.read_cloud(args.synthetic)
@@ -113,19 +114,14 @@ def cmd_compare(args) -> int:
         report = metric.dogss_pcl(real, synth, params)
         io.write_report(report, args.out)
 
-    _write_manifest(
-        args.out, "compare", cfg.to_json_dict(), [args.real, args.synthetic], seed=cfg.seed
-    )
+    config = {**params.to_json_dict(), "seed": seed}
+    _write_manifest(args.out, "compare", config, [args.real, args.synthetic], seed=seed)
     return EXIT_OK
 
 
 def cmd_simulate(args) -> int:
     mesh = io.read_mesh(args.mesh)
-    with open(args.trajectory, "r", encoding="utf-8") as fh:
-        try:
-            samples = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"{args.trajectory}: invalid JSON: {exc}") from exc
+    samples = _read_json(args.trajectory)
     try:
         trajectory = simulate.Trajectory.from_samples(samples)
     except ValueError as exc:
@@ -133,11 +129,7 @@ def cmd_simulate(args) -> int:
 
     scan_cfg = simulate.ScanConfig()
     if args.scan_config:
-        with open(args.scan_config, "r", encoding="utf-8") as fh:
-            try:
-                raw = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise ConfigError(f"{args.scan_config}: invalid JSON: {exc}") from exc
+        raw = _read_json(args.scan_config)
         try:
             scan_cfg = simulate.ScanConfig.from_json_dict(raw)
         except (TypeError, ValueError) as exc:
@@ -212,12 +204,7 @@ def cmd_mix(args) -> int:
 
 def cmd_split(args) -> int:
     cloud = io.read_cloud(args.cloud)
-    with open(args.spec, "r", encoding="utf-8") as fh:
-        try:
-            raw = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"{args.spec}: invalid JSON: {exc}") from exc
-    spec = dataset.SplitSpec.from_json_dict(raw)
+    spec = dataset.SplitSpec.from_json_dict(_read_json(args.spec))
     parts = dataset.split(cloud, spec)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -244,22 +231,35 @@ def cmd_eval_seg(args) -> int:
     return EXIT_OK
 
 
-def _flatten_gap_reports(paths) -> list[tuple[str, dict]]:
-    rows = []
-    for path in paths:
-        doc = io.read_report(path)
-        kind = doc.get("report_type")
-        if kind == "gap":
-            rows.append((str(path), doc))
-        elif kind == "gap_series":
-            for i, sub in enumerate(doc.get("reports", [])):
-                rows.append((f"{path}[{i}]", sub))
-        else:
-            raise ConfigError(f"{path}: expected a gap report, found {kind!r}")
-    return rows
-
-
 _GAP_COLUMNS = ("m_dogss_pcl", "d", "d_mm3c2", "d_c2c", "miou", "f_miou")
+
+
+def _gap_rows(path: str, doc: dict) -> list[tuple[str, float, list]]:
+    """Name, offset magnitude and column values of a gap report, or of
+    each report of a gap series."""
+    kind = doc.get("report_type")
+    if kind == "gap":
+        subs = [(path, doc)]
+    elif kind == "gap_series":
+        subs = [(f"{path}[{i}]", sub) for i, sub in enumerate(doc.get("reports", []))]
+    else:
+        raise ConfigError(f"{path}: expected a gap report, found {kind!r}")
+    return [
+        (name, float(np.linalg.norm(sub.get("offset", [0.0, 0.0, 0.0]))),
+         [float(sub[c]) for c in _GAP_COLUMNS])
+        for name, sub in subs
+    ]
+
+
+def _parse_report(path: str, parse, doc: dict):
+    """``parse(doc)``; a report that lacks a field or holds one of the
+    wrong type is a ParseError naming the file."""
+    try:
+        return parse(doc)
+    except ConfigError:
+        raise
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise ParseError(path, f"malformed report: {type(exc).__name__}: {exc}") from exc
 
 
 def cmd_report(args) -> int:
@@ -273,23 +273,20 @@ def cmd_report(args) -> int:
 
     plot_series: dict = {}
     if kind == "gap":
-        rows = _flatten_gap_reports(args.reports)
+        rows = []
+        for path, doc in docs:
+            rows += _parse_report(path, partial(_gap_rows, path), doc)
         with open(args.out, "w", encoding="utf-8", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(("report", "offset_m") + _GAP_COLUMNS)
-            for name, doc in rows:
-                offset = doc.get("offset", [0.0, 0.0, 0.0])
-                magnitude = float(np.linalg.norm(offset))
-                writer.writerow([name, magnitude] + [doc[c] for c in _GAP_COLUMNS])
+            for name, magnitude, values in rows:
+                writer.writerow([name, magnitude] + values)
         plot_series = {
-            col: [
-                [float(np.linalg.norm(doc.get("offset", [0, 0, 0]))), doc[col]]
-                for _, doc in rows
-            ]
-            for col in _GAP_COLUMNS
+            col: [[magnitude, values[k]] for _, magnitude, values in rows]
+            for k, col in enumerate(_GAP_COLUMNS)
         }
     else:
-        reports = [dataset.EvalReport.from_json_dict(d) for _, d in docs]
+        reports = [_parse_report(p, dataset.EvalReport.from_json_dict, d) for p, d in docs]
         ratios = [r.synthetic_ratio for r in reports]
         have_ratios = all(r is not None for r in ratios)
         order = np.argsort(ratios) if have_ratios else np.arange(len(reports))
@@ -357,7 +354,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("compare", help="score a synthetic cloud against its real twin")
     p.add_argument("--real", required=True)
     p.add_argument("--synthetic", "--synth", dest="synthetic", required=True)
-    p.add_argument("--config", help="RunConfig JSON; flags override file values")
+    p.add_argument("--config", help="config JSON (see README); flags override file values")
     p.add_argument("--offset", help="comma-separated offset magnitudes in meters, "
                    "applied along the unit diagonal (e.g. '0,0.1,0.3')")
     p.add_argument("--out", required=True)
@@ -369,7 +366,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--epsilon", type=float)
     p.add_argument("--c2c-mode", choices=metric.C2C_MODES, dest="c2c_mode")
     p.add_argument("--eq3-weight-mode", choices=metric.EQ3_WEIGHT_MODES, dest="eq3_weight_mode")
-    p.add_argument("--lambda-validation", choices=("strict", "relaxed"), dest="lambda_validation")
+    p.add_argument("--lambda-validation", choices=metric.LAMBDA_VALIDATION_MODES,
+                   dest="lambda_validation")
     p.add_argument("--seed", type=int)
     p.set_defaults(func=cmd_compare)
 
@@ -430,20 +428,25 @@ def _fail(code: int, message: str) -> int:
     return code
 
 
-def _reject_non_finite(args) -> None:
-    """Every float flag must be finite; a NaN or inf names its flag."""
+def _check_float_flags(args) -> None:
+    """Every float flag must be finite, ``--sigma`` >= 0 and ``--ratio`` in
+    [0, 1]; a bad value names its flag."""
     for dest, value in vars(args).items():
         if isinstance(value, float) and not math.isfinite(value):
             raise ConfigError(f"--{dest.replace('_', '-')} must be finite, got {value}")
+    if getattr(args, "sigma", None) is not None and args.sigma < 0:
+        raise ConfigError(f"--sigma must be >= 0, got {args.sigma}")
+    if getattr(args, "ratio", None) is not None and not 0 <= args.ratio <= 1:
+        raise ConfigError(f"--ratio must be in [0, 1], got {args.ratio}")
 
 
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        _reject_non_finite(args)
+        _check_float_flags(args)
         return args.func(args)
-    except (ConfigError, ValueError) as exc:
+    except ValueError as exc:  # a ConfigError is one too
         return _fail(EXIT_CONFIG, str(exc))
     except DegenerateDataError as exc:
         return _fail(EXIT_DEGENERATE, str(exc))

@@ -12,7 +12,7 @@ import logging
 import math
 from dataclasses import dataclass
 from enum import IntEnum
-from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -70,13 +70,6 @@ NOISE = SemanticClass.NOISE
 NON_NOISE_CLASSES: tuple[SemanticClass, ...] = tuple(
     c for c in SemanticClass if c is not SemanticClass.NOISE
 )
-
-
-class LabeledPoint(NamedTuple):
-    x: float
-    y: float
-    z: float
-    class_id: int
 
 
 def _norm_token(s: str) -> str:
@@ -251,7 +244,6 @@ class LabeledPointCloud:
 
     xyz: np.ndarray
     labels: np.ndarray
-    frame_note: str = ""
 
     def __post_init__(self):
         xyz = np.ascontiguousarray(self.xyz, dtype=np.float64)
@@ -273,61 +265,40 @@ class LabeledPointCloud:
     # -- construction helpers -------------------------------------------------
 
     @classmethod
-    def empty(cls, frame_note: str = "") -> "LabeledPointCloud":
-        return cls(np.empty((0, 3)), np.empty(0, dtype=np.uint8), frame_note)
-
-    @classmethod
-    def from_points(cls, points: Iterable[LabeledPoint], frame_note: str = "") -> "LabeledPointCloud":
-        pts = list(points)
-        if not pts:
-            return cls.empty(frame_note)
-        xyz = np.array([(p[0], p[1], p[2]) for p in pts], dtype=np.float64)
-        labels = np.array([p[3] for p in pts])
-        return cls(xyz, labels, frame_note)
+    def empty(cls) -> "LabeledPointCloud":
+        return cls(np.empty((0, 3)), np.empty(0, dtype=np.uint8))
 
     @classmethod
     def from_arrays(
         cls,
         xyz: np.ndarray,
         labels: np.ndarray,
-        frame_note: str = "",
         coerce: bool = False,
         context: str = "",
     ) -> "LabeledPointCloud":
         if coerce:
             labels = coerce_labels(labels, context)
-        return cls(xyz, labels, frame_note)
+        return cls(xyz, labels)
 
     @staticmethod
-    def concat(clouds: Sequence["LabeledPointCloud"], frame_note: str = "") -> "LabeledPointCloud":
+    def concat(clouds: Sequence["LabeledPointCloud"]) -> "LabeledPointCloud":
         if not clouds:
-            return LabeledPointCloud.empty(frame_note)
+            return LabeledPointCloud.empty()
         xyz = np.concatenate([c.xyz for c in clouds], axis=0)
         labels = np.concatenate([c.labels for c in clouds])
-        return LabeledPointCloud(xyz, labels, frame_note)
+        return LabeledPointCloud(xyz, labels)
 
     # -- accessors -------------------------------------------------------------
 
     def __len__(self) -> int:
         return self.xyz.shape[0]
 
-    def __iter__(self) -> Iterator[LabeledPoint]:
-        for i in range(len(self)):
-            yield self.point(i)
-
-    def point(self, i: int) -> LabeledPoint:
-        x, y, z = self.xyz[i]
-        return LabeledPoint(float(x), float(y), float(z), int(self.labels[i]))
-
-    def classes_present(self) -> list[SemanticClass]:
-        return [SemanticClass(int(c)) for c in np.unique(self.labels)]
-
     def select(self, mask_or_indices) -> "LabeledPointCloud":
-        return LabeledPointCloud(self.xyz[mask_or_indices], self.labels[mask_or_indices], self.frame_note)
+        return LabeledPointCloud(self.xyz[mask_or_indices], self.labels[mask_or_indices])
 
     def translate(self, vector) -> "LabeledPointCloud":
         v = np.asarray(vector, dtype=np.float64).reshape(3)
-        return LabeledPointCloud(self.xyz + v, self.labels, self.frame_note)
+        return LabeledPointCloud(self.xyz + v, self.labels)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, LabeledPointCloud):
@@ -374,9 +345,6 @@ class ClassWeights:
 
     def get(self, cls: SemanticClass) -> float:
         return self.weights.get(cls, 0.0)
-
-    def positive_classes(self) -> list[SemanticClass]:
-        return [c for c, w in self.weights.items() if w > 0]
 
     def restricted_to(self, classes: Iterable[SemanticClass]) -> dict[SemanticClass, float]:
         """Renormalized weights over a subset; empty dict when the subset carries

@@ -207,14 +207,14 @@ def mix(real: LabeledPointCloud, synthetic: LabeledPointCloud, spec: RatioMix) -
 
     def draw(cloud: LabeledPointCloud, count: int) -> tuple[LabeledPointCloud, bool]:
         if count == 0:
-            return LabeledPointCloud.empty(cloud.frame_note), False
+            return LabeledPointCloud.empty(), False
         replace = count > len(cloud)
         idx = rng.choice(len(cloud), size=count, replace=replace)
         return cloud.select(idx), replace
 
     real_part, real_rep = draw(real, n_real)
     synth_part, synth_rep = draw(synthetic, n_synth)
-    merged = LabeledPointCloud.concat([real_part, synth_part], frame_note="ratio mix")
+    merged = LabeledPointCloud.concat([real_part, synth_part])
     provenance = np.concatenate(
         [np.ones(n_real, dtype=bool), np.zeros(n_synth, dtype=bool)]
     )
@@ -245,6 +245,12 @@ class EvalReport:
     confusion: np.ndarray  # (12, 12), rows = true class, cols = predicted
     synthetic_ratio: float | None = None
 
+    def __post_init__(self):
+        r = self.synthetic_ratio
+        number = isinstance(r, (int, float)) and not isinstance(r, bool)
+        if r is not None and not (number and 0 <= r <= 1):
+            raise ValueError(f"synthetic_ratio must be null or in [0, 1], got {r!r}")
+
     def to_json_dict(self) -> dict:
         return {
             "report_type": "eval",
@@ -265,13 +271,12 @@ class EvalReport:
 
     @classmethod
     def from_json_dict(cls, raw: Mapping) -> "EvalReport":
-        per_class = {
-            SemanticClass.from_name(name): ClassEval(
-                int(ev["tp"]), int(ev["fp"]), int(ev["fn"]),
-                float(ev["iou"]), bool(ev["absent"]),
+        per_class = {}
+        for c in SemanticClass:  # every class has an entry
+            ev = raw["per_class"][c.canonical_name]
+            per_class[c] = ClassEval(
+                int(ev["tp"]), int(ev["fp"]), int(ev["fn"]), float(ev["iou"]), bool(ev["absent"])
             )
-            for name, ev in raw["per_class"].items()
-        }
         return cls(
             per_class=per_class,
             miou=float(raw["miou"]),

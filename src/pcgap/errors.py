@@ -26,7 +26,7 @@ class FormatError(PcgapError):
     """Unknown or unsupported file format."""
 
 
-class ConfigError(PcgapError):
+class ConfigError(PcgapError, ValueError):
     """Invalid configuration; message names the offending key path."""
 
 

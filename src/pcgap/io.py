@@ -1,4 +1,4 @@
-"""Bit-exact readers and writers for clouds, class-tagged meshes, configs, reports.
+"""Bit-exact readers and writers for clouds, class-tagged meshes, and reports.
 
 Formats:
   * XYZL text: whitespace-separated ``x y z class_id``; ``#`` comments and
@@ -17,20 +17,18 @@ import logging
 import math
 import re
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Mapping
+from typing import Mapping
 
 import numpy as np
 
 from .core import (
-    ClassWeights,
     LabeledPointCloud,
     SemanticClass,
     coerce_labels,
-    default_weights,
 )
-from .errors import ConfigError, FormatError, ParseError
+from .errors import FormatError, ParseError
 
 logger = logging.getLogger(__name__)
 
@@ -559,171 +557,6 @@ def _bulk_obj(path: Path, text: str, lines) -> tuple[np.ndarray, np.ndarray, np.
 
 
 # ---------------------------------------------------------------------------
-# run configuration
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Validated run parameters with spec'd defaults, ready to echo into reports."""
-
-    voxel_size_m: float = 0.5
-    lambda1: float = 0.6
-    lambda2: float = 0.3
-    lambda3: float = 0.1
-    alpha: float = -0.2
-    epsilon: float = 1e-6
-    class_weights: ClassWeights = field(default_factory=default_weights)
-    m3c2_normal_scale_m: float = 0.5
-    m3c2_projection_radius_m: float = 0.25
-    m3c2_max_depth_m: float = 1.0
-    c2c_mode: str = "directed-max"
-    eq3_weight_mode: str = "as-given"
-    lambda_validation: str = "strict"
-    seed: int = 0
-
-    def to_json_dict(self) -> dict:
-        return {
-            "voxel_size_m": self.voxel_size_m,
-            "lambda1": self.lambda1,
-            "lambda2": self.lambda2,
-            "lambda3": self.lambda3,
-            "alpha": self.alpha,
-            "epsilon": self.epsilon,
-            "class_weights": self.class_weights.to_json_dict(),
-            "m3c2": {
-                "normal_scale_m": self.m3c2_normal_scale_m,
-                "projection_radius_m": self.m3c2_projection_radius_m,
-                "max_depth_m": self.m3c2_max_depth_m,
-            },
-            "c2c_mode": self.c2c_mode,
-            "eq3_weight_mode": self.eq3_weight_mode,
-            "lambda_validation": self.lambda_validation,
-            "seed": self.seed,
-        }
-
-
-_C2C_MODES = ("directed-max", "directed-mean", "symmetric-max")
-_EQ3_MODES = ("as-given", "renormalized")
-_LAMBDA_MODES = ("strict", "relaxed")
-
-
-def _expect_number(raw: Mapping, key: str, default: float) -> float:
-    value = raw.get(key, default)
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{key}: expected a number, got {value!r}")
-    return float(value)
-
-
-def config_from_dict(raw: Mapping[str, Any]) -> RunConfig:
-    """Build and validate a RunConfig from parsed JSON, applying defaults."""
-    if not isinstance(raw, Mapping):
-        raise ConfigError("config root must be a JSON object")
-    known = {
-        "voxel_size_m", "lambda1", "lambda2", "lambda3", "alpha", "epsilon",
-        "class_weights", "m3c2", "c2c_mode", "eq3_weight_mode",
-        "lambda_validation", "seed",
-    }
-    for key in raw:
-        if key not in known:
-            raise ConfigError(f"{key}: unknown config key")
-
-    voxel = _expect_number(raw, "voxel_size_m", 0.5)
-    if voxel <= 0:
-        raise ConfigError(f"voxel_size_m: must be > 0, got {voxel}")
-    lam1 = _expect_number(raw, "lambda1", 0.6)
-    lam2 = _expect_number(raw, "lambda2", 0.3)
-    lam3 = _expect_number(raw, "lambda3", 0.1)
-    alpha = _expect_number(raw, "alpha", -0.2)
-    if alpha >= 0:
-        raise ConfigError(f"alpha: must be < 0, got {alpha}")
-    epsilon = _expect_number(raw, "epsilon", 1e-6)
-    if epsilon <= 0:
-        raise ConfigError(f"epsilon: must be > 0, got {epsilon}")
-
-    mode = raw.get("lambda_validation", "strict")
-    if mode not in _LAMBDA_MODES:
-        raise ConfigError(f"lambda_validation: expected one of {_LAMBDA_MODES}, got {mode!r}")
-    if min(lam1, lam2, lam3) < 0:
-        raise ConfigError("lambda1/lambda2/lambda3: must be non-negative")
-    if mode == "strict":
-        total = lam1 + lam2 + lam3
-        if abs(total - 1.0) > 1e-9:
-            raise ConfigError(f"lambda1+lambda2+lambda3: must sum to 1, got {total!r}")
-        if not (lam1 > lam2 > lam3):
-            raise ConfigError("lambda1 > lambda2 > lambda3 is required in strict mode")
-
-    weights_raw = raw.get("class_weights")
-    if weights_raw is None:
-        weights = default_weights()
-    else:
-        if not isinstance(weights_raw, Mapping):
-            raise ConfigError("class_weights: expected an object of class name to weight")
-        try:
-            weights = ClassWeights.from_json_dict(weights_raw)
-        except (KeyError, ValueError) as exc:
-            raise ConfigError(f"class_weights: {exc}") from exc
-
-    m3c2 = raw.get("m3c2", {})
-    if not isinstance(m3c2, Mapping):
-        raise ConfigError("m3c2: expected an object")
-    for key in m3c2:
-        if key not in ("normal_scale_m", "projection_radius_m", "max_depth_m"):
-            raise ConfigError(f"m3c2.{key}: unknown config key")
-    normal_scale = _expect_number(m3c2, "normal_scale_m", 0.5)
-    projection_radius = _expect_number(m3c2, "projection_radius_m", 0.25)
-    max_depth = _expect_number(m3c2, "max_depth_m", 1.0)
-    for key, value in (
-        ("m3c2.normal_scale_m", normal_scale),
-        ("m3c2.projection_radius_m", projection_radius),
-        ("m3c2.max_depth_m", max_depth),
-    ):
-        if value <= 0:
-            raise ConfigError(f"{key}: must be > 0, got {value}")
-
-    c2c_mode = raw.get("c2c_mode", "directed-max")
-    if c2c_mode not in _C2C_MODES:
-        raise ConfigError(f"c2c_mode: expected one of {_C2C_MODES}, got {c2c_mode!r}")
-    eq3_mode = raw.get("eq3_weight_mode", "as-given")
-    if eq3_mode not in _EQ3_MODES:
-        raise ConfigError(f"eq3_weight_mode: expected one of {_EQ3_MODES}, got {eq3_mode!r}")
-
-    seed = raw.get("seed", 0)
-    if isinstance(seed, bool) or not isinstance(seed, int):
-        raise ConfigError(f"seed: expected an integer, got {seed!r}")
-
-    return RunConfig(
-        voxel_size_m=voxel,
-        lambda1=lam1,
-        lambda2=lam2,
-        lambda3=lam3,
-        alpha=alpha,
-        epsilon=epsilon,
-        class_weights=weights,
-        m3c2_normal_scale_m=normal_scale,
-        m3c2_projection_radius_m=projection_radius,
-        m3c2_max_depth_m=max_depth,
-        c2c_mode=c2c_mode,
-        eq3_weight_mode=eq3_mode,
-        lambda_validation=mode,
-        seed=seed,
-    )
-
-
-def read_config(path) -> RunConfig:
-    path = Path(path)
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
-    try:
-        return config_from_dict(raw)
-    except ConfigError as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
-
-
-# ---------------------------------------------------------------------------
 # reports
 # ---------------------------------------------------------------------------
 
@@ -749,7 +582,8 @@ def write_report(report, path) -> None:
 
 
 def read_report(path) -> dict:
-    """A report JSON; reports never hold NaN or infinities, so those are a ParseError."""
+    """A report JSON object; reports never hold NaN or infinities, so those
+    are a ParseError, as is a root that is not an object."""
     path = Path(path)
 
     def refuse(constant):
@@ -757,6 +591,9 @@ def read_report(path) -> dict:
 
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh, parse_constant=refuse)
+            doc = json.load(fh, parse_constant=refuse)
     except json.JSONDecodeError as exc:
         raise ParseError(path, f"invalid JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise ParseError(path, "report root must be a JSON object")
+    return doc

@@ -26,11 +26,25 @@ from .core import (
     default_weights,
     partition_by_class,
 )
-from .errors import DegenerateDataError
+from .errors import ConfigError, DegenerateDataError
 from .spatial import NnIndex, cylinder_means, estimate_normals, grid_origin, voxelize
 
 C2C_MODES = ("directed-max", "directed-mean", "symmetric-max")
 EQ3_WEIGHT_MODES = ("as-given", "renormalized")
+LAMBDA_VALIDATION_MODES = ("strict", "relaxed")
+
+
+def _number(value, key: str) -> float:
+    """A config number (a bool is not one), as a float."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{key}: expected a number, got {value!r}")
+    return float(value)
+
+
+def _object(value, key: str) -> Mapping:
+    if not isinstance(value, Mapping):
+        raise ConfigError(f"{key}: expected an object")
+    return value
 
 
 @dataclass(frozen=True)
@@ -46,9 +60,9 @@ class M3c2Params:
         for name in ("normal_scale", "projection_radius", "max_depth"):
             value = getattr(self, name)
             if not math.isfinite(value):
-                raise ValueError(f"m3c2.{name}_m must be finite, got {value!r}")
+                raise ConfigError(f"m3c2.{name}_m: must be finite, got {value!r}")
             if value <= 0:
-                raise ValueError(f"m3c2 {name} must be positive")
+                raise ConfigError(f"m3c2.{name}_m: must be > 0, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -58,6 +72,7 @@ class MetricParams:
     ``validation="strict"`` enforces the published weighting rule
     (lambda sum 1, strictly decreasing); ``"relaxed"`` only requires
     non-negative lambdas so alternative weightings can be explored.
+    Every error is a :class:`ConfigError` naming the config key path.
     """
 
     lambda1: float = 0.6
@@ -83,47 +98,61 @@ class MetricParams:
         }
         for key, value in numbers.items():
             if not math.isfinite(value):
-                raise ValueError(f"{key} must be finite, got {value!r}")
-        if self.validation not in ("strict", "relaxed"):
-            raise ValueError(f"validation must be strict or relaxed, got {self.validation!r}")
+                raise ConfigError(f"{key}: must be finite, got {value!r}")
+        modes = {
+            "lambda_validation": (self.validation, LAMBDA_VALIDATION_MODES),
+            "c2c_mode": (self.c2c_mode, C2C_MODES),
+            "eq3_weight_mode": (self.eq3_weight_mode, EQ3_WEIGHT_MODES),
+        }
+        for key, (value, allowed) in modes.items():
+            if value not in allowed:
+                raise ConfigError(f"{key}: expected one of {allowed}, got {value!r}")
         lams = (self.lambda1, self.lambda2, self.lambda3)
         if min(lams) < 0:
-            raise ValueError("lambda weights must be non-negative")
+            raise ConfigError("lambda1/lambda2/lambda3: must be non-negative")
         if self.validation == "strict":
             if abs(sum(lams) - 1.0) > 1e-9:
-                raise ValueError(f"lambda weights must sum to 1, got {sum(lams)!r}")
+                raise ConfigError(f"lambda1+lambda2+lambda3: must sum to 1, got {sum(lams)!r}")
             if not (self.lambda1 > self.lambda2 > self.lambda3):
-                raise ValueError("lambda1 > lambda2 > lambda3 required")
+                raise ConfigError("lambda1 > lambda2 > lambda3 is required in strict mode")
         if self.alpha >= 0:
-            raise ValueError("alpha must be negative")
+            raise ConfigError(f"alpha: must be < 0, got {self.alpha!r}")
         if self.epsilon <= 0:
-            raise ValueError("epsilon must be positive")
+            raise ConfigError(f"epsilon: must be > 0, got {self.epsilon!r}")
         if self.voxel_edge <= 0:
-            raise ValueError("voxel edge must be positive")
-        if self.c2c_mode not in C2C_MODES:
-            raise ValueError(f"c2c_mode must be one of {C2C_MODES}")
-        if self.eq3_weight_mode not in EQ3_WEIGHT_MODES:
-            raise ValueError(f"eq3_weight_mode must be one of {EQ3_WEIGHT_MODES}")
+            raise ConfigError(f"voxel_size_m: must be > 0, got {self.voxel_edge!r}")
 
     @classmethod
-    def from_run_config(cls, cfg) -> "MetricParams":
-        return cls(
-            lambda1=cfg.lambda1,
-            lambda2=cfg.lambda2,
-            lambda3=cfg.lambda3,
-            alpha=cfg.alpha,
-            epsilon=cfg.epsilon,
-            voxel_edge=cfg.voxel_size_m,
-            weights=cfg.class_weights,
+    def from_json_dict(cls, raw) -> tuple["MetricParams", int]:
+        """Parameters and seed from a config object of the shape
+        :meth:`to_json_dict` writes, plus ``seed`` (default 0). Missing keys
+        take their defaults and numbers are stored as floats; an unknown
+        key or a value of the wrong type is a ConfigError naming its path."""
+        cfg = _merge_config({**cls().to_json_dict(), "seed": 0}, _object(raw, "config root"), "")
+        seed = cfg["seed"]
+        if isinstance(seed, bool) or not isinstance(seed, int):
+            raise ConfigError(f"seed: expected an integer, got {seed!r}")
+        try:
+            weights = ClassWeights.from_json_dict(cfg["class_weights"])
+        except (KeyError, ValueError) as exc:  # an unknown class name, or a bad weight
+            raise ConfigError(f"class_weights: {exc}") from exc
+        m3c2 = cfg["m3c2"]
+        params = cls(
+            lambda1=cfg["lambda1"],
+            lambda2=cfg["lambda2"],
+            lambda3=cfg["lambda3"],
+            alpha=cfg["alpha"],
+            epsilon=cfg["epsilon"],
+            voxel_edge=cfg["voxel_size_m"],
+            weights=weights,
             m3c2=M3c2Params(
-                cfg.m3c2_normal_scale_m,
-                cfg.m3c2_projection_radius_m,
-                cfg.m3c2_max_depth_m,
+                m3c2["normal_scale_m"], m3c2["projection_radius_m"], m3c2["max_depth_m"]
             ),
-            c2c_mode=cfg.c2c_mode,
-            eq3_weight_mode=cfg.eq3_weight_mode,
-            validation=cfg.lambda_validation,
+            c2c_mode=cfg["c2c_mode"],
+            eq3_weight_mode=cfg["eq3_weight_mode"],
+            validation=cfg["lambda_validation"],
         )
+        return params, seed
 
     def to_json_dict(self) -> dict:
         return {
@@ -143,6 +172,26 @@ class MetricParams:
             "eq3_weight_mode": self.eq3_weight_mode,
             "lambda_validation": self.validation,
         }
+
+
+def _merge_config(defaults: dict, raw: Mapping, prefix: str) -> dict:
+    """``defaults`` overridden by ``raw``, whose keys must be known and
+    whose values take the defaults' types: a number where the default is a
+    float, an object for ``m3c2`` (merged the same way) and for
+    ``class_weights`` (of numbers, replacing the default)."""
+    merged = dict(defaults)
+    for key, value in raw.items():
+        path = prefix + key
+        if key not in defaults:
+            raise ConfigError(f"{path}: unknown config key")
+        if key == "m3c2":
+            value = _merge_config(defaults[key], _object(value, path), "m3c2.")
+        elif key == "class_weights":
+            value = {name: _number(w, f"{path}.{name}") for name, w in _object(value, path).items()}
+        elif isinstance(defaults[key], float):
+            value = _number(value, path)
+        merged[key] = value
+    return merged
 
 
 # ---------------------------------------------------------------------------
@@ -274,17 +323,6 @@ def aggregate_mm3c2(
     if not renorm:
         raise DegenerateDataError("no comparable semantic content for weighted M3C2")
     return float(sum(w * abs(per_class[c].median) for c, w in renorm.items()))
-
-
-def mm3c2_distance(
-    real: LabeledPointCloud,
-    synth: LabeledPointCloud,
-    weights: ClassWeights | None = None,
-    params: M3c2Params = M3c2Params(),
-) -> float:
-    weights = weights or default_weights()
-    per_class = compute_m3c2_per_class(real, synth, weights, params)
-    return aggregate_mm3c2(per_class, weights)
 
 
 def compute_m3c2_per_class(

@@ -223,7 +223,7 @@ def simulate_scan(
 
     points = flat_o[hit] + t_hit[hit, None] * flat_d[hit]
     labels = cls_hit[hit]
-    cloud = LabeledPointCloud.from_arrays(points, labels, frame_note="simulated scan")
+    cloud = LabeledPointCloud(points, labels)
     return SimulatedScan(cloud, flat_o[hit])
 
 
@@ -245,5 +245,5 @@ def apply_range_noise(scan: SimulatedScan, noise: NoiseModel) -> SimulatedScan:
     rng = np.random.default_rng(noise.seed)
     displacement = rng.normal(0.0, noise.sigma, size=len(scan.cloud))
     moved = scan.cloud.xyz + displacement[:, None] * units
-    cloud = LabeledPointCloud(moved, scan.cloud.labels, scan.cloud.frame_note)
+    cloud = LabeledPointCloud(moved, scan.cloud.labels)
     return SimulatedScan(cloud, scan.ray_origins)

@@ -98,13 +98,6 @@ class NnIndex:
         return np.sort(cand[keep])
 
 
-def build_index(cloud) -> NnIndex:
-    """Index a labeled cloud's coordinates; rejects empty clouds."""
-    if len(cloud) == 0:
-        raise ValueError("cannot build an index over an empty cloud")
-    return NnIndex(cloud.xyz)
-
-
 # ---------------------------------------------------------------------------
 # blocked pair gathers: radius neighborhoods and finite cylinders
 # ---------------------------------------------------------------------------
@@ -276,14 +269,6 @@ def estimate_normals(index: NnIndex, at: np.ndarray, scale: float) -> tuple[np.n
         normals[rows] = _orient_normals(eigvecs[rank_ok, :, 0])
         valid[rows] = True
     return normals, valid
-
-
-def estimate_normal(index: NnIndex, at, scale: float) -> np.ndarray | None:
-    """Single-point form of :func:`estimate_normals`; None when degenerate."""
-    normals, valid = estimate_normals(index, np.asarray(at, dtype=np.float64).reshape(1, 3), scale)
-    if not valid[0]:
-        return None
-    return normals[0]
 
 
 # ---------------------------------------------------------------------------
@@ -555,11 +540,3 @@ class Bvh:
             win = (t < cur_t) | ((t == cur_t) & (tid < cur_id))
             best_t[r[win]] = t[win]
             best_id[r[win]] = tid[win]
-
-
-def build_bvh(mesh) -> Bvh:
-    return Bvh(mesh)
-
-
-def raycast(bvh: Bvh, origin, direction) -> RayHit | None:
-    return bvh.raycast(origin, direction)

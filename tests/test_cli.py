@@ -72,6 +72,11 @@ def small_inputs(tmp_path):
         ("compare", "--offset", "0,x"),
         ("compare", "--alpha", "-inf"),
         ("compare", "--voxel-size", "nan"),
+        # finite but out of range
+        ("simulate", "--sigma", "-1"),
+        ("noise", "--sigma", "-0.5"),
+        ("eval-seg", "--ratio", "-0.1"),
+        ("eval-seg", "--ratio", "1.5"),
     ],
 )
 def test_non_finite_flag_exit_2(tmp_path, small_inputs, capsys, command, flag, value):
@@ -79,6 +84,33 @@ def test_non_finite_flag_exit_2(tmp_path, small_inputs, capsys, command, flag, v
     code = main(small_inputs[command] + [f"{flag}={value}"])
     assert code == EXIT_CONFIG
     assert flag in json.loads(capsys.readouterr().err)["error"]
+    assert list((tmp_path / "out").iterdir()) == []
+
+
+def test_simulate_sigma_zero_changes_no_byte(tmp_path, small_inputs):
+    (tmp_path / "out").mkdir()
+    argv = small_inputs["simulate"]
+    out = Path(argv[-1])
+    assert main(argv) == EXIT_OK
+    plain = out.read_bytes(), Path(f"{out}.origins").read_bytes()
+    assert main(argv + ["--sigma", "0"]) == EXIT_OK
+    assert (out.read_bytes(), Path(f"{out}.origins").read_bytes()) == plain
+
+
+@pytest.mark.parametrize("flag", ["--config", "--trajectory", "--scan-config", "--spec"])
+def test_invalid_json_exit_2(tmp_path, small_inputs, capsys, flag):
+    (tmp_path / "out").mkdir()
+    bad = tmp_path / "bad.json"
+    bad.write_text("{nope")
+    argv = {
+        "--config": small_inputs["compare"] + ["--config", str(bad)],
+        "--trajectory": small_inputs["simulate"] + ["--trajectory", str(bad)],
+        "--scan-config": small_inputs["simulate"] + ["--scan-config", str(bad)],
+        "--spec": ["split", "--cloud", str(tmp_path / "c.xyzl"), "--spec", str(bad),
+                   "--out-dir", str(tmp_path / "out" / "parts")],
+    }[flag]
+    assert main(argv) == EXIT_CONFIG
+    assert json.loads(capsys.readouterr().err)["error"].startswith(f"{bad}: invalid JSON")
     assert list((tmp_path / "out").iterdir()) == []
 
 
@@ -122,6 +154,64 @@ def test_compare_in_a_fresh_interpreter_matches_in_process(tmp_path, small_input
     assert main(argv + [str(here), "--offset", "0,0.1"]) == EXIT_OK
     for suffix in ("", ".manifest.json"):
         assert Path(f"{fresh}{suffix}").read_bytes() == Path(f"{here}{suffix}").read_bytes()
+
+
+# A config that sets every key to a non-default, integer-valued number or
+# mode, and the manifest ``config`` text it gives, byte for byte: numbers
+# are echoed as floats, the seed as an integer.
+_FULL_CONFIG = {
+    "voxel_size_m": 1, "lambda1": 1, "lambda2": 2, "lambda3": 0, "alpha": -1, "epsilon": 1,
+    "class_weights": {"WallSurface": 1},
+    "m3c2": {"normal_scale_m": 1, "projection_radius_m": 1, "max_depth_m": 2},
+    "c2c_mode": "symmetric-max", "eq3_weight_mode": "renormalized",
+    "lambda_validation": "relaxed", "seed": 7,
+}
+_FULL_CONFIG_TEXT = """{
+    "alpha": -1.0,
+    "c2c_mode": "symmetric-max",
+    "class_weights": {
+      "WallSurface": 1.0
+    },
+    "epsilon": 1.0,
+    "eq3_weight_mode": "renormalized",
+    "lambda1": 1.0,
+    "lambda2": 2.0,
+    "lambda3": 0.0,
+    "lambda_validation": "relaxed",
+    "m3c2": {
+      "max_depth_m": 2.0,
+      "normal_scale_m": 1.0,
+      "projection_radius_m": 1.0
+    },
+    "seed": 7,
+    "voxel_size_m": 1.0
+  }"""
+_DEFAULT_CONFIG_TEXT = """{
+    "alpha": -0.2,
+    "c2c_mode": "directed-max",
+    "class_weights": {
+      "BuildingInstallation": 0.15,
+      "CityFurniture": 0.1,
+      "Door": 0.15,
+      "GroundSurface": 0.1,
+      "RoofSurface": 0.15,
+      "WallSurface": 0.2,
+      "Window": 0.15
+    },
+    "epsilon": 1e-06,
+    "eq3_weight_mode": "as-given",
+    "lambda1": 0.6,
+    "lambda2": 0.3,
+    "lambda3": 0.1,
+    "lambda_validation": "strict",
+    "m3c2": {
+      "max_depth_m": 1.0,
+      "normal_scale_m": 0.5,
+      "projection_radius_m": 0.25
+    },
+    "seed": 0,
+    "voxel_size_m": 0.5
+  }"""
 
 
 class TestCompare:
@@ -198,6 +288,24 @@ class TestCompare:
         assert key in json.loads(capsys.readouterr().err.strip())["error"]
         assert not out.exists()
         assert not (tmp_path / "r.json.manifest.json").exists()
+
+    @pytest.mark.parametrize(
+        "config,text,seed",
+        [({}, _DEFAULT_CONFIG_TEXT, 0), (_FULL_CONFIG, _FULL_CONFIG_TEXT, 7)],
+        ids=["defaults", "full-relaxed-integers"],
+    )
+    def test_manifest_config_bytes(self, tmp_path, scene_files, config, text, seed):
+        real_path, synth_path, *_ = scene_files
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        code = main([
+            "compare", "--real", str(real_path), "--synthetic", str(synth_path),
+            "--config", str(cfg), "--out", str(tmp_path / "r.json"),
+        ])
+        assert code == EXIT_OK
+        manifest = (tmp_path / "r.json.manifest.json").read_text()
+        assert f'''"config": {text},\n  "inputs"''' in manifest
+        assert manifest.endswith(f'''"seed": {seed},\n  "version": "{pcgap.__version__}"\n}}\n''')
 
     def test_degenerate_exit_4(self, tmp_path, capsys):
         # Vehicle-only clouds carry no weighted semantic content
@@ -497,6 +605,57 @@ class TestEvalAndReport:
         assert code == EXIT_IO
         assert f"{gap}: non-finite number {constant}" in json.loads(capsys.readouterr().err)["error"]
         assert not out_csv.exists() and not plot.exists()
+
+    @pytest.mark.parametrize(
+        "case",
+        ["gap-without-fields", "gap-column-not-a-number", "list-root", "series-entry-not-object",
+         "class-without-tp", "class-missing", "ratio-above-1", "ratio-bool"],
+    )
+    def test_report_refuses_malformed_input_exit_3(self, tmp_path, capsys, case):
+        truth, pred = self._write_eval_fixture(tmp_path, "m", 82)
+        path = tmp_path / "eval.json"
+        assert main(["eval-seg", "--truth", str(truth), "--pred", str(pred),
+                     "--out", str(path)]) == EXIT_OK
+        doc = json.loads(path.read_text())
+        if case == "gap-without-fields":
+            doc = {"report_type": "gap"}
+        elif case == "gap-column-not-a-number":
+            doc = {"report_type": "gap", "m_dogss_pcl": 0.5, "d": "x", "d_mm3c2": 0.5,
+                   "d_c2c": 0.5, "miou": 0.5, "f_miou": 0.5}
+        elif case == "list-root":
+            doc = [doc]
+        elif case == "series-entry-not-object":
+            doc = {"report_type": "gap_series", "reports": [1]}
+        elif case == "class-without-tp":
+            del doc["per_class"]["Door"]["tp"]
+        elif case == "class-missing":
+            del doc["per_class"]["Door"]
+        else:
+            doc["synthetic_ratio"] = 1.5 if case == "ratio-above-1" else True
+        path.write_text(json.dumps(doc))
+        out_csv = tmp_path / "summary.csv"
+        code = main(["report", str(path), "--out", str(out_csv)])
+        assert code == EXIT_IO
+        assert json.loads(capsys.readouterr().err)["error"].startswith(f"{path}: ")
+        assert not out_csv.exists()
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_report_refuses_huge_ratio_tags_exit_3(self, tmp_path, capsys):
+        # tags this far apart overflow the Pearson sums; [0, 1] bounds them
+        paths = []
+        for i, ratio in enumerate((1e308, -1e308, 1e308)):
+            truth, pred = self._write_eval_fixture(tmp_path, f"h{i}", 83 + i)
+            out = tmp_path / f"eval-{i}.json"
+            assert main(["eval-seg", "--truth", str(truth), "--pred", str(pred),
+                         "--out", str(out)]) == EXIT_OK
+            out.write_text(json.dumps({**json.loads(out.read_text()), "synthetic_ratio": ratio}))
+            paths.append(str(out))
+        out_csv = tmp_path / "evals.csv"
+        code = main(["report", *paths, "--out", str(out_csv)])
+        assert code == EXIT_IO
+        error = json.loads(capsys.readouterr().err)["error"]
+        assert error.startswith(f"{paths[0]}: ") and "synthetic_ratio" in error
+        assert not out_csv.exists()
 
     def test_mixed_schema_rejected(self, tmp_path):
         real = build_street_scene(78, scale=0.02)

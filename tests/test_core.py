@@ -3,11 +3,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import pcgap
 from pcgap.core import (
     CITYGML_20,
     OPENDRIVE_14,
     ClassWeights,
-    LabeledPoint,
     LabeledPointCloud,
     SemanticClass,
     coerce_labels,
@@ -16,6 +16,12 @@ from pcgap.core import (
     map_class,
     partition_by_class,
 )
+
+
+def test_every_public_name_resolves():
+    assert len(set(pcgap.__all__)) == len(pcgap.__all__)
+    for name in pcgap.__all__:
+        assert getattr(pcgap, name, None) is not None, name
 
 
 class TestTaxonomy:
@@ -135,9 +141,11 @@ class TestMapClass:
 
 class TestLabeledPointCloud:
     def test_round_trip_points(self):
-        pts = [LabeledPoint(1.0, 2.0, 3.0, 6), LabeledPoint(0.0, 0.0, 0.0, 12)]
-        cloud = LabeledPointCloud.from_points(pts)
-        assert list(cloud) == pts
+        xyz, labels = [[1.0, 2.0, 3.0], [0.0, 0.0, 0.0]], [6, 12]
+        cloud = LabeledPointCloud.from_arrays(np.array(xyz), np.array(labels))
+        assert cloud.xyz.tolist() == xyz
+        assert cloud.labels.tolist() == labels
+        assert cloud.labels.dtype == np.uint8
 
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError, match="finite"):

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from pcgap.core import LabeledPointCloud, SemanticClass
 from pcgap.dataset import (
+    EvalReport,
     RatioMix,
     Region,
     SplitSpec,
@@ -275,6 +276,21 @@ class TestEvaluateSegmentation:
         cloud = LabeledPointCloud(np.zeros((2, 3)), [1, 2])
         with pytest.raises(ValueError, match="length"):
             evaluate_segmentation(cloud, [1])
+
+    @pytest.mark.parametrize("ratio", [-0.1, 1.5, 1e308, float("nan"), True, "0.5"])
+    def test_synthetic_ratio_outside_unit_interval_refused(self, ratio):
+        cloud = LabeledPointCloud(np.zeros((2, 3)), [1, 2])
+        doc = evaluate_segmentation(cloud, [1, 2], synthetic_ratio=0.5).to_json_dict()
+        with pytest.raises(ValueError, match="synthetic_ratio"):
+            EvalReport.from_json_dict({**doc, "synthetic_ratio": ratio})
+        with pytest.raises(ValueError, match="synthetic_ratio"):
+            evaluate_segmentation(cloud, [1, 2], synthetic_ratio=ratio)
+
+    def test_json_round_trip(self):
+        cloud = LabeledPointCloud(np.zeros((3, 3)), [1, 2, 12])
+        report = evaluate_segmentation(cloud, [1, 1, 12], synthetic_ratio=1)
+        doc = report.to_json_dict()
+        assert EvalReport.from_json_dict(doc).to_json_dict() == doc
 
     @given(
         labels=st.lists(st.integers(1, 12), min_size=1, max_size=200),

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -12,10 +13,8 @@ from pcgap.io import (
     FORMAT_PLY_BINARY,
     FORMAT_XYZL,
     ClassedMesh,
-    config_from_dict,
     dump_json,
     read_cloud,
-    read_config,
     read_label_file,
     read_mesh,
     read_ray_origins,
@@ -24,6 +23,7 @@ from pcgap.io import (
     write_ray_origins,
     write_report,
 )
+from pcgap.metric import MetricParams
 
 from conftest import random_cloud
 
@@ -37,8 +37,8 @@ class TestXyzl:
         p = tmp_path / "c.xyzl"
         p.write_text("1.0 2.0 3.0 6\n")
         cloud = read_cloud(p)
-        assert len(cloud) == 1
-        assert cloud.point(0) == (1.0, 2.0, 3.0, 6)
+        assert cloud.xyz.tolist() == [[1.0, 2.0, 3.0]]
+        assert cloud.labels.tolist() == [6]
 
     def test_comments_and_blanks(self, tmp_path):
         p = tmp_path / "c.xyzl"
@@ -68,7 +68,9 @@ class TestXyzl:
     @settings(max_examples=30, deadline=None)
     def test_round_trip(self, points, tmp_path_factory):
         tmp = tmp_path_factory.mktemp("xyzl") / "c.xyzl"
-        cloud = LabeledPointCloud.from_points(points)
+        cloud = LabeledPointCloud(
+            np.array([p[:3] for p in points]).reshape(-1, 3), np.array([p[3] for p in points])
+        )
         write_cloud(cloud, tmp, FORMAT_XYZL)
         assert read_cloud(tmp) == cloud
 
@@ -125,7 +127,8 @@ class TestPly:
             "1 2 3 0.5 9\n"
         )
         cloud = read_cloud(p)
-        assert cloud.point(0) == (1.0, 2.0, 3.0, 9)
+        assert cloud.xyz.tolist() == [[1.0, 2.0, 3.0]]
+        assert cloud.labels.tolist() == [9]
 
     def test_truncated_binary(self, tmp_path):
         p = tmp_path / "c.ply"
@@ -255,53 +258,87 @@ class TestObjMesh:
 
 
 class TestConfig:
-    def test_defaults(self, tmp_path):
-        p = tmp_path / "cfg.json"
-        p.write_text("{}")
-        cfg = read_config(p)
-        assert cfg.voxel_size_m == 0.5
-        assert (cfg.lambda1, cfg.lambda2, cfg.lambda3) == (0.6, 0.3, 0.1)
-        assert cfg.alpha == -0.2
-        assert cfg.epsilon == 1e-6
-        assert cfg.c2c_mode == "directed-max"
-        assert cfg.eq3_weight_mode == "as-given"
-        assert cfg.class_weights.weights == default_weights().weights
+    """``MetricParams.from_json_dict``, the one config validator."""
+
+    def test_defaults(self):
+        params, seed = MetricParams.from_json_dict({})
+        assert params.voxel_edge == 0.5
+        assert (params.lambda1, params.lambda2, params.lambda3) == (0.6, 0.3, 0.1)
+        assert params.alpha == -0.2
+        assert params.epsilon == 1e-6
+        assert params.c2c_mode == "directed-max"
+        assert params.eq3_weight_mode == "as-given"
+        assert params.weights.weights == default_weights().weights
+        assert seed == 0
 
     def test_alpha_default_echoed(self):
-        cfg = config_from_dict({})
-        assert cfg.to_json_dict()["alpha"] == -0.2
+        params, _ = MetricParams.from_json_dict({})
+        assert params.to_json_dict()["alpha"] == -0.2
 
     def test_lambda_sum_violation(self):
         with pytest.raises(ConfigError, match="lambda1\\+lambda2\\+lambda3"):
-            config_from_dict({"lambda1": 0.5, "lambda2": 0.3, "lambda3": 0.1})
+            MetricParams.from_json_dict({"lambda1": 0.5, "lambda2": 0.3, "lambda3": 0.1})
 
     def test_lambda_order_violation(self):
         with pytest.raises(ConfigError, match="lambda1 > lambda2 > lambda3"):
-            config_from_dict({"lambda1": 0.3, "lambda2": 0.6, "lambda3": 0.1})
+            MetricParams.from_json_dict({"lambda1": 0.3, "lambda2": 0.6, "lambda3": 0.1})
 
     def test_relaxed_mode_allows_table_weights(self):
-        cfg = config_from_dict(
+        params, _ = MetricParams.from_json_dict(
             {"lambda1": 0.6, "lambda2": 0.4, "lambda3": 0.1, "lambda_validation": "relaxed"}
         )
-        assert cfg.lambda2 == 0.4
+        assert params.lambda2 == 0.4
 
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigError, match="lambda4"):
-            config_from_dict({"lambda4": 1})
+            MetricParams.from_json_dict({"lambda4": 1})
 
     def test_nested_key_path_in_error(self):
         with pytest.raises(ConfigError, match="m3c2.normal_scale_m"):
-            config_from_dict({"m3c2": {"normal_scale_m": -1}})
+            MetricParams.from_json_dict({"m3c2": {"normal_scale_m": -1}})
 
     def test_bad_weights(self):
         with pytest.raises(ConfigError, match="class_weights"):
-            config_from_dict({"class_weights": {"WallSurface": 0.5}})
+            MetricParams.from_json_dict({"class_weights": {"WallSurface": 0.5}})
 
-    def test_invalid_json(self, tmp_path):
-        p = tmp_path / "cfg.json"
-        p.write_text("{nope")
-        with pytest.raises(ConfigError, match="invalid JSON"):
-            read_config(p)
+    @pytest.mark.parametrize(
+        "raw,message",
+        [
+            ([], "config root: expected an object"),
+            ({"m3c2": []}, "m3c2: expected an object"),
+            ({"class_weights": None}, "class_weights: expected an object"),
+            ({"m3c2": {"depth": 1}}, "m3c2.depth: unknown config key"),
+            ({"alpha": True}, "alpha: expected a number"),
+            ({"alpha": "-0.2"}, "alpha: expected a number"),
+            ({"class_weights": {"WallSurface": "1"}}, "class_weights.WallSurface: expected a number"),
+            ({"class_weights": {"Tree": 1}}, "class_weights: 'tree'"),
+            ({"seed": True}, "seed: expected an integer"),
+            ({"seed": 1.0}, "seed: expected an integer"),
+            ({"c2c_mode": "max"}, "c2c_mode: expected one of"),
+            ({"lambda_validation": "lax"}, "lambda_validation: expected one of"),
+            ({"voxel_size_m": 0}, "voxel_size_m: must be > 0"),
+            ({"m3c2": {"max_depth_m": 0}}, "m3c2.max_depth_m: must be > 0"),
+        ],
+    )
+    def test_refusals_name_the_key_path(self, raw, message):
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            MetricParams.from_json_dict(raw)
+
+    def test_numbers_stored_as_floats(self):
+        params, seed = MetricParams.from_json_dict(
+            {"alpha": -1, "m3c2": {"max_depth_m": 2}, "class_weights": {"Door": 1}, "seed": 4}
+        )
+        doc = params.to_json_dict()
+        assert (doc["alpha"], doc["m3c2"]["max_depth_m"], doc["class_weights"]) == (
+            -1.0, 2.0, {"Door": 1.0}
+        )
+        assert all(type(v) is float for v in (doc["alpha"], doc["m3c2"]["max_depth_m"]))
+        assert type(doc["class_weights"]["Door"]) is float
+        assert seed == 4
+
+    def test_round_trips_its_own_json(self):
+        params = MetricParams(lambda2=0.4, alpha=-1.0, validation="relaxed")
+        assert MetricParams.from_json_dict({**params.to_json_dict(), "seed": 9}) == (params, 9)
 
 
 class TestReports:

@@ -16,9 +16,9 @@ from pcgap.metric import (
     blend_distance,
     c2c_distance,
     compose_score,
+    compute_m3c2_per_class,
     dogss_pcl,
     m3c2_class_distance,
-    mm3c2_distance,
     offset_sensitivity,
     scalar_offsets_to_vectors,
     voxel_miou,
@@ -216,7 +216,8 @@ class TestMm3c2:
     def test_identical_clouds_zero(self):
         cloud = plane_cloud(41, 2_000, 0.0, cls=6)
         weights = ClassWeights({SemanticClass.WALL_SURFACE: 1.0})
-        assert mm3c2_distance(cloud, cloud, weights) == pytest.approx(0.0, abs=1e-6)
+        per_class = compute_m3c2_per_class(cloud, cloud, weights, M3c2Params())
+        assert aggregate_mm3c2(per_class, weights) == pytest.approx(0.0, abs=1e-6)
 
 
 class TestVoxelMiou:

@@ -8,8 +8,7 @@ from pcgap.io import ClassedMesh
 from pcgap.spatial import (
     Bvh,
     NnIndex,
-    build_index,
-    estimate_normal,
+    estimate_normals,
     grid_origin,
     ray_triangles,
     voxel_key_of,
@@ -17,6 +16,12 @@ from pcgap.spatial import (
 )
 
 from conftest import random_cloud
+
+
+def estimate_normal(index, at, scale):
+    """The normal at one query position, or None when it is degenerate."""
+    normals, valid = estimate_normals(index, np.reshape(at, (1, 3)), scale)
+    return normals[0] if valid[0] else None
 
 
 def brute_nearest(points, q):
@@ -45,7 +50,7 @@ class TestNnIndex:
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError, match="empty"):
-            build_index(LabeledPointCloud.empty())
+            NnIndex(LabeledPointCloud.empty().xyz)
 
     def test_within_cylinder(self):
         # points along z; cylinder along z catches only |z| <= 1, radius 0.5
