@@ -36,7 +36,7 @@ from .metric import (
     voxel_miou,
 )
 from .simulate import NoiseModel, ScanConfig, SimulatedScan, Trajectory, apply_range_noise, simulate_scan
-from .spatial import Bvh, NnIndex, VoxelGrid, voxelize
+from .spatial import Bvh, NnIndex, voxelize
 
 __version__ = "0.1.0"
 
@@ -65,7 +65,6 @@ __all__ = [
     "SimulatedScan",
     "SplitSpec",
     "Trajectory",
-    "VoxelGrid",
     "apply_range_noise",
     "c2c_distance",
     "compose_score",

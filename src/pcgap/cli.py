@@ -176,11 +176,7 @@ def cmd_noise(args) -> int:
 def cmd_mix(args) -> int:
     real = io.read_cloud(args.real)
     synth = io.read_cloud(args.synthetic)
-    try:
-        spec = dataset.RatioMix(args.fraction, args.count, args.seed)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-    result = dataset.mix(real, synth, spec)
+    result = dataset.mix(real, synth, dataset.RatioMix(args.fraction, args.count, args.seed))
     io.write_cloud(result.cloud, args.out, fmt=args.format)
     io.write_provenance(result.provenance, str(args.out) + ".provenance.txt")
     n_real, n_synth = result.counts()
@@ -245,10 +241,22 @@ def _gap_rows(path: str, doc: dict) -> list[tuple[str, float, list]]:
     else:
         raise ConfigError(f"{path}: expected a gap report, found {kind!r}")
     return [
-        (name, float(np.linalg.norm(sub.get("offset", [0.0, 0.0, 0.0]))),
+        (name, _offset_magnitude(sub.get("offset", [0.0, 0.0, 0.0])),
          [float(sub[c]) for c in _GAP_COLUMNS])
         for name, sub in subs
     ]
+
+
+def _offset_magnitude(offset) -> float:
+    """Length of a report's offset vector: numpy's norm, or ``math.hypot``
+    where the norm's sum of squares overflows; a length beyond the float
+    range is a ValueError."""
+    with np.errstate(over="ignore"):
+        magnitude = float(np.linalg.norm(offset))
+    magnitude = magnitude if math.isfinite(magnitude) else math.hypot(*offset)
+    if not math.isfinite(magnitude):
+        raise ValueError(f"offset {offset!r} has no finite length")
+    return magnitude
 
 
 def _parse_report(path: str, parse, doc: dict):
@@ -300,28 +308,19 @@ def cmd_report(args) -> int:
         ] + ["avg"] + (["corr"] if with_corr else [])
         from .core import NON_NOISE_CLASSES
 
+        rows = [(cls.canonical_name, [r.per_class[cls].iou for r in reports])
+                for cls in NON_NOISE_CLASSES] + [("mIoU", [r.miou for r in reports])]
+        xs = ratios if have_ratios else range(len(reports))
         with open(args.out, "w", encoding="utf-8", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(header)
-            for cls in NON_NOISE_CLASSES:
-                ious = [r.per_class[cls].iou for r in reports]
-                row = [cls.canonical_name] + ious + [float(np.mean(ious))]
+            for name, ious in rows:
+                row = [name] + ious + [float(np.mean(ious))]
                 if with_corr:
                     corr = dataset.ratio_correlation(list(zip(ratios, ious)))
                     row.append("-" if corr is None else corr)
                 writer.writerow(row)
-                plot_series[cls.canonical_name] = [
-                    [ratios[i] if have_ratios else i, ious[i]] for i in range(len(reports))
-                ]
-            mious = [r.miou for r in reports]
-            row = ["mIoU"] + mious + [float(np.mean(mious))]
-            if with_corr:
-                corr = dataset.ratio_correlation(list(zip(ratios, mious)))
-                row.append("-" if corr is None else corr)
-            writer.writerow(row)
-            plot_series["mIoU"] = [
-                [ratios[i] if have_ratios else i, mious[i]] for i in range(len(reports))
-            ]
+                plot_series[name] = [[x, iou] for x, iou in zip(xs, ious)]
 
     if args.plot_data:
         io.dump_json({"series": plot_series}, args.plot_data)
@@ -429,15 +428,20 @@ def _fail(code: int, message: str) -> int:
 
 
 def _check_float_flags(args) -> None:
-    """Every float flag must be finite, ``--sigma`` >= 0 and ``--ratio`` in
-    [0, 1]; a bad value names its flag."""
+    """Every float flag must be finite, ``--sigma`` >= 0, ``--ratio`` and
+    ``--fraction`` in [0, 1] and ``--count`` positive; a bad value names
+    its flag."""
     for dest, value in vars(args).items():
         if isinstance(value, float) and not math.isfinite(value):
             raise ConfigError(f"--{dest.replace('_', '-')} must be finite, got {value}")
     if getattr(args, "sigma", None) is not None and args.sigma < 0:
         raise ConfigError(f"--sigma must be >= 0, got {args.sigma}")
-    if getattr(args, "ratio", None) is not None and not 0 <= args.ratio <= 1:
-        raise ConfigError(f"--ratio must be in [0, 1], got {args.ratio}")
+    for flag in ("ratio", "fraction"):
+        value = getattr(args, flag, None)
+        if value is not None and not 0 <= value <= 1:
+            raise ConfigError(f"--{flag} must be in [0, 1], got {value}")
+    if getattr(args, "count", None) is not None and args.count <= 0:
+        raise ConfigError(f"--count must be positive, got {args.count}")
 
 
 def main(argv=None) -> int:

@@ -27,11 +27,12 @@ from .core import (
     partition_by_class,
 )
 from .errors import ConfigError, DegenerateDataError
-from .spatial import NnIndex, cylinder_means, estimate_normals, grid_origin, voxelize
+from .spatial import NnIndex, cylinder_means, estimate_normals, voxelize
 
 C2C_MODES = ("directed-max", "directed-mean", "symmetric-max")
 EQ3_WEIGHT_MODES = ("as-given", "renormalized")
 LAMBDA_VALIDATION_MODES = ("strict", "relaxed")
+_CLASS_SLOTS = 16  # class ids (1..12) take the low 4 bits of a voxel key
 
 
 def _number(value, key: str) -> float:
@@ -276,7 +277,7 @@ class _RealSide:
 
 class _RealSides(dict):
     """Prepared :class:`_RealSide` of every positively weighted class, and
-    the real cloud's per-class voxel sets once asked for."""
+    the real cloud's voxel coordinates once asked for."""
 
     def __init__(self, real: LabeledPointCloud, weights: ClassWeights, params: M3c2Params):
         parts = partition_by_class(real)
@@ -286,9 +287,10 @@ class _RealSides(dict):
         self.cloud = real
         self._voxels: dict[float, tuple] = {}
 
-    def voxels(self, edge: float) -> tuple[np.ndarray, dict]:
+    def voxels(self, edge: float) -> tuple[np.ndarray, np.ndarray]:
+        """The real cloud's grid origin and the voxel coordinates of its points."""
         if edge not in self._voxels:
-            self._voxels[edge] = _class_voxels(self.cloud, edge)
+            self._voxels[edge] = voxelize(self.cloud, edge)
         return self._voxels[edge]
 
 
@@ -353,13 +355,20 @@ def compute_m3c2_per_class(
 # ---------------------------------------------------------------------------
 
 
-def _class_voxels(cloud: LabeledPointCloud, edge: float, origin=None) -> tuple[np.ndarray, dict]:
-    """Grid origin (the cloud's own unless given) and each class's set of
-    occupied voxels on that grid."""
-    if origin is None:
-        origin = grid_origin(cloud.xyz, edge)
-    grid = voxelize(cloud, edge, origin)
-    return origin, {cls: grid.class_voxels(cls.value) for cls in SemanticClass}
+def _occupancy_keys(edge: float, *parts) -> list[np.ndarray]:
+    """Sorted unique keys ``((i*sy + j)*sz + k)*16 + class`` of the occupied
+    (voxel, class) pairs of each ``(voxel coordinates, labels)`` part, with
+    ``(i, j, k)`` counted from the low corner of the voxel span all parts
+    share and ``(sx, sy, sz)`` its size. A span with more keys than int64
+    holds is a DegenerateDataError naming ``voxel_size_m``."""
+    cells = np.concatenate([cells for cells, _ in parts])
+    lo, hi = (cells.min(axis=0), cells.max(axis=0)) if len(cells) else (np.zeros(3, np.int64),) * 2
+    sx, sy, sz = (int(b) - int(a) + 1 for a, b in zip(lo, hi))  # Python ints: no wrap
+    if sx * sy * sz * _CLASS_SLOTS > 2**63 - 1:
+        raise DegenerateDataError(f"voxel_size_m: {edge!r} m voxels span {sx} x {sy} x {sz} "
+                                  "cells, too many for 64-bit voxel keys")
+    strides = np.array([sy * sz, sz, 1]) * _CLASS_SLOTS
+    return [np.unique((cells - lo) @ strides + labels) for cells, labels in parts]
 
 
 @dataclass(frozen=True)
@@ -383,18 +392,24 @@ def voxel_miou(
     penalizes the score.
 
     ``real`` may also be the prepared real sides of an earlier call, which
-    keep the real voxel sets for an offset series.
+    keep the real voxel coordinates for an offset series.
     """
     weights = weights or default_weights()
-    prepared = isinstance(real, _RealSides)
-    origin, voxels_r = real.voxels(edge) if prepared else _class_voxels(real, edge)
-    _, voxels_s = _class_voxels(synth, edge, origin)
-
-    per_class: dict[SemanticClass, float | None] = {}
-    for cls in SemanticClass:
-        vr, vs = voxels_r[cls], voxels_s[cls]
-        union = vr | vs
-        per_class[cls] = len(vr & vs) / len(union) if union else None
+    if isinstance(real, _RealSides):
+        origin, cells_r = real.voxels(edge)
+        real = real.cloud
+    else:
+        origin, cells_r = voxelize(real, edge)
+    keys_r, keys_s = _occupancy_keys(
+        edge, (cells_r, real.labels), (voxelize(synth, edge, origin)[1], synth.labels)
+    )
+    inter = np.bincount(np.intersect1d(keys_r, keys_s, assume_unique=True) % _CLASS_SLOTS,
+                        minlength=_CLASS_SLOTS)
+    union = (np.bincount(keys_r % _CLASS_SLOTS, minlength=_CLASS_SLOTS)
+             + np.bincount(keys_s % _CLASS_SLOTS, minlength=_CLASS_SLOTS) - inter)
+    per_class: dict[SemanticClass, float | None] = {
+        cls: int(inter[cls]) / int(union[cls]) if union[cls] else None for cls in SemanticClass
+    }
 
     present = [c for c in SemanticClass if per_class[c] is not None]
     renorm = weights.restricted_to(present)

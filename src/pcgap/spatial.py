@@ -1,18 +1,19 @@
 """Acceleration structures and geometric primitives.
 
 Nearest-neighbor index (kd-tree backed), cylinder queries, covariance-based
-normal estimation, half-open voxel grids, and a median-split BVH for
-ray-triangle casting. All structures are immutable after build and queries
-are pure, so they are safe to share across threads.
+normal estimation, voxel coordinates on half-open cells, and a median-split
+BVH for ray-triangle casting. All structures are immutable after build and
+queries are pure, so they are safe to share across threads.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping
 
 import numpy as np
+
+from .errors import DegenerateDataError
 
 MIN_RAY_T = 1e-6  # meters; avoids self-intersection at the emitter origin
 _PARALLEL_EPS = 1e-12
@@ -22,6 +23,7 @@ _CANDIDATE_BUDGET = 1_000_000  # (query, point) candidate rows held by one gathe
 _BOUND_BLOCK = 65_536  # items whose pair bounds are computed at once
 _MAX_SLABS = 9
 _LEAF_SIZE = 32  # most triangles in a BVH leaf
+_MAX_VOXEL_COORD = 2**62  # voxel coordinates this large still cast to int64 exactly
 
 
 class NnIndex:
@@ -37,6 +39,9 @@ class NnIndex:
             raise ValueError("index requires a non-empty (N, 3) point array")
         xyz.setflags(write=False)
         self.points = xyz
+        # x, y and z as contiguous rows, for the per-component pair gathers
+        self.columns = xyz.T.copy()
+        self.columns.setflags(write=False)
         # scipy is imported where a tree is built: only ``compare`` needs
         # one, and every other command starts faster without it
         from scipy.spatial import cKDTree
@@ -109,8 +114,9 @@ def _ball_count_bound(points: np.ndarray, radius: float):
 
     Points are counted per cell of a dense grid whose cells are at least as
     wide as a ball, so each ball's bounding box meets at most 2 x 2 x 2
-    cells; a ball holds at most the points of those cells. Cells widen as
-    needed to keep the grid within a few cells per point.
+    cells; a ball holds at most the points of those cells, which a window
+    sum over the grid gives in one lookup. Cells widen as needed to keep the
+    grid within a few cells per point.
     """
     lo, hi = points.min(axis=0), points.max(axis=0)
     edge = 2.0 * radius * (1.0 + 1e-6)
@@ -127,14 +133,16 @@ def _ball_count_bound(points: np.ndarray, radius: float):
         return np.floor((xyz - origin) / edge).astype(np.int64)
 
     counts = np.bincount(np.ravel_multi_index(cells(points).T, shape), minlength=math.prod(shape))
+    # window[b + 1] sums the 2 x 2 x 2 cells from b, each clipped into the
+    # grid, for b in [-1, last]: the edge padding repeats the clipped cells
+    window = np.pad(counts.reshape(shape), 1, mode="edge")
+    window = window[:-1] + window[1:]
+    window = window[:, :-1] + window[:, 1:]
+    window = window[:, :, :-1] + window[:, :, 1:]
 
     def bound(centers: np.ndarray) -> np.ndarray:
-        base = cells(centers - radius * (1.0 + 1e-7))
-        total = np.zeros(centers.shape[0], dtype=np.int64)
-        for step in ((0, 0, 0), (0, 0, 1), (0, 1, 0), (0, 1, 1),
-                     (1, 0, 0), (1, 0, 1), (1, 1, 0), (1, 1, 1)):
-            total += counts[np.ravel_multi_index(np.clip(base + step, 0, last).T, shape)]
-        return total
+        base = np.clip(cells(centers - radius * (1.0 + 1e-7)), -1, last) + 1
+        return window[tuple(base.T)]
 
     return bound
 
@@ -198,14 +206,22 @@ def cylinder_pairs(index: NnIndex, centers: np.ndarray, axes: np.ndarray,
     def balls(lo, hi):
         return (centers[lo:hi] + offsets[:, None, None] * axes[lo:hi]).reshape(-1, 3)
 
+    center_cols, axis_cols = centers.T.copy(), axes.T.copy()
     for lo, hi, q, p in _pair_blocks(index, centers.shape[0], balls, reach):
         slab, row = np.divmod(q, hi - lo)
-        core = lo + row
-        rel = index.points[p] - centers[core]
-        axial = np.einsum("ij,ij->i", rel, axes[core])
-        radial2 = np.maximum(np.einsum("ij,ij->i", rel, rel) - axial**2, 0.0)
-        home = np.clip(np.floor((axial + half_depth) / thick), 0, k - 1)
-        keep = (home == slab) & (np.abs(axial) <= half_depth) & (radial2 <= radius * radius)
+        axial, radial2 = np.zeros(p.size), np.zeros(p.size)
+        # dot products sum as (x + z) + y, as numpy's SIMD einsum does, so
+        # that membership is exactly that of the row-vector form
+        for d in (0, 2, 1):
+            rel = index.columns[d][p]
+            rel -= center_cols[d, lo:hi][row]
+            axial += rel * axis_cols[d, lo:hi][row]
+            radial2 += np.square(rel, out=rel)
+        radial2 -= axial * axial  # a negative rounding remainder passes as 0 would
+        keep = (radial2 <= radius * radius) & (np.abs(axial) <= half_depth)
+        # within the depth only the far end cap needs clipping into the last slab
+        home = np.floor((axial + half_depth) / thick, out=axial)
+        keep &= np.minimum(home, k - 1, out=home) == slab
         yield lo, hi, row[keep], p[keep]
 
 
@@ -217,10 +233,9 @@ def cylinder_means(index: NnIndex, centers: np.ndarray, axes: np.ndarray,
     sums = np.zeros((n, 3))
     counts = np.zeros(n, dtype=np.int64)
     for lo, hi, row, p in cylinder_pairs(index, centers, axes, radius, half_depth):
-        pts = index.points[p]
         counts[lo:hi] = np.bincount(row, minlength=hi - lo)
         for d in range(3):
-            sums[lo:hi, d] = np.bincount(row, pts[:, d], hi - lo)
+            sums[lo:hi, d] = np.bincount(row, index.columns[d][p], hi - lo)
     return sums / np.maximum(counts, 1)[:, None], counts
 
 
@@ -254,15 +269,16 @@ def estimate_normals(index: NnIndex, at: np.ndarray, scale: float) -> tuple[np.n
     for lo, hi, q, p in _pair_blocks(index, at.shape[0], lambda lo, hi: at[lo:hi], scale):
         m = hi - lo
         counts = np.bincount(q, minlength=m)
-        pts = index.points[p]
-        sums = np.column_stack([np.bincount(q, pts[:, d], m) for d in range(3)])
-        means = sums / np.maximum(counts, 1)[:, None]
-        centered = pts - means[q]
-        cov = np.empty((m, 3, 3))
-        for a, b in ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2)):
-            cov[:, a, b] = cov[:, b, a] = np.bincount(q, centered[:, a] * centered[:, b], m)
+        centered = []
+        for column in index.columns:
+            values = column[p]
+            values -= (np.bincount(q, values, m) / np.maximum(counts, 1))[q]
+            centered.append(values)
         usable = np.flatnonzero(counts >= 3)
-        cov = cov[usable] / counts[usable, None, None]
+        cov = np.empty((usable.size, 3, 3))
+        for a, b in ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2)):
+            moment = np.bincount(q, centered[a] * centered[b], m)
+            cov[:, a, b] = cov[:, b, a] = moment[usable] / counts[usable]
         eigvals, eigvecs = np.linalg.eigh(cov)
         rank_ok = eigvals[:, 1] > _RANK_RATIO * eigvals[:, 2]
         rows = lo + usable[rank_ok]
@@ -276,60 +292,26 @@ def estimate_normals(index: NnIndex, at: np.ndarray, scale: float) -> tuple[np.n
 # ---------------------------------------------------------------------------
 
 
-def grid_origin(xyz: np.ndarray, edge: float) -> np.ndarray:
-    """Bounding-box minimum aligned down to a multiple of the edge length."""
-    if edge <= 0:
-        raise ValueError("voxel edge must be positive")
-    xyz = np.asarray(xyz, dtype=np.float64)
-    if xyz.size == 0:
-        return np.zeros(3)
-    return np.floor(xyz.min(axis=0) / edge) * edge
+def voxelize(cloud, edge: float, origin=None) -> tuple[np.ndarray, np.ndarray]:
+    """Grid origin and voxel coordinates ``(i, j, k)`` of a cloud's points,
+    one int64 row each, in the half-open cells ``[k*edge, (k+1)*edge)`` from
+    ``origin``: by default the bounding-box minimum aligned down to ``edge``.
 
-
-@dataclass(frozen=True)
-class VoxelGrid:
-    """Half-open cubic cells ``[k*edge, (k+1)*edge)`` anchored at ``origin``.
-
-    ``cells`` maps voxel coordinate triples to per-class point counts;
-    ``occupied`` reduces that to the set of classes present per voxel.
+    A coordinate beyond +-2**62 voxels, where int64 keys could wrap, is a
+    DegenerateDataError naming ``voxel_size_m``.
     """
-
-    origin: tuple[float, float, float]
-    edge: float
-    cells: Mapping[tuple[int, int, int], Mapping[int, int]]
-
-    @property
-    def occupied(self) -> dict[tuple[int, int, int], frozenset[int]]:
-        return {v: frozenset(c.keys()) for v, c in self.cells.items()}
-
-    def class_voxels(self, class_id: int) -> set[tuple[int, int, int]]:
-        return {v for v, c in self.cells.items() if int(class_id) in c}
-
-    def total_points(self) -> int:
-        return sum(sum(c.values()) for c in self.cells.values())
-
-
-def voxel_key_of(xyz: np.ndarray, edge: float, origin) -> np.ndarray:
-    """Integer voxel coordinates, floor rule, one row per point."""
-    origin = np.asarray(origin, dtype=np.float64).reshape(3)
-    return np.floor((np.asarray(xyz, dtype=np.float64) - origin) / edge).astype(np.int64)
-
-
-def voxelize(cloud, edge: float, origin=None) -> VoxelGrid:
-    """Register every point of a labeled cloud under its class in one voxel."""
     if edge <= 0:
         raise ValueError("voxel edge must be positive")
-    if origin is None:
-        origin = grid_origin(cloud.xyz, edge)
-    origin = np.asarray(origin, dtype=np.float64).reshape(3)
-    cells: dict[tuple[int, int, int], dict[int, int]] = {}
-    if len(cloud):
-        keys = voxel_key_of(cloud.xyz, edge, origin)
-        rows = np.column_stack([keys, cloud.labels.astype(np.int64)])
-        uniq, counts = np.unique(rows, axis=0, return_counts=True)
-        for (i, j, k, cid), n in zip(uniq, counts):
-            cells.setdefault((int(i), int(j), int(k)), {})[int(cid)] = int(n)
-    return VoxelGrid(tuple(float(o) for o in origin), float(edge), cells)
+    # an overflow to inf, in the origin or the coordinates, is refused below
+    with np.errstate(over="ignore"):
+        if origin is None:
+            origin = np.floor(cloud.xyz.min(axis=0) / edge) * edge if len(cloud) else np.zeros(3)
+        origin = np.asarray(origin, dtype=np.float64).reshape(3)
+        cells = np.floor((cloud.xyz - origin) / edge)
+    if cells.size and not np.abs(cells).max() <= _MAX_VOXEL_COORD:
+        raise DegenerateDataError(f"voxel_size_m: {edge!r} m voxels reach coordinate "
+                                  f"{np.abs(cells).max():.3g}, beyond 64-bit voxel keys")
+    return origin, cells.astype(np.int64)
 
 
 # ---------------------------------------------------------------------------

@@ -21,6 +21,7 @@ from pcgap.metric import (
     m3c2_class_distance,
     offset_sensitivity,
     scalar_offsets_to_vectors,
+    voxel_miou,
 )
 from pcgap.simulate import NoiseModel, ScanConfig, Trajectory, apply_range_noise, simulate_scan
 from pcgap.spatial import Bvh, NnIndex, ray_triangles, voxelize
@@ -137,18 +138,30 @@ def test_criterion_4_brute_force_equivalence():
             else:
                 assert hit is not None and (hit.t, hit.triangle) == (float(t[j]), j)
 
-    # voxelization
+    # voxelization: the occupied (voxel, class) pairs of a cloud, and the
+    # per-class voxel IoU of a pair on the first cloud's grid
+    def occupied(xyz, labels, edge, origin):
+        keys = np.floor((xyz - origin) / edge).astype(np.int64)
+        return set(zip(map(tuple, keys.tolist()), labels.tolist()))
+
     for _ in range(n_instances):
         cloud = random_cloud(rng, int(rng.integers(1, 2000)), span=6.0)
         edge = float(rng.uniform(0.2, 1.5))
         origin = rng.uniform(-2, 2, size=3)
-        grid = voxelize(cloud, edge, origin)
-        expect: dict = {}
-        keys = np.floor((cloud.xyz - origin) / edge).astype(np.int64)
-        for key, label in zip(map(tuple, keys), cloud.labels):
-            expect.setdefault(key, {}).setdefault(int(label), 0)
-            expect[key][int(label)] += 1
-        assert {k: dict(v) for k, v in grid.cells.items()} == expect
+        _, cells = voxelize(cloud, edge, origin)
+        got = set(zip(map(tuple, cells.tolist()), cloud.labels.tolist()))
+        assert got == occupied(cloud.xyz, cloud.labels, edge, origin)
+
+        other = random_cloud(rng, int(rng.integers(1, 2000)), span=6.0)
+        other = other.translate(rng.uniform(-3, 3, 3))
+        grid = np.floor(cloud.xyz.min(axis=0) / edge) * edge
+        pairs_r = occupied(cloud.xyz, cloud.labels, edge, grid)
+        pairs_s = occupied(other.xyz, other.labels, edge, grid)
+        per_class = voxel_miou(cloud, other, edge).per_class
+        for cls, iou in per_class.items():
+            vr = {v for v, c in pairs_r if c == cls}
+            vs = {v for v, c in pairs_s if c == cls}
+            assert iou == (len(vr & vs) / len(vr | vs) if vr | vs else None)
 
     # split
     for _ in range(n_instances):

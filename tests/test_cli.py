@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 import os
 import subprocess
 import sys
@@ -51,8 +52,8 @@ def small_inputs(tmp_path):
         "simulate": ["simulate", "--mesh", str(tmp_path / "room.obj"), "--trajectory",
                      str(tmp_path / "traj.json"), "--seed", "1", "--out", out],
         "noise": ["noise", "--cloud", str(cloud), "--seed", "1", "--out", out],
-        "mix": ["mix", "--real", str(cloud), "--synthetic", str(cloud), "--count", "10",
-                "--seed", "1", "--out", out],
+        "mix": ["mix", "--real", str(cloud), "--synthetic", str(cloud), "--fraction", "0.5",
+                "--count", "10", "--seed", "1", "--out", out],
         "eval-seg": ["eval-seg", "--truth", str(cloud), "--pred", str(tmp_path / "pred.txt"),
                      "--out", str(tmp_path / "out" / "eval.json")],
     }
@@ -77,6 +78,10 @@ def small_inputs(tmp_path):
         ("noise", "--sigma", "-0.5"),
         ("eval-seg", "--ratio", "-0.1"),
         ("eval-seg", "--ratio", "1.5"),
+        ("mix", "--fraction", "1.5"),
+        ("mix", "--fraction", "-0.1"),
+        ("mix", "--count", "-3"),
+        ("mix", "--count", "0"),
     ],
 )
 def test_non_finite_flag_exit_2(tmp_path, small_inputs, capsys, command, flag, value):
@@ -140,7 +145,7 @@ def test_commands_without_a_kd_tree_never_import_scipy(tmp_path, small_inputs):
     assert _run_fresh([
         small_inputs["simulate"],
         small_inputs["noise"] + ["--sigma", "0.01"],
-        small_inputs["mix"] + ["--fraction", "0.5"],
+        small_inputs["mix"],
         small_inputs["eval-seg"] + ["--ratio", "0.5"],
         ["report", eval_json, "--out", str(tmp_path / "out" / "eval.csv")],
     ]) == []
@@ -317,6 +322,21 @@ class TestCompare:
             "--out", str(tmp_path / "r.json"),
         ])
         assert code == EXIT_DEGENERATE
+
+    @pytest.mark.parametrize("far", [(1e19, 0.0, 0.0), (1e12, 1e12, 1e12)])
+    def test_voxel_keys_beyond_int64_exit_4(self, tmp_path, scene_files, capsys, far):
+        # 1e19 m is past int64 voxel coordinates; 1e12 m on every axis fits
+        # each coordinate, but not the key span the two clouds share
+        real_path, _, _, synth = scene_files
+        far_path = tmp_path / "far.xyzl"
+        write_cloud(LabeledPointCloud(np.vstack([synth.xyz, far]), np.append(synth.labels, 2)),
+                    far_path, FORMAT_XYZL)
+        out = tmp_path / "r.json"
+        code = main(["compare", "--real", str(real_path), "--synthetic", str(far_path),
+                     "--out", str(out)])
+        assert code == EXIT_DEGENERATE
+        assert json.loads(capsys.readouterr().err)["error"].startswith("voxel_size_m: 0.5 m voxels")
+        assert not out.exists()
 
     def test_flag_overrides_config(self, tmp_path, scene_files):
         real_path, synth_path, real, synth = scene_files
@@ -638,6 +658,24 @@ class TestEvalAndReport:
         assert code == EXIT_IO
         assert json.loads(capsys.readouterr().err)["error"].startswith(f"{path}: ")
         assert not out_csv.exists()
+
+    @pytest.mark.parametrize("component,code", [(1e200, EXIT_OK), (1.5e308, EXIT_IO)])
+    def test_report_huge_offset_magnitude(self, tmp_path, capsys, component, code):
+        # numpy's norm overflows on both offsets; only the first has a finite length
+        rp = tmp_path / "r.xyzl"
+        write_cloud(build_street_scene(76, scale=0.02), rp, FORMAT_XYZL)
+        gap = tmp_path / "gap.json"
+        assert main(["compare", "--real", str(rp), "--synthetic", str(rp), "--out", str(gap)]) == 0
+        gap.write_text(json.dumps({**read_report(gap), "offset": [component, component, 0.0]}))
+        out_csv, plot = tmp_path / "summary.csv", tmp_path / "plot.json"
+        assert main(["report", str(gap), "--out", str(out_csv), "--plot-data", str(plot)]) == code
+        if code == EXIT_OK:
+            rows = list(csv.reader(out_csv.read_text().splitlines()))
+            assert float(rows[1][1]) == math.hypot(component, component)
+            assert json.loads(plot.read_text())["series"]["miou"][0][0] == float(rows[1][1])
+        else:
+            assert json.loads(capsys.readouterr().err)["error"].startswith(f"{gap}: ")
+            assert not out_csv.exists() and not plot.exists()
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_report_refuses_huge_ratio_tags_exit_3(self, tmp_path, capsys):

@@ -22,6 +22,8 @@ def test_every_public_name_resolves():
     assert len(set(pcgap.__all__)) == len(pcgap.__all__)
     for name in pcgap.__all__:
         assert getattr(pcgap, name, None) is not None, name
+    # voxel IoU runs on packed int64 keys; the dict-of-dicts grid is gone
+    assert not hasattr(pcgap, "VoxelGrid") and "VoxelGrid" not in pcgap.__all__
 
 
 class TestTaxonomy:

@@ -258,6 +258,21 @@ class TestVoxelMiou:
         with pytest.raises(DegenerateDataError):
             voxel_miou(a, a, 0.5)
 
+    def test_keys_fill_int64_at_the_largest_span(self):
+        # 1 x 179951 x 3203431780337 = 2**59 - 1 voxels, times 16 class
+        # slots: the largest span whose keys all fit in int64
+        corners = np.array([[-5, 0, 3], [-5, 179950, 3203431780339]])
+        keys_r, keys_s = metric._occupancy_keys(
+            0.5, (corners, np.array([12, 12])), (corners, np.array([1, 12]))
+        )
+        assert keys_r.tolist() == [12, 2**63 - 20]
+        assert keys_s.tolist() == [1, 2**63 - 20]
+
+    def test_span_beyond_int64_keys_raises(self):
+        corners = np.array([[-5, 0, 3], [-5, 179950, 3203431780340]])
+        with pytest.raises(DegenerateDataError, match="^voxel_size_m: 0.5 m voxels span"):
+            metric._occupancy_keys(0.5, (corners, np.array([1, 1])), (corners[:1], np.array([1])))
+
     def test_permutation_invariant(self):
         rng = np.random.default_rng(43)
         scene = build_street_scene(44, scale=0.02)

@@ -1,6 +1,6 @@
-"""Million-element and ground-mesh build-time checks and raycast and XYZL
-throughput floors; long-running, so opt in with PCGAP_PERF=1
-(e.g. ``PCGAP_PERF=1 pytest tests/test_perf.py -m perf``)."""
+"""Million-element and ground-mesh build-time checks and raycast, XYZL,
+M3C2 and voxel IoU throughput floors; long-running, so opt in with
+PCGAP_PERF=1 (e.g. ``PCGAP_PERF=1 pytest tests/test_perf.py -m perf``)."""
 
 import os
 import subprocess
@@ -12,8 +12,10 @@ import numpy as np
 import pytest
 
 import pcgap
+from pcgap.core import partition_by_class
 from pcgap.io import FORMAT_XYZL, ClassedMesh, read_cloud, write_cloud
-from pcgap.spatial import Bvh, NnIndex
+from pcgap.metric import voxel_miou
+from pcgap.spatial import Bvh, NnIndex, cylinder_means, estimate_normals
 
 from conftest import build_street_scene, height_field_mesh, sensor_rays
 
@@ -105,3 +107,36 @@ def test_fresh_cli_import_under_0_35s():
                        env=env, check=True, timeout=60)
         elapsed.append(time.perf_counter() - t0)
     assert min(elapsed) <= 0.35
+
+
+def best_time(runs, work):
+    elapsed = []
+    for _ in range(runs):
+        t0 = time.perf_counter()
+        work()
+        elapsed.append(time.perf_counter() - t0)
+    return min(elapsed)
+
+
+def test_street_4x_voxel_miou_under_0_25s():
+    # 204,400 points each
+    real, synth = build_street_scene(10, scale=4.0), build_street_scene(20, scale=4.0)
+    assert best_time(3, lambda: voxel_miou(real, synth, 0.5)) <= 0.25
+
+
+def test_street_normals_and_cylinders_under_2_1s(street_scene_pair):
+    """The M3C2 passes on the 1x street pair, class by class: normals at
+    every real point, then the real and the synthetic cylinder means at
+    the cores with a valid normal."""
+    parts_r, parts_s = (partition_by_class(cloud) for cloud in street_scene_pair)
+    pairs = [(NnIndex(parts_r[c].xyz), NnIndex(parts_s[c].xyz))
+             for c in parts_r if len(parts_r[c]) and len(parts_s[c])]
+
+    def m3c2_passes():
+        for index_r, index_s in pairs:
+            normals, valid = estimate_normals(index_r, index_r.points, 0.5)
+            for index in (index_r, index_s):
+                cylinder_means(index, index_r.points[valid], normals[valid], 0.25, 1.0)
+
+    assert len(pairs) == 9
+    assert best_time(3, m3c2_passes) <= 2.1

@@ -4,14 +4,13 @@ import numpy as np
 import pytest
 
 from pcgap.core import LabeledPointCloud
+from pcgap.errors import DegenerateDataError
 from pcgap.io import ClassedMesh
 from pcgap.spatial import (
     Bvh,
     NnIndex,
     estimate_normals,
-    grid_origin,
     ray_triangles,
-    voxel_key_of,
     voxelize,
 )
 
@@ -131,31 +130,40 @@ class TestNormals:
         assert estimate_normal(NnIndex(pts), (100.0, 0, 0), 0.5) is None
 
 
+def occupied(cloud, edge, origin=None):
+    """The set of occupied (voxel, class) pairs of a cloud."""
+    cells = voxelize(cloud, edge, origin)[1]
+    return {(tuple(v), int(c)) for v, c in zip(cells.tolist(), cloud.labels)}
+
+
+def cells_of(cloud, edge, origin=None):
+    return voxelize(cloud, edge, origin)[1]
+
+
 class TestVoxelize:
     def test_floor_rule(self):
         cloud = LabeledPointCloud(np.array([[0.49, 0, 0], [0.5, 0, 0]]), np.array([1, 1]))
-        grid = voxelize(cloud, 0.5, (0, 0, 0))
-        assert set(grid.cells) == {(0, 0, 0), (1, 0, 0)}
+        assert cells_of(cloud, 0.5, (0, 0, 0)).tolist() == [[0, 0, 0], [1, 0, 0]]
 
     def test_negative_coordinates(self):
         cloud = LabeledPointCloud(np.array([[-0.01, 0, 0]]), np.array([1]))
-        grid = voxelize(cloud, 0.5, (0, 0, 0))
-        assert set(grid.cells) == {(-1, 0, 0)}
+        assert cells_of(cloud, 0.5, (0, 0, 0)).tolist() == [[-1, 0, 0]]
 
     def test_counts_conserved(self):
+        # one voxel row per point, in point order
         rng = np.random.default_rng(16)
         cloud = random_cloud(rng, 10_000)
-        grid = voxelize(cloud, 0.5)
-        assert grid.total_points() == 10_000
+        origin, cells = voxelize(cloud, 0.5)
+        assert cells.shape == (10_000, 3) and cells.dtype == np.int64
+        some = np.arange(0, 10_000, 997)
+        assert np.array_equal(cells[some], cells_of(cloud.select(some), 0.5, origin))
 
     def test_class_sets(self):
         cloud = LabeledPointCloud(
             np.array([[0.1, 0.1, 0.1], [0.2, 0.2, 0.2], [0.9, 0.9, 0.9]]),
             np.array([1, 6, 1]),
         )
-        grid = voxelize(cloud, 0.5, (0, 0, 0))
-        assert grid.occupied[(0, 0, 0)] == frozenset({1, 6})
-        assert grid.class_voxels(1) == {(0, 0, 0), (1, 1, 1)}
+        assert occupied(cloud, 0.5, (0, 0, 0)) == {((0, 0, 0), 1), ((0, 0, 0), 6), ((1, 1, 1), 1)}
 
     def test_rejects_bad_edge(self):
         with pytest.raises(ValueError, match="positive"):
@@ -166,26 +174,39 @@ class TestVoxelize:
         cloud = random_cloud(rng, 2000)
         for vec in ([0.5, -1.25, 3.75], [10.0, 0.25, -0.5]):
             v = np.array(vec)
-            a = voxelize(cloud, 0.5, (0, 0, 0))
-            b = voxelize(cloud.translate(v), 0.5, v)
-            assert set(a.cells) == set(b.cells)
+            a = cells_of(cloud, 0.5, (0, 0, 0))
+            b = cells_of(cloud.translate(v), 0.5, v)
+            assert np.array_equal(a, b)
 
     def test_default_origin_alignment(self):
         cloud = LabeledPointCloud(np.array([[1.3, 2.7, -0.4]]), np.array([1]))
-        origin = grid_origin(cloud.xyz, 0.5)
+        origin, cells = voxelize(cloud, 0.5)
         assert origin.tolist() == [1.0, 2.5, -0.5]
+        assert cells.tolist() == [[0, 0, 0]]
+        assert voxelize(LabeledPointCloud.empty(), 0.5)[0].tolist() == [0.0, 0.0, 0.0]
 
     def test_matches_brute_force(self):
         rng = np.random.default_rng(18)
         cloud = random_cloud(rng, 500)
         origin = np.array([-2.0, 1.0, 0.0])
-        grid = voxelize(cloud, 0.7, origin)
-        expect: dict = {}
+        cells = cells_of(cloud, 0.7, origin)
         for i in range(len(cloud)):
-            key = tuple(int(np.floor((cloud.xyz[i][k] - origin[k]) / 0.7)) for k in range(3))
-            expect.setdefault(key, {}).setdefault(int(cloud.labels[i]), 0)
-            expect[key][int(cloud.labels[i])] += 1
-        assert {k: dict(v) for k, v in grid.cells.items()} == expect
+            key = [int(np.floor((cloud.xyz[i][k] - origin[k]) / 0.7)) for k in range(3)]
+            assert cells[i].tolist() == key
+
+    @pytest.mark.parametrize("edge,x", [(0.5, 1e19), (0.5, -1e19), (1e-300, 1.0), (0.5, 1e308),
+                                        (1e-300, 1e10)])
+    def test_refuses_coordinates_beyond_int64(self, edge, x):
+        cloud = LabeledPointCloud(np.array([[0.0, 0, 0], [x, 0, 0]]), np.array([1, 1]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for origin in (None, (0, 0, 0)):
+                with pytest.raises(DegenerateDataError, match="^voxel_size_m: "):
+                    voxelize(cloud, edge, origin)
+
+    def test_largest_coordinates_kept(self):
+        cloud = LabeledPointCloud(np.array([[-(2.0**62), 0, 0], [2.0**62, 0, 0]]), np.array([1, 1]))
+        assert cells_of(cloud, 1.0, (0, 0, 0))[:, 0].tolist() == [-(2**62), 2**62]
 
 
 def make_random_mesh(rng, n_tris=200, span=5.0):
