@@ -120,6 +120,9 @@ def cmd_compare(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    origins_path = args.origins or (str(args.out) + ".origins")
+    if Path(origins_path).resolve() == Path(args.out).resolve():
+        raise ConfigError(f"--origins {origins_path} would overwrite the --out cloud")
     mesh = io.read_mesh(args.mesh)
     samples = _read_json(args.trajectory)
     try:
@@ -143,7 +146,6 @@ def cmd_simulate(args) -> int:
         scan = simulate.apply_range_noise(scan, simulate.NoiseModel(args.sigma, seed))
 
     io.write_cloud(scan.cloud, args.out, fmt=args.format)
-    origins_path = args.origins or (str(args.out) + ".origins")
     io.write_ray_origins(scan.ray_origins, origins_path)
     _write_manifest(
         args.out,
@@ -260,13 +262,13 @@ def _offset_magnitude(offset) -> float:
 
 
 def _parse_report(path: str, parse, doc: dict):
-    """``parse(doc)``; a report that lacks a field or holds one of the
-    wrong type is a ParseError naming the file."""
+    """``parse(doc)``; a report that lacks a field, or holds one of the wrong
+    type or too large for a float, is a ParseError naming the file."""
     try:
         return parse(doc)
     except ConfigError:
         raise
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ParseError(path, f"malformed report: {type(exc).__name__}: {exc}") from exc
 
 

@@ -190,13 +190,25 @@ def _read_text_table(path, spec: _TextTable) -> np.ndarray:
 
 def _write_rows(path, what: str, row_fmt: str, *columns, header: str = "") -> None:
     """Write ``header``, then ``row_fmt % row`` for every row of the
-    equal-length columns, formatting ``_CHUNK_ROWS`` rows at a time."""
+    equal-length columns, ``_CHUNK_ROWS`` rows at a time. Within a chunk
+    each run of bit-identical rows (a scan's shared ray origins) is
+    formatted once and its text repeated."""
     try:
         with open(path, "wb") as fh:
             fh.write(header.encode("ascii"))
             for start in range(0, len(columns[0]), _CHUNK_ROWS):
-                chunk = [np.asarray(c[start:start + _CHUNK_ROWS]).tolist() for c in columns]
-                fh.write("".join(map(row_fmt.__mod__, zip(*chunk))).encode("ascii"))
+                chunk = [np.asarray(c[start:start + _CHUNK_ROWS]) for c in columns]
+                # a run starts where any column differs from the row above;
+                # floats compare as bits, so 0.0 and -0.0 (and NaNs) stay apart
+                starts = np.arange(len(chunk[0])) == 0
+                for c in chunk:
+                    c = c.view(f"i{c.itemsize}") if c.dtype.kind == "f" else c
+                    starts[1:] |= c[1:] != c[:-1]
+                first = np.flatnonzero(starts)
+                rows = map(row_fmt.__mod__, zip(*(c[first].tolist() for c in chunk)))
+                if first.size < starts.size:
+                    rows = map(str.__mul__, rows, np.diff(first, append=starts.size).tolist())
+                fh.write("".join(rows).encode("ascii"))
     except OSError as exc:
         raise OSError(f"cannot write {what} to {path}: {exc}") from exc
 
@@ -355,7 +367,22 @@ def write_ray_origins(origins: np.ndarray, path) -> None:
 
 
 def read_ray_origins(path) -> np.ndarray:
-    table = _read_text_table(path, _ORIGINS)
+    """A sidecar's origins. A scan's channels share each step's origin, so
+    a run of identical lines is parsed once; a file where that gives other
+    than one row per distinct line is read as any other text table."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    # split at \n, \r\n and \r only, as the text reader does (str.splitlines
+    # would also split at \x0b, \x0c and \x1c-\x1e)
+    lines = data.splitlines() if data.isascii() else []
+    table = None
+    if lines:
+        first = np.flatnonzero([True] + list(map(bytes.__ne__, lines[1:], lines[:-1])))
+        distinct = _bulk_table(_ORIGINS, [lines[i].decode("ascii") for i in first])
+        if distinct is not None and len(distinct) == len(first):
+            table = np.repeat(distinct, np.diff(first, append=len(lines)))
+    if table is None:
+        table = _read_text_table(path, _ORIGINS)
     return np.column_stack([table["x"], table["y"], table["z"]])
 
 
@@ -583,15 +610,19 @@ def write_report(report, path) -> None:
 
 def read_report(path) -> dict:
     """A report JSON object; reports never hold NaN or infinities, so those
-    are a ParseError, as is a root that is not an object."""
+    (or numbers that overflow) are a ParseError, as is a non-object root."""
     path = Path(path)
 
     def refuse(constant):
         raise ParseError(path, f"non-finite number {constant} in a report")
 
+    def finite(text):
+        value = float(text)
+        return value if math.isfinite(value) else refuse(text)
+
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh, parse_constant=refuse)
+            doc = json.load(fh, parse_constant=refuse, parse_float=finite)
     except json.JSONDecodeError as exc:
         raise ParseError(path, f"invalid JSON: {exc}") from exc
     if not isinstance(doc, dict):

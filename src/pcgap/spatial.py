@@ -23,6 +23,9 @@ _CANDIDATE_BUDGET = 1_000_000  # (query, point) candidate rows held by one gathe
 _BOUND_BLOCK = 65_536  # items whose pair bounds are computed at once
 _MAX_SLABS = 9
 _LEAF_SIZE = 32  # most triangles in a BVH leaf
+# ray-triangle tests per leaf-pass tile: each float64 temporary stays within 128 KiB,
+# glibc's default mmap threshold, so it is reused from the heap, not mapped afresh
+_LEAF_TILE = 16_384
 _MAX_VOXEL_COORD = 2**62  # voxel coordinates this large still cast to int64 exactly
 
 
@@ -456,8 +459,9 @@ class Bvh:
         pairs, kept on a stack of batches of at most ``_CANDIDATE_BUDGET``
         pairs. Each batch is slab-tested at once; pairs that miss the node's
         box, or enter it beyond the ray's best hit so far, are dropped.
-        Leaves are tested against every triangle they hold. Rays stay in
-        ascending order within every batch.
+        Leaves are tested against every triangle they hold, in tiles of at
+        most ``_LEAF_TILE`` ray-triangle tests. Rays stay in ascending order
+        within every batch.
         """
         origins = np.asarray(origins, dtype=np.float64).reshape(-1, 3)
         directions = np.asarray(directions, dtype=np.float64).reshape(-1, 3)
@@ -498,10 +502,11 @@ class Bvh:
         return best_t, best_id, cls_out
 
     def _leaf_pass(self, origins, directions, ray, row, best_t, best_id):
-        """Test (ray, leaf row) pairs against their leaves' triangles and merge
-        each ray's nearest hit into ``best_t`` / ``best_id``, ties to the
-        lowest triangle id."""
-        step = max(1, _CANDIDATE_BUDGET // self._leaf_ids.shape[1])
+        """Test (ray, leaf row) pairs against their leaves' triangles, a tile
+        of at most ``_LEAF_TILE`` tests (one ray at least) at a time, and
+        merge each ray's nearest hit into ``best_t`` / ``best_id``, ties to
+        the lowest triangle id, so the tiling never changes a result."""
+        step = max(1, _LEAF_TILE // self._leaf_ids.shape[1])
         for lo in range(0, ray.size, step):
             r, w = ray[lo : lo + step], row[lo : lo + step]
             # one leaf for the whole pass is broadcast rather than gathered

@@ -436,6 +436,31 @@ class TestSimulateNoise:
         assert f"{origins}:2: non-finite coordinate" in err
         assert not (tmp_path / "n.xyzl").exists()
 
+    @pytest.mark.parametrize("origins", ["scan.xyzl", "sub/../scan.xyzl"])
+    def test_simulate_origins_onto_out_exit_2(self, tmp_path, sim_inputs, capsys, origins):
+        mesh_path, traj_path, scan_path = sim_inputs
+        (tmp_path / "sub").mkdir()
+        out = tmp_path / "scan.xyzl"
+        code = main(["simulate", "--mesh", str(mesh_path), "--trajectory", str(traj_path),
+                     "--scan-config", str(scan_path), "--origins", str(tmp_path / origins),
+                     "--out", str(out)])
+        assert code == EXIT_CONFIG
+        assert "--origins" in json.loads(capsys.readouterr().err)["error"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["room.obj", "scan.json", "sub",
+                                                              "traj.json"]
+
+    def test_all_miss_scan_round_trip(self, tmp_path, sim_inputs):
+        # every hit lies beyond a 1 mm range: an empty cloud and an empty sidecar
+        mesh_path, traj_path, scan_path = sim_inputs
+        scan_path.write_text(json.dumps({**json.loads(scan_path.read_text()), "max_range_m": 1e-3}))
+        out, noisy = tmp_path / "scan.xyzl", tmp_path / "noisy.xyzl"
+        assert main(["simulate", "--mesh", str(mesh_path), "--trajectory", str(traj_path),
+                     "--scan-config", str(scan_path), "--out", str(out)]) == EXIT_OK
+        assert out.read_bytes() == b"" and (tmp_path / "scan.xyzl.origins").read_bytes() == b""
+        assert main(["noise", "--cloud", str(out), "--sigma", "0.02", "--seed", "1",
+                     "--out", str(noisy)]) == EXIT_OK
+        assert noisy.read_bytes() == b""
+
     def test_simulate_with_sigma_requires_seed(self, tmp_path, sim_inputs):
         mesh_path, traj_path, scan_path = sim_inputs
         code = main([
@@ -609,7 +634,7 @@ class TestEvalAndReport:
         series = json.loads(plot.read_text())["series"]
         assert len(series["mIoU"]) == 5
 
-    @pytest.mark.parametrize("constant", ["NaN", "Infinity", "-Infinity"])
+    @pytest.mark.parametrize("constant", ["NaN", "Infinity", "-Infinity", "1e400", "-1E+999"])
     def test_report_refuses_non_finite_input_exit_3(self, tmp_path, capsys, constant):
         real = build_street_scene(76, scale=0.02)
         rp = tmp_path / "r.xyzl"
@@ -628,8 +653,9 @@ class TestEvalAndReport:
 
     @pytest.mark.parametrize(
         "case",
-        ["gap-without-fields", "gap-column-not-a-number", "list-root", "series-entry-not-object",
-         "class-without-tp", "class-missing", "ratio-above-1", "ratio-bool"],
+        ["gap-without-fields", "gap-column-not-a-number", "gap-column-huge-int", "list-root",
+         "series-entry-not-object", "class-without-tp", "class-missing", "ratio-above-1",
+         "ratio-bool"],
     )
     def test_report_refuses_malformed_input_exit_3(self, tmp_path, capsys, case):
         truth, pred = self._write_eval_fixture(tmp_path, "m", 82)
@@ -639,9 +665,11 @@ class TestEvalAndReport:
         doc = json.loads(path.read_text())
         if case == "gap-without-fields":
             doc = {"report_type": "gap"}
-        elif case == "gap-column-not-a-number":
+        elif case in ("gap-column-not-a-number", "gap-column-huge-int"):
             doc = {"report_type": "gap", "m_dogss_pcl": 0.5, "d": "x", "d_mm3c2": 0.5,
                    "d_c2c": 0.5, "miou": 0.5, "f_miou": 0.5}
+            if case == "gap-column-huge-int":
+                doc["d"] = 10**400  # no float holds it
         elif case == "list-root":
             doc = [doc]
         elif case == "series-entry-not-object":

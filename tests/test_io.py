@@ -367,7 +367,7 @@ class TestReports:
             dump_json({"a": [1.0, {"b": value}]}, p)
         assert p.read_text() == "old\n"
 
-    @pytest.mark.parametrize("constant", ["NaN", "Infinity", "-Infinity"])
+    @pytest.mark.parametrize("constant", ["NaN", "Infinity", "-Infinity", "1e400", "-2.5e309"])
     def test_read_report_refuses_non_finite(self, tmp_path, constant):
         p = tmp_path / "report.json"
         p.write_text('{"report_type": "gap", "d": %s}\n' % constant)

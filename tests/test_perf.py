@@ -13,11 +13,13 @@ import pytest
 
 import pcgap
 from pcgap.core import partition_by_class
-from pcgap.io import FORMAT_XYZL, ClassedMesh, read_cloud, write_cloud
+from pcgap.io import (FORMAT_XYZL, ClassedMesh, read_cloud, read_ray_origins, write_cloud,
+                      write_ray_origins)
 from pcgap.metric import voxel_miou
+from pcgap.simulate import ScanConfig, Trajectory, simulate_scan
 from pcgap.spatial import Bvh, NnIndex, cylinder_means, estimate_normals
 
-from conftest import build_street_scene, height_field_mesh, sensor_rays
+from conftest import build_room_mesh, build_street_scene, height_field_mesh, sensor_rays
 
 pytestmark = [
     pytest.mark.perf,
@@ -140,3 +142,23 @@ def test_street_normals_and_cylinders_under_2_1s(street_scene_pair):
 
     assert len(pairs) == 9
     assert best_time(3, m3c2_passes) <= 2.1
+
+
+def test_room_scan_72k_rays_with_sidecar_under_0_45s(tmp_path):
+    """The room scan as ``simulate`` and ``noise`` run it: 72,000 rays from
+    4,500 firing steps of 16 channels cast, the cloud and its origins
+    sidecar written, and the sidecar read back."""
+    mesh = build_room_mesh()
+    trajectory = Trajectory([0.0, 1.2], [(2.0, 4.5, 1.6), (8.0, 3.5, 1.4)], [0.2, -0.2])
+    config = ScanConfig(channels=16, vertical_fov_deg=(-30.0, 30.0), points_per_second=60_000)
+    cloud_path, origins_path = tmp_path / "room.xyzl", tmp_path / "room.xyzl.origins"
+
+    def scan_and_sidecar():
+        scan = simulate_scan(mesh, trajectory, config)
+        write_cloud(scan.cloud, cloud_path, FORMAT_XYZL)
+        write_ray_origins(scan.ray_origins, origins_path)
+        return scan, read_ray_origins(origins_path)
+
+    scan, origins = scan_and_sidecar()
+    assert len(scan.cloud) == 72_000 and np.array_equal(origins, scan.ray_origins)
+    assert best_time(3, scan_and_sidecar) <= 0.45

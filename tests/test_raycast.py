@@ -119,11 +119,38 @@ class TestHeightField:
         # batches and leaf passes cut to a few rows: a ray's leaves are met in
         # different passes, so pruning by its best hit so far meets exact ties
         monkeypatch.setattr(spatial, "_CANDIDATE_BUDGET", budget)
+        monkeypatch.setattr(spatial, "_LEAF_TILE", budget)
         rng = np.random.default_rng(6)
         mesh = height_field_mesh(rng, 30)
         o1, d1 = sensor_rays(rng, mesh, 8)
         o2, d2 = grid_rays(mesh, stride=4)
         assert_same_hits(mesh, np.vstack([o1, o2]), np.vstack([d1, d2]))
+
+
+@pytest.mark.parametrize("tile", [1, 7])
+@pytest.mark.parametrize("name", ["room", "ground"])
+def test_leaf_tiles_give_the_untiled_result(monkeypatch, name, tile):
+    """Leaf passes cut into tiles of one ray, or of a few rays that split
+    a ray's leaves, give the hits of one untiled pass bit for bit."""
+    rng = np.random.default_rng(13)
+    if name == "room":
+        mesh = build_room_mesh()
+        steps = rng.uniform((0.5, 0.5, 0.5), (9.5, 7.5, 3.5), size=(100, 3))
+        origins = np.repeat(steps, 16, axis=0)  # 16 channels per firing step
+        dirs = unit(rng.normal(size=(1600, 3)))
+    else:
+        mesh = height_field_mesh(rng, 40)
+        origins, dirs = sensor_rays(rng, mesh, 60)
+        grid_o, grid_d = grid_rays(mesh, stride=5)
+        origins, dirs = np.vstack([origins, grid_o]), np.vstack([dirs, grid_d])
+    bvh = Bvh(mesh)
+    monkeypatch.setattr(spatial, "_LEAF_TILE", 10**9)
+    want = bvh.raycast_many(origins, dirs)
+    monkeypatch.setattr(spatial, "_LEAF_TILE", tile)
+    got = bvh.raycast_many(origins, dirs)
+    assert (want[1] >= 0).any()
+    for a, b in zip(got, want):
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
 class TestBatchEdgeCases:

@@ -139,9 +139,10 @@ def _row(rng, fields, odd, seps=_SEPARATORS, comment=True):
     return line
 
 
-def _text_file(rng, fields, ascii_only=False, odd=0.0):
+def _text_file(rng, fields, ascii_only=False, odd=0.0, runs=False):
     """A seeded table text: data lines mixed with comments and blank lines,
-    joined by one newline style (LF, CRLF or lone CR)."""
+    joined by one newline style (LF, CRLF or lone CR); with ``runs`` each
+    line repeats 1 to 16 times, as a scan's shared ray origins do."""
     lines = []
     for _ in range(int(rng.integers(0, 40))):
         pick = rng.random()
@@ -151,6 +152,8 @@ def _text_file(rng, fields, ascii_only=False, odd=0.0):
             lines.append(" " * int(rng.integers(0, 3)))
         else:
             lines.append(_row(rng, fields, odd, _SEPARATORS[:-1] if ascii_only else _SEPARATORS))
+        if runs:
+            lines += lines[-1:] * int(rng.integers(0, 16))
     newline = _NEWLINES[rng.integers(len(_NEWLINES))]
     return newline.join(lines) + (newline if rng.random() < 0.8 else "")
 
@@ -162,7 +165,7 @@ _NO_ROWS = {
 }
 
 
-def _table_corpus(tmp_path, fields, seed):
+def _table_corpus(tmp_path, fields, seed, runs=False):
     rng = np.random.default_rng(seed)
     one = " ".join("1.5" if kind == "f" else "3" for kind in fields)
     edges = dict(_NO_ROWS, single_row=one + "\n", form_feed_row=one.replace(" ", "\x0c") + "\n")
@@ -171,7 +174,35 @@ def _table_corpus(tmp_path, fields, seed):
              for k in range(_CORPUS_FILES // 3)]
     odd = [_write(tmp_path, f"odd-{k}", _text_file(rng, fields, odd=0.05))
            for k in range(_CORPUS_FILES)]
+    if runs:
+        clean += [_write(tmp_path, f"clean-runs-{k}",
+                         _text_file(rng, fields, ascii_only=True, runs=True))
+                  for k in range(_CORPUS_FILES // 3)]
+        odd += [_write(tmp_path, f"odd-runs-{k}", _text_file(rng, fields, odd=0.05, runs=True))
+                for k in range(_CORPUS_FILES)]
     return paths, clean, odd
+
+
+# origins sidecars repeat each firing step's line once per channel; the
+# reader parses each run once, and these runs must read as the line scan does
+_ORIGIN_RUNS = {
+    "runs": "1 2 3\n" * 16 + "4 5 6\n" * 16 + "1 2 3\n" * 3,
+    "comment-and-blank-runs": "1 2 3\n1 2 3\n# c\n# c\n\n\n  \n  \n1 2 3\n4 5 6 # c\n4 5 6 # c\n",
+    "bad-line-run": "1 2 3\n1 2 3\n1 2\n1 2\n1 2\n4 5 6\n",
+    "bad-value-run": "1 2 3\n1 2 x\n1 2 x\n",
+    "non-finite-run": "1 2 3\n1 2 3\nnan 0 0\nnan 0 0\n",
+    "crlf-runs": "1 2 3\r\n1 2 3\r\n4 5 6\r\n4 5 6\r\n",
+    "lone-cr-runs": "1 2 3\r1 2 3\r4 5 6\r4 5 6",
+    "mixed-endings": "1 2 3\r\n1 2 3\n1 2 3\r1 2 3",
+    "cr-inside-a-run": "1 2 3\n1 2 3\r\n1 2\r3\n",
+    "form-feed-in-lines": "1\x0c2\x0c3\n1\x0c2\x0c3\n1 2 3\x0c\n1 2 3\x0c\n",
+    "form-feed-lines": "1 2 3\n\x0c\n\x0c\n1 2 3\n",
+    "vertical-tab-and-file-separator": "1\x0b2\x1c3\n1\x0b2\x1c3\n",
+    # str.splitlines would make two good rows of each of these lines
+    "form-feed-between-rows": "1 2 3\x0c4 5 6\n" * 2,
+    "separators-between-rows": "1 2 3\x0b4 5 6\n1 2 3\x1e4 5 6\n",
+    "no-final-newline": "1 2 3\n1 2 3",
+}
 
 
 def _odd_cases(fields):
@@ -196,7 +227,10 @@ def _odd_cases(fields):
     ids=["xyzl", "origins", "labels"],
 )
 def test_table_readers_match_line_scan(read, fields, tmp_path, monkeypatch, caplog):
-    edges, clean, odd = _table_corpus(tmp_path, fields, seed=len(fields))
+    runs = read is pio.read_ray_origins
+    edges, clean, odd = _table_corpus(tmp_path, fields, seed=len(fields), runs=runs)
+    if runs:
+        edges += [_write(tmp_path, f"edge-{name}", text) for name, text in _ORIGIN_RUNS.items()]
     singles = [_write(tmp_path, f"single-{k}", text) for k, text in enumerate(_odd_cases(fields))]
     accepted = _compare(read, edges + clean + odd + singles, monkeypatch, caplog)
     # clean files with data must take the bulk path (and may not fall back)
@@ -204,6 +238,9 @@ def test_table_readers_match_line_scan(read, fields, tmp_path, monkeypatch, capl
                  if any(l.strip() and not l.lstrip().startswith("#")
                         for l in p.read_text().splitlines())]
     assert with_data and all(with_data)
+    if runs:  # a run of bad lines is named by its first line
+        with pytest.raises(ParseError, match=r":3: expected 3 fields, got 2"):
+            read(tmp_path / "edge-bad-line-run")
 
 
 @pytest.mark.parametrize("name", ["empty", "comment-only", "blank-lines"])
@@ -433,14 +470,46 @@ def _values(rng, n):
     return np.where(rng.random(n) < 0.3, picks, random)
 
 
-@pytest.mark.parametrize("n", [0, 1, 17, 8191, 8192, 8193, 20000])
-def test_writers_byte_identical_to_per_line_writers(n, tmp_path):
-    rng = np.random.default_rng(n)
-    xyz = _values(rng, 3 * n).reshape(n, 3)
-    cloud = LabeledPointCloud(xyz, rng.integers(1, 13, size=n))
-    origins = _values(rng, 3 * n).reshape(n, 3)
-    origins[rng.random(n) < 0.05] = [np.nan, np.inf, -np.inf]
-    provenance = rng.random(n) < 0.5
+_SIGNED = np.array([0.0, -0.0, 5e-324, -5e-324, 2.5])
+_NON_FINITE = np.array([np.nan, -np.nan, np.inf, -np.inf, 0.0, -0.0])
+
+# run lengths of repeated rows: each firing step's origin repeats once per
+# channel, and the writer formats a run once
+_RUNS = {
+    "runs-of-16": [16] * 1300,
+    "runs-across-chunk-edges": [8190, 5, 8000, 200, 1, 8191, 30, 8192],
+    "signed-zeros-and-nans": list(range(1, 4)) * 1500,
+    "one-run-of-20000": [20000],
+}
+
+
+def _writer_inputs(case):
+    """Cloud rows, labels, origins and provenance: random rows for a row
+    count, or rows in the runs of a named case."""
+    rng = np.random.default_rng(case if isinstance(case, int) else len(case))
+    if isinstance(case, int):
+        n = case
+        xyz, origins = _values(rng, 3 * n).reshape(n, 3), _values(rng, 3 * n).reshape(n, 3)
+        origins[rng.random(n) < 0.05] = [np.nan, np.inf, -np.inf]
+        return xyz, rng.integers(1, 13, size=n), origins, rng.random(n) < 0.5
+    runs = _RUNS[case]
+    k = len(runs)
+    if case.startswith("signed"):
+        xyz = _SIGNED[rng.integers(len(_SIGNED), size=(k, 3))]
+        origins = _NON_FINITE[rng.integers(len(_NON_FINITE), size=(k, 3))]
+    else:
+        xyz, origins = _values(rng, 3 * k).reshape(k, 3), _values(rng, 3 * k).reshape(k, 3)
+    labels = np.repeat(rng.integers(1, 13, size=k), runs)
+    n = labels.size
+    labels[rng.random(n) < 0.01] = 1  # rows that differ only in their label
+    provenance = np.arange(n) < n // 2  # two blocks, as mix writes them
+    return np.repeat(xyz, runs, axis=0), labels, np.repeat(origins, runs, axis=0), provenance
+
+
+@pytest.mark.parametrize("case", [0, 1, 17, 8191, 8192, 8193, 20000, *_RUNS])
+def test_writers_byte_identical_to_per_line_writers(case, tmp_path):
+    xyz, labels, origins, provenance = _writer_inputs(case)
+    cloud = LabeledPointCloud(xyz, labels)
 
     pairs = [
         (lambda p: pio.write_cloud(cloud, p, pio.FORMAT_XYZL), lambda p: _old_write_xyzl(cloud, p)),
