@@ -135,13 +135,13 @@ def cmd_simulate(args) -> int:
         raw = _read_json(args.scan_config)
         try:
             scan_cfg = simulate.ScanConfig.from_json_dict(raw)
-        except (TypeError, ValueError) as exc:
+        except ValueError as exc:
             raise ConfigError(f"{args.scan_config}: {exc}") from exc
 
     if args.sigma is not None and args.sigma > 0 and args.seed is None:
         raise ConfigError("--seed is required when applying noise (--sigma > 0)")
     seed = 0 if args.seed is None else args.seed
-    scan = simulate.simulate_scan(mesh, trajectory, scan_cfg, seed=seed)
+    scan = simulate.simulate_scan(mesh, trajectory, scan_cfg)
     if args.sigma is not None and args.sigma > 0:
         scan = simulate.apply_range_noise(scan, simulate.NoiseModel(args.sigma, seed))
 

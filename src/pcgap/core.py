@@ -64,8 +64,6 @@ _CANONICAL_NAMES = {
 
 _NAME_TO_CLASS = {name.lower(): SemanticClass(cid) for cid, name in _CANONICAL_NAMES.items()}
 
-NOISE = SemanticClass.NOISE
-
 #: Classes averaged by the unweighted segmentation mIoU (Noise excluded).
 NON_NOISE_CLASSES: tuple[SemanticClass, ...] = tuple(
     c for c in SemanticClass if c is not SemanticClass.NOISE
@@ -267,18 +265,6 @@ class LabeledPointCloud:
     @classmethod
     def empty(cls) -> "LabeledPointCloud":
         return cls(np.empty((0, 3)), np.empty(0, dtype=np.uint8))
-
-    @classmethod
-    def from_arrays(
-        cls,
-        xyz: np.ndarray,
-        labels: np.ndarray,
-        coerce: bool = False,
-        context: str = "",
-    ) -> "LabeledPointCloud":
-        if coerce:
-            labels = coerce_labels(labels, context)
-        return cls(xyz, labels)
 
     @staticmethod
     def concat(clouds: Sequence["LabeledPointCloud"]) -> "LabeledPointCloud":

@@ -44,12 +44,16 @@ class Region:
             raise ValueError(f"region {self.name!r}: exactly one of rect/polygon required")
         if self.rect is not None:
             xmin, ymin, xmax, ymax = self.rect
+            if not all(map(math.isfinite, self.rect)):
+                raise ValueError(f"region {self.name!r}: rect coordinates must be finite")
             if not (xmin < xmax and ymin < ymax):
                 raise ValueError(f"region {self.name!r}: zero-area rectangle")
         else:
             poly = np.asarray(self.polygon, dtype=np.float64).reshape(-1, 2)
             if len(poly) < 3:
                 raise ValueError(f"region {self.name!r}: polygon needs >= 3 vertices")
+            if not np.isfinite(poly).all():
+                raise ValueError(f"region {self.name!r}: polygon coordinates must be finite")
             x, y = poly[:, 0], poly[:, 1]
             area2 = np.dot(x, np.roll(y, -1)) - np.dot(y, np.roll(x, -1))
             if area2 == 0:

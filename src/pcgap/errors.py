@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import numbers
+from typing import Mapping
+
 
 class PcgapError(Exception):
     """Base class for structured tool errors."""
@@ -32,3 +35,19 @@ class ConfigError(PcgapError, ValueError):
 
 class DegenerateDataError(PcgapError):
     """Inputs admit no meaningful result (e.g. no comparable semantic content)."""
+
+
+def config_number(value, key: str, integer: bool = False):
+    """``value`` when it is a number (an integer if asked; a bool is
+    neither), else a ConfigError naming ``key``."""
+    kind = numbers.Integral if integer else numbers.Real
+    if isinstance(value, bool) or not isinstance(value, kind):
+        raise ConfigError(f"{key}: expected {'an integer' if integer else 'a number'}, got {value!r}")
+    return value
+
+
+def config_object(value, key: str) -> Mapping:
+    """``value`` when it is a JSON object, else a ConfigError naming ``key``."""
+    if not isinstance(value, Mapping):
+        raise ConfigError(f"{key}: expected an object")
+    return value

@@ -46,33 +46,19 @@ _FLOAT_FMT = "%.17g"  # enough digits for exact float64 round-trips
 # ---------------------------------------------------------------------------
 
 
-def _sniff_format(path: Path) -> str:
-    with open(path, "rb") as fh:
-        head = fh.read(4)
-    if head.startswith(b"ply"):
-        # ascii vs binary decided by the header's format line
-        with open(path, "rb") as fh:
-            for raw in fh:
-                line = raw.decode("ascii", errors="replace").strip()
-                if line.startswith("format"):
-                    return FORMAT_PLY_ASCII if "ascii" in line else FORMAT_PLY_BINARY
-                if line == "end_header":
-                    break
-        raise ParseError(path, "ply header has no format line")
-    return FORMAT_XYZL
-
-
 def read_cloud(path, fmt: str = "auto") -> LabeledPointCloud:
     """Read a labeled cloud; out-of-range labels are coerced to Noise."""
     path = Path(path)
     if not path.exists():
         raise FileNotFoundError(f"no such cloud file: {path}")
     if fmt == "auto":
-        fmt = _sniff_format(path)
+        with open(path, "rb") as fh:
+            is_ply = fh.read(3) == b"ply"
+        return _read_ply(path) if is_ply else _read_xyzl(path)
     if fmt == FORMAT_XYZL:
         return _read_xyzl(path)
     if fmt in (FORMAT_PLY_ASCII, FORMAT_PLY_BINARY):
-        return _read_ply(path)
+        return _read_ply(path)  # ascii or binary, as its header says
     raise FormatError(f"unknown cloud format: {fmt!r}")
 
 
@@ -93,7 +79,7 @@ def write_cloud(cloud: LabeledPointCloud, path, fmt: str = "auto") -> None:
 def _read_xyzl(path: Path) -> LabeledPointCloud:
     table = _read_text_table(path, _XYZL)
     xyz = np.column_stack([table["x"], table["y"], table["z"]])
-    return LabeledPointCloud.from_arrays(xyz, table["label"], coerce=True, context=str(path))
+    return LabeledPointCloud(xyz, coerce_labels(table["label"], str(path)))
 
 
 # ---------------------------------------------------------------------------
@@ -314,7 +300,9 @@ def _read_ply(path: Path) -> LabeledPointCloud:
         rows = body.decode("ascii", errors="replace").splitlines()
         table = _bulk_table(spec, rows, max_rows=count) if body.isascii() else None
         if table is None:
-            table = _scan_table(path, spec, rows, first_line=len(header) + 2, max_rows=count)
+            # count "\n"s: str.splitlines would also end a header line at "\x0c"
+            first_line = data.count(b"\n", 0, header_end) + 2
+            table = _scan_table(path, spec, rows, first_line=first_line, max_rows=count)
         if len(table) != count:
             raise ParseError(path, f"vertex data truncated: {len(table)} of {count} rows")
     columns = {lower[i]: table[f"f{i}"] for i in range(len(props))}
@@ -330,7 +318,7 @@ def _read_ply(path: Path) -> LabeledPointCloud:
     if raw_labels.size and not np.isfinite(raw_labels.astype(np.float64)).all():
         raise ParseError(path, "non-finite class value in vertex data")
     labels = np.rint(raw_labels.astype(np.float64)).astype(np.int64)
-    return LabeledPointCloud.from_arrays(xyz, labels, coerce=True, context=str(path))
+    return LabeledPointCloud(xyz, coerce_labels(labels, str(path)))
 
 
 def _write_ply(cloud: LabeledPointCloud, path: Path, binary: bool) -> None:

@@ -13,7 +13,7 @@ m always lies strictly inside (0, 1) for alpha < 0.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Mapping, Sequence
 
@@ -26,26 +26,13 @@ from .core import (
     default_weights,
     partition_by_class,
 )
-from .errors import ConfigError, DegenerateDataError
+from .errors import ConfigError, DegenerateDataError, config_number, config_object
 from .spatial import NnIndex, cylinder_means, estimate_normals, voxelize
 
 C2C_MODES = ("directed-max", "directed-mean", "symmetric-max")
 EQ3_WEIGHT_MODES = ("as-given", "renormalized")
 LAMBDA_VALIDATION_MODES = ("strict", "relaxed")
 _CLASS_SLOTS = 16  # class ids (1..12) take the low 4 bits of a voxel key
-
-
-def _number(value, key: str) -> float:
-    """A config number (a bool is not one), as a float."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{key}: expected a number, got {value!r}")
-    return float(value)
-
-
-def _object(value, key: str) -> Mapping:
-    if not isinstance(value, Mapping):
-        raise ConfigError(f"{key}: expected an object")
-    return value
 
 
 @dataclass(frozen=True)
@@ -129,10 +116,8 @@ class MetricParams:
         :meth:`to_json_dict` writes, plus ``seed`` (default 0). Missing keys
         take their defaults and numbers are stored as floats; an unknown
         key or a value of the wrong type is a ConfigError naming its path."""
-        cfg = _merge_config({**cls().to_json_dict(), "seed": 0}, _object(raw, "config root"), "")
-        seed = cfg["seed"]
-        if isinstance(seed, bool) or not isinstance(seed, int):
-            raise ConfigError(f"seed: expected an integer, got {seed!r}")
+        cfg = _merge_config({**cls().to_json_dict(), "seed": 0}, config_object(raw, "config root"), "")
+        seed = config_number(cfg["seed"], "seed", integer=True)
         try:
             weights = ClassWeights.from_json_dict(cfg["class_weights"])
         except (KeyError, ValueError) as exc:  # an unknown class name, or a bad weight
@@ -186,11 +171,12 @@ def _merge_config(defaults: dict, raw: Mapping, prefix: str) -> dict:
         if key not in defaults:
             raise ConfigError(f"{path}: unknown config key")
         if key == "m3c2":
-            value = _merge_config(defaults[key], _object(value, path), "m3c2.")
+            value = _merge_config(defaults[key], config_object(value, path), "m3c2.")
         elif key == "class_weights":
-            value = {name: _number(w, f"{path}.{name}") for name, w in _object(value, path).items()}
+            value = {name: float(config_number(w, f"{path}.{name}"))
+                     for name, w in config_object(value, path).items()}
         elif isinstance(defaults[key], float):
-            value = _number(value, path)
+            value = float(config_number(value, path))
         merged[key] = value
     return merged
 
@@ -467,7 +453,7 @@ class GapReport:
     f_miou: float
     d: float
     m_dogss_pcl: float
-    offset: tuple[float, float, float] = (0.0, 0.0, 0.0)
+    offset: tuple[float, float, float]
 
     def to_json_dict(self) -> dict:
         return {
@@ -492,47 +478,14 @@ class GapReport:
         }
 
 
-def _gap_report(
-    real: LabeledPointCloud, synth: LabeledPointCloud, sides: _RealSides, params: MetricParams
-) -> GapReport:
-    if len(real) == 0 or len(synth) == 0:
-        raise ValueError("gap comparison requires two non-empty clouds")
-
-    d_c2c = c2c_distance(real, synth, params.c2c_mode)
-    m3c2_results = compute_m3c2_per_class(sides, synth, params.weights, params.m3c2)
-    d_mm3c2 = aggregate_mm3c2(m3c2_results, params.weights)
-    iou = voxel_miou(sides, synth, params.voxel_edge, params.weights)
-    d, f_miou, m = compose_score(d_mm3c2, d_c2c, iou.miou, params)
-
-    per_class = {
-        cls: ClassGapStats(
-            m3c2_results[cls].median,
-            m3c2_results[cls].inliers,
-            m3c2_results[cls].outliers,
-            iou.per_class[cls],
-        )
-        for cls in SemanticClass
-    }
-    return GapReport(
-        params=params,
-        d_c2c=d_c2c,
-        per_class=per_class,
-        d_mm3c2=d_mm3c2,
-        miou=iou.miou,
-        f_miou=f_miou,
-        d=d,
-        m_dogss_pcl=m,
-    )
-
-
 def dogss_pcl(
     real: LabeledPointCloud,
     synth: LabeledPointCloud,
     params: MetricParams | None = None,
 ) -> GapReport:
-    """Full deterministic comparison of a synthetic cloud against its real twin."""
-    params = params or MetricParams()
-    return _gap_report(real, synth, _RealSides(real, params.weights, params.m3c2), params)
+    """Full deterministic comparison of a synthetic cloud against its real
+    twin: the series of the one zero offset."""
+    return offset_sensitivity(real, synth, [(0.0, 0.0, 0.0)], params)[0]
 
 
 def offset_sensitivity(
@@ -541,17 +494,31 @@ def offset_sensitivity(
     offsets: Sequence,
     params: MetricParams | None = None,
 ) -> list[GapReport]:
-    """Apply each rigid translation to the synthetic cloud and re-run the
-    comparison; the applied offset is recorded in each report. The real
-    side of M3C2 is computed once for the whole series; each report equals
-    :func:`dogss_pcl` on the translated cloud."""
+    """Apply each rigid translation to the synthetic cloud and compare it
+    with the real one; the applied offset is recorded in each report. The
+    real side of M3C2 and the real voxels are computed once for the series."""
     params = params or MetricParams()
+    if len(real) == 0 or len(synth) == 0:
+        raise ValueError("gap comparison requires two non-empty clouds")
     sides = _RealSides(real, params.weights, params.m3c2)
     reports = []
     for vec in offsets:
         v = np.asarray(vec, dtype=np.float64).reshape(3)
-        report = _gap_report(real, synth.translate(v), sides, params)
-        reports.append(replace(report, offset=tuple(float(x) for x in v)))
+        moved = synth.translate(v)
+        d_c2c = c2c_distance(real, moved, params.c2c_mode)
+        m3c2 = compute_m3c2_per_class(sides, moved, params.weights, params.m3c2)
+        d_mm3c2 = aggregate_mm3c2(m3c2, params.weights)
+        iou = voxel_miou(sides, moved, params.voxel_edge, params.weights)
+        d, f_miou, m = compose_score(d_mm3c2, d_c2c, iou.miou, params)
+        per_class = {
+            cls: ClassGapStats(m3c2[cls].median, m3c2[cls].inliers, m3c2[cls].outliers,
+                               iou.per_class[cls])
+            for cls in SemanticClass
+        }
+        reports.append(GapReport(
+            params=params, d_c2c=d_c2c, per_class=per_class, d_mm3c2=d_mm3c2, miou=iou.miou,
+            f_miou=f_miou, d=d, m_dogss_pcl=m, offset=tuple(float(x) for x in v),
+        ))
     return reports
 
 

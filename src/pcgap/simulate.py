@@ -10,15 +10,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
 from .core import LabeledPointCloud
-from .errors import DegenerateDataError
+from .errors import ConfigError, DegenerateDataError, config_number, config_object
 from .spatial import Bvh
 
 _TWO_PI = 2.0 * math.pi
+_SAMPLE_KEYS = ("t", "x", "y", "z", "yaw")
 
 
 @dataclass(frozen=True)
@@ -33,32 +34,40 @@ class ScanConfig:
     sensor_offset: tuple[float, float, float] = (0.0, 0.0, 0.0)
 
     def __post_init__(self):
-        if self.channels < 1:
-            raise ValueError("channels must be >= 1")
-        if self.max_range_m <= 0:
-            raise ValueError("max_range_m must be positive")
-        if self.rotation_rate_hz <= 0:
-            raise ValueError("rotation_rate_hz must be positive")
-        if self.points_per_second < 1:
-            raise ValueError("points_per_second must be >= 1")
+        for key, size in (("vertical_fov_deg", 2), ("sensor_offset", 3)):
+            value = getattr(self, key)
+            items = tuple(value) if isinstance(value, (list, tuple, np.ndarray)) else ()
+            if len(items) != size:
+                raise ConfigError(f"{key}: expected {size} numbers, got {value!r}")
+            object.__setattr__(self, key, items)
+        for key in ("channels", "points_per_second"):
+            if config_number(getattr(self, key), key, integer=True) < 1:
+                raise ConfigError(f"{key}: must be >= 1, got {getattr(self, key)!r}")
+        values = {
+            "rotation_rate_hz": self.rotation_rate_hz,
+            "max_range_m": self.max_range_m,
+            **{f"vertical_fov_deg[{i}]": v for i, v in enumerate(self.vertical_fov_deg)},
+            **{f"sensor_offset[{i}]": v for i, v in enumerate(self.sensor_offset)},
+        }
+        for key, value in values.items():
+            if not math.isfinite(config_number(value, key)):
+                raise ConfigError(f"{key}: must be finite, got {value!r}")
+        for key in ("rotation_rate_hz", "max_range_m"):
+            if values[key] <= 0:
+                raise ConfigError(f"{key}: must be > 0, got {values[key]!r}")
         lo, hi = self.vertical_fov_deg
         if self.channels > 1 and not lo < hi:
-            raise ValueError("vertical FOV min must be below max")
+            raise ConfigError("vertical_fov_deg: min must be below max")
 
     @classmethod
-    def from_json_dict(cls, raw: dict) -> "ScanConfig":
-        kwargs = {}
-        for key in (
-            "channels", "vertical_fov_deg", "rotation_rate_hz",
-            "points_per_second", "max_range_m", "sensor_offset",
-        ):
-            if key in raw:
-                value = raw[key]
-                kwargs[key] = tuple(value) if isinstance(value, list) else value
-        unknown = set(raw) - set(kwargs)
+    def from_json_dict(cls, raw) -> "ScanConfig":
+        """A config from a JSON object of this class's fields; an unknown
+        key, or a value of the wrong type, length or range, is a
+        ConfigError naming it."""
+        unknown = set(config_object(raw, "scan config root")) - set(cls.__dataclass_fields__)
         if unknown:
-            raise ValueError(f"unknown scan config keys: {sorted(unknown)}")
-        return cls(**kwargs)
+            raise ConfigError(f"unknown scan config keys: {sorted(unknown)}")
+        return cls(**raw)
 
     def to_json_dict(self) -> dict:
         return {
@@ -90,6 +99,11 @@ class Trajectory:
             raise ValueError("trajectory needs at least one sample")
         if len(t) != len(p) or len(t) != len(y):
             raise ValueError("times, positions, and yaws must have equal length")
+        table = np.column_stack([t, p, y])
+        bad = np.argwhere(~np.isfinite(table))
+        if bad.size:
+            i, k = bad[0]
+            raise ConfigError(f"[{i}].{_SAMPLE_KEYS[k]}: must be finite, got {float(table[i, k])!r}")
         if len(t) > 1 and not (np.diff(t) > 0).all():
             raise ValueError("trajectory times must be strictly increasing")
         self.times = t
@@ -101,16 +115,21 @@ class Trajectory:
         self.yaws = y
 
     @classmethod
-    def from_samples(cls, samples: Sequence[dict]) -> "Trajectory":
-        if not samples:
-            raise ValueError("trajectory needs at least one sample")
-        try:
-            times = [float(s["t"]) for s in samples]
-            positions = [(float(s["x"]), float(s["y"]), float(s["z"])) for s in samples]
-            yaws = [float(s.get("yaw", 0.0)) for s in samples]
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ValueError(f"bad trajectory sample: {exc}") from exc
-        return cls(times, positions, yaws)
+    def from_samples(cls, samples: Sequence[Mapping]) -> "Trajectory":
+        """A trajectory from ``{t, x, y, z, yaw}`` objects (yaw 0 when
+        absent); a sample that is not an object, or a value that is missing
+        or not a number, is a ConfigError naming it as ``[i].key``."""
+        if not isinstance(samples, (list, tuple)) or not samples:
+            raise ConfigError("trajectory needs a non-empty array of samples")
+        rows = []
+        for i, sample in enumerate(samples):
+            sample = {"yaw": 0.0, **config_object(sample, f"[{i}]")}
+            for key in _SAMPLE_KEYS:
+                if key not in sample:
+                    raise ConfigError(f"[{i}].{key}: missing from the trajectory sample")
+            rows.append([config_number(sample[key], f"[{i}].{key}") for key in _SAMPLE_KEYS])
+        t, x, y, z, yaw = np.array(rows, dtype=np.float64).T
+        return cls(t, np.column_stack([x, y, z]), yaw)
 
     @property
     def duration(self) -> float:
@@ -164,16 +183,13 @@ def simulate_scan(
     mesh,
     trajectory: Trajectory,
     config: ScanConfig = ScanConfig(),
-    seed: int = 0,
 ) -> SimulatedScan:
     """Cast the rotating scan pattern along the trajectory.
 
     Rays fire at uniform azimuth steps; all channels fire together at each
-    step. Hits farther than max_range are discarded. The scan itself is
-    deterministic; the seed is accepted for interface symmetry with the
-    noise stage and recorded by the CLI manifest.
+    step. Hits farther than max_range are discarded. The scan is
+    deterministic: only range noise draws random numbers.
     """
-    del seed  # pattern generation has no stochastic stage
     if len(mesh.triangles) == 0:
         raise DegenerateDataError("cannot scan an empty mesh")
     period = 1.0 / config.rotation_rate_hz
@@ -233,8 +249,6 @@ def apply_range_noise(scan: SimulatedScan, noise: NoiseModel) -> SimulatedScan:
     Labels and ray origins are unchanged; sigma = 0 returns the input data
     untouched. Identical seed and input produce identical output.
     """
-    if scan.ray_origins is None:
-        raise ValueError("range noise requires per-point ray origins")
     if noise.sigma == 0 or len(scan.cloud) == 0:
         return scan
     rays = scan.cloud.xyz - scan.ray_origins

@@ -9,7 +9,6 @@ queries are pure, so they are safe to share across threads.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -322,14 +321,6 @@ def voxelize(cloud, edge: float, origin=None) -> tuple[np.ndarray, np.ndarray]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class RayHit:
-    t: float
-    triangle: int
-    class_id: int
-    point: np.ndarray
-
-
 def _moller_trumbore(o, d, v0, e1, e2) -> np.ndarray:
     """Moller-Trumbore distances (inf = miss) on component-first inputs.
 
@@ -441,15 +432,6 @@ class Bvh:
         self._v0, self._e1, self._e2 = (
             np.ascontiguousarray(np.concatenate([a, pad]).T) for a in (v0, v1 - v0, v2 - v0)
         )
-
-    def raycast(self, origin, direction) -> RayHit | None:
-        """Nearest hit along a unit-direction ray, or None on miss."""
-        origin = np.asarray(origin, dtype=np.float64).reshape(3)
-        direction = np.asarray(direction, dtype=np.float64).reshape(3)
-        t, tid, cls = self.raycast_many(origin, direction)
-        if tid[0] < 0:
-            return None
-        return RayHit(float(t[0]), int(tid[0]), int(cls[0]), origin + t[0] * direction)
 
     def raycast_many(self, origins: np.ndarray, directions: np.ndarray):
         """Vector form: returns (t, triangle id, class id) arrays; misses are

@@ -132,11 +132,11 @@ def test_criterion_4_brute_force_equivalence():
             direction /= np.linalg.norm(direction)
             t = ray_triangles(origin, direction, v0, v1, v2)
             j = int(np.argmin(t))
-            hit = bvh.raycast(origin, direction)
+            hit_t, hit_id, _ = bvh.raycast_many(origin, direction)
             if t[j] == np.inf:
-                assert hit is None
+                assert hit_id[0] == -1
             else:
-                assert hit is not None and (hit.t, hit.triangle) == (float(t[j]), j)
+                assert (hit_t[0], hit_id[0]) == (t[j], j)
 
     # voxelization: the occupied (voxel, class) pairs of a cloud, and the
     # per-class voxel IoU of a pair on the first cloud's grid
@@ -253,7 +253,7 @@ def test_criterion_7_end_to_end_desk_pipeline(tmp_path):
     config = ScanConfig(channels=16, vertical_fov_deg=(-30.0, 30.0),
                         rotation_rate_hz=10.0, points_per_second=24_000,
                         max_range_m=50.0)
-    scan = simulate_scan(mesh, trajectory, config, seed=7)
+    scan = simulate_scan(mesh, trajectory, config)
     noisy = apply_range_noise(scan, NoiseModel(0.02, seed=8))
 
     params = MetricParams()

@@ -119,6 +119,38 @@ def test_invalid_json_exit_2(tmp_path, small_inputs, capsys, flag):
     assert list((tmp_path / "out").iterdir()) == []
 
 
+def _samples(**second):
+    """The two-sample trajectory of ``small_inputs``, with fields of the
+    second sample replaced."""
+    return [{"t": 0.0, "x": 2.0, "y": 4.0, "z": 1.5, "yaw": 0.0},
+            {"t": 0.2, "x": 3.0, "y": 4.0, "z": 1.5, "yaw": 0.0, **second}]
+
+
+@pytest.mark.parametrize("flag,doc,key", [
+    ("--scan-config", {"channels": 2.5}, "channels"),
+    ("--scan-config", {"channels": True}, "channels"),
+    ("--scan-config", {"points_per_second": "20000"}, "points_per_second"),
+    ("--scan-config", {"sensor_offset": [1, 2]}, "sensor_offset"),
+    ("--scan-config", {"sensor_offset": [math.nan, 0, 0]}, "sensor_offset[0]"),
+    ("--scan-config", {"max_range_m": math.nan}, "max_range_m"),
+    ("--scan-config", {"vertical_fov_deg": [-25, math.inf]}, "vertical_fov_deg[1]"),
+    ("--scan-config", [], "scan config root"),
+    ("--trajectory", _samples(x=math.nan), "[1].x"),
+    ("--trajectory", _samples(yaw=math.inf), "[1].yaw"),
+    ("--trajectory", _samples(t="0.2"), "[1].t"),
+    ("--trajectory", _samples(z=None), "[1].z"),
+    ("--trajectory", [_samples()[0], 7], "[1]"),
+])
+def test_simulate_bad_scan_config_or_trajectory_exit_2(tmp_path, small_inputs, capsys,
+                                                         flag, doc, key):
+    (tmp_path / "out").mkdir()
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))  # NaN and Infinity, as Python's json writes them
+    assert main(small_inputs["simulate"] + [flag, str(path)]) == EXIT_CONFIG
+    assert json.loads(capsys.readouterr().err)["error"].startswith(f"{path}: {key}: ")
+    assert list((tmp_path / "out").iterdir()) == []
+
+
 def _run_fresh(argvs) -> list[str]:
     """Run CLI calls in a fresh interpreter that imports pcgap from this
     source tree; return the scipy modules loaded when they are done."""
@@ -556,6 +588,27 @@ class TestMixSplit:
         assert code == EXIT_CONFIG
         assert "regions[1].name" in capsys.readouterr().err
         assert sorted(tmp_path.rglob("*")) == before  # nothing written, in or out of --out-dir
+
+    @pytest.mark.parametrize("region", [
+        {"polygon": [[0, 0], [4, 0], [4, math.nan], [0, 4]]},
+        {"polygon": [[0, 0], [4, 0], [4, math.inf], [0, 4]]},
+        {"rect": [0, 0, math.inf, 4]},
+        {"rect": [-math.inf, 0, 4, 4]},
+    ])
+    def test_split_non_finite_region_exit_2(self, tmp_path, region, capsys):
+        cloud_path = tmp_path / "c.xyzl"
+        write_cloud(LabeledPointCloud(np.array([[1.0, 1, 0], [2.0, 1, 0], [9.0, 9, 0]]),
+                                      np.array([1, 2, 6])), cloud_path, FORMAT_XYZL)
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps({"regions": [
+            {"name": "ok", "rect": [8, 8, 10, 10]}, {"name": "a", **region},
+        ]}))
+        out_dir = tmp_path / "splits"
+        code = main(["split", "--cloud", str(cloud_path), "--spec", str(spec_path),
+                     "--out-dir", str(out_dir)])
+        assert code == EXIT_CONFIG
+        assert "regions[1]: " in capsys.readouterr().err
+        assert not out_dir.exists()
 
     def test_mix_bad_fraction_exit_2(self, tmp_path):
         rng = np.random.default_rng(75)

@@ -144,7 +144,7 @@ class TestMapClass:
 class TestLabeledPointCloud:
     def test_round_trip_points(self):
         xyz, labels = [[1.0, 2.0, 3.0], [0.0, 0.0, 0.0]], [6, 12]
-        cloud = LabeledPointCloud.from_arrays(np.array(xyz), np.array(labels))
+        cloud = LabeledPointCloud(np.array(xyz), np.array(labels))
         assert cloud.xyz.tolist() == xyz
         assert cloud.labels.tolist() == labels
         assert cloud.labels.dtype == np.uint8

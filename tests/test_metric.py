@@ -165,7 +165,7 @@ class TestM3c2:
         ])
         config = ScanConfig(channels=16, vertical_fov_deg=(-30.0, 30.0), rotation_rate_hz=10.0,
                             points_per_second=24_000, max_range_m=50.0)
-        scan = simulate_scan(build_room_mesh(), trajectory, config, seed=7)
+        scan = simulate_scan(build_room_mesh(), trajectory, config)
         real, synth = scan.cloud, apply_range_noise(scan, NoiseModel(0.02, seed=8)).cloud
         p = MetricParams()
         base = metric.compute_m3c2_per_class(real, synth, p.weights, p.m3c2)

@@ -63,9 +63,29 @@ class TestTrajectory:
             Trajectory.from_samples([{"t": 0.0, "x": 1.0}])
 
 
+class TestConfigChecks:
+    """Library callers meet the same refusals as ``simulate``'s JSON inputs."""
+
+    @pytest.mark.parametrize("kwargs,key", [
+        ({"channels": 16.0}, "channels"),
+        ({"points_per_second": 0}, "points_per_second"),
+        ({"sensor_offset": (0.0, 0.0)}, "sensor_offset"),
+        ({"vertical_fov_deg": (-25.0, np.nan)}, r"vertical_fov_deg\[1\]"),
+        ({"rotation_rate_hz": np.inf}, "rotation_rate_hz"),
+        ({"max_range_m": -1.0}, "max_range_m"),
+    ])
+    def test_scan_config(self, kwargs, key):
+        with pytest.raises(ValueError, match=f"^{key}: "):
+            ScanConfig(**kwargs)
+
+    def test_trajectory_non_finite(self):
+        with pytest.raises(ValueError, match=r"^\[1\]\.y: must be finite"):
+            Trajectory([0.0, 1.0], [[0, 0, 0], [1, np.nan, 0]], [0.0, 0.0])
+
+
 class TestSimulateScan:
     def test_points_lie_on_mesh(self, room):
-        scan = simulate_scan(room, straight_line(), SMALL_SCAN, seed=1)
+        scan = simulate_scan(room, straight_line(), SMALL_SCAN)
         assert len(scan.cloud) > 1000
         # every point is on a wall/floor/ceiling/patch plane of the room
         xyz = scan.cloud.xyz
@@ -80,14 +100,14 @@ class TestSimulateScan:
         assert max(dists) < 1e-9
 
     def test_classes_from_triangles(self, room):
-        scan = simulate_scan(room, straight_line(), SMALL_SCAN, seed=1)
+        scan = simulate_scan(room, straight_line(), SMALL_SCAN)
         present = set(scan.cloud.labels.tolist())
         assert present <= {2, 3, 6, 7, 8, 9, 10}
         assert {2, 6, 7} <= present  # floor, walls, ceiling always visible
 
     def test_ray_budget(self, room):
         duration = 0.5
-        scan = simulate_scan(room, straight_line(duration), SMALL_SCAN, seed=1)
+        scan = simulate_scan(room, straight_line(duration), SMALL_SCAN)
         assert len(scan.cloud) <= SMALL_SCAN.points_per_second * duration
 
     def test_max_range_filters(self, room):
@@ -96,30 +116,30 @@ class TestSimulateScan:
             points_per_second=8000, max_range_m=0.5,
         )
         # sensor at room center: nearest surface is farther than 0.5 m
-        scan = simulate_scan(room, straight_line(0.2, 5.0, 5.0), tiny, seed=1)
+        scan = simulate_scan(room, straight_line(0.2, 5.0, 5.0), tiny)
         assert len(scan.cloud) == 0
 
     def test_deterministic(self, room):
-        a = simulate_scan(room, straight_line(), SMALL_SCAN, seed=3)
-        b = simulate_scan(room, straight_line(), SMALL_SCAN, seed=3)
+        a = simulate_scan(room, straight_line(), SMALL_SCAN)
+        b = simulate_scan(room, straight_line(), SMALL_SCAN)
         assert a.cloud == b.cloud
         assert np.array_equal(a.ray_origins, b.ray_origins)
 
     def test_trajectory_too_short(self, room):
         with pytest.raises(DegenerateDataError, match="rotation period"):
-            simulate_scan(room, straight_line(0.05), SMALL_SCAN, seed=1)
+            simulate_scan(room, straight_line(0.05), SMALL_SCAN)
 
     def test_empty_mesh(self):
         mesh = ClassedMesh(np.zeros((0, 3)), np.zeros((0, 3), dtype=np.int64), np.zeros(0, dtype=np.uint8))
         with pytest.raises(DegenerateDataError, match="empty"):
-            simulate_scan(mesh, straight_line(), SMALL_SCAN, seed=1)
+            simulate_scan(mesh, straight_line(), SMALL_SCAN)
 
     def test_single_horizontal_channel(self, room):
         cfg = ScanConfig(
             channels=1, vertical_fov_deg=(0.0, 0.0), rotation_rate_hz=10.0,
             points_per_second=3600, max_range_m=50.0,
         )
-        scan = simulate_scan(room, straight_line(0.2, 5.0, 5.0), cfg, seed=1)
+        scan = simulate_scan(room, straight_line(0.2, 5.0, 5.0), cfg)
         # all rays horizontal from z = 1.5: only walls and wall patches are hit
         assert len(scan.cloud) > 0
         assert np.allclose(scan.cloud.xyz[:, 2], 1.5)
@@ -128,7 +148,7 @@ class TestSimulateScan:
 
 @pytest.fixture(scope="module")
 def scan(room):
-    return simulate_scan(room, straight_line(), SMALL_SCAN, seed=5)
+    return simulate_scan(room, straight_line(), SMALL_SCAN)
 
 
 class TestRangeNoise:

@@ -228,6 +228,12 @@ def brute_raycast(mesh, origin, direction):
     return float(t[j]), j
 
 
+def cast_one(bvh, origin, direction):
+    """One ray through ``raycast_many``: (t, triangle, class), or None on a miss."""
+    t, tid, cls = bvh.raycast_many(origin, direction)
+    return None if tid[0] < 0 else (float(t[0]), int(tid[0]), int(cls[0]))
+
+
 class TestBvh:
     def test_hit_distance(self):
         mesh = ClassedMesh(
@@ -235,10 +241,9 @@ class TestBvh:
             np.array([[0, 1, 2]]),
             np.array([6], dtype=np.uint8),
         )
-        hit = Bvh(mesh).raycast((0, 0, 0), (0, 0, 1))
-        assert hit.t == 10.0
-        assert hit.class_id == 6
-        assert np.allclose(hit.point, [0, 0, 10])
+        t, _, class_id = cast_one(Bvh(mesh), (0, 0, 0), (0, 0, 1))
+        assert t == 10.0
+        assert class_id == 6
 
     def test_grid_aligned_ray_from_box_face_warns_nothing(self):
         # x direction 0 from x = 0 on the box face: the slab test meets 0 * inf
@@ -249,9 +254,8 @@ class TestBvh:
         )
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            hit = Bvh(mesh).raycast((0.0, 0.5, 0.0), (0.0, 0.0, 1.0))
-        assert hit.t == 10.0
-        assert hit.triangle == 0
+            hit = cast_one(Bvh(mesh), (0.0, 0.5, 0.0), (0.0, 0.0, 1.0))
+        assert hit[:2] == (10.0, 0)
 
     def test_parallel_ray_misses(self):
         mesh = ClassedMesh(
@@ -259,7 +263,7 @@ class TestBvh:
             np.array([[0, 1, 2]]),
             np.array([6], dtype=np.uint8),
         )
-        assert Bvh(mesh).raycast((0, 0, 0), (1, 0, 0)) is None
+        assert cast_one(Bvh(mesh), (0, 0, 0), (1, 0, 0)) is None
 
     def test_min_t_skips_surface_at_origin(self):
         mesh = ClassedMesh(
@@ -268,12 +272,12 @@ class TestBvh:
             np.array([1], dtype=np.uint8),
         )
         # emitter sits on the triangle plane; the hit at t = 0 is discarded
-        assert Bvh(mesh).raycast((0, 0, 0), (0, 0, 1)) is None
+        assert cast_one(Bvh(mesh), (0, 0, 0), (0, 0, 1)) is None
 
     def test_non_unit_direction_rejected(self):
         mesh = make_random_mesh(np.random.default_rng(0), 4)
         with pytest.raises(ValueError, match="unit"):
-            Bvh(mesh).raycast((0, 0, 0), (0, 0, 2))
+            Bvh(mesh).raycast_many((0, 0, 0), (0, 0, 2))
 
     def test_matches_brute_force(self):
         rng = np.random.default_rng(19)
@@ -283,13 +287,13 @@ class TestBvh:
             origin = rng.uniform(-8, 8, size=3)
             direction = rng.normal(size=3)
             direction /= np.linalg.norm(direction)
-            hit = bvh.raycast(origin, direction)
+            hit = cast_one(bvh, origin, direction)
             expect = brute_raycast(mesh, origin, direction)
             if expect is None:
                 assert hit is None
             else:
                 assert hit is not None
-                assert (hit.t, hit.triangle) == expect
+                assert hit[:2] == expect
 
     def test_raycast_many_matches_single(self):
         rng = np.random.default_rng(20)
@@ -300,11 +304,11 @@ class TestBvh:
         dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
         t, tid, cls = bvh.raycast_many(origins, dirs)
         for i in range(300):
-            hit = bvh.raycast(origins[i], dirs[i])
+            hit = cast_one(bvh, origins[i], dirs[i])
             if hit is None:
                 assert t[i] == np.inf and tid[i] == -1
             else:
-                assert (t[i], tid[i], cls[i]) == (hit.t, hit.triangle, hit.class_id)
+                assert (t[i], tid[i], cls[i]) == hit
 
     def test_shared_edge_tie_lowest_id(self):
         # two triangles sharing the edge x in [0,1], y = 0 in plane z = 1
@@ -313,9 +317,9 @@ class TestBvh:
             [0.0, 0, 1], [1.0, 0, 1], [0.5, -1, 1],  # triangle 1 (y <= 0 side)
         ])
         mesh = ClassedMesh(verts, np.array([[0, 1, 2], [3, 4, 5]]), np.array([1, 2], dtype=np.uint8))
-        hit = Bvh(mesh).raycast((0.5, 0.0, 0.0), (0, 0, 1))
+        hit = cast_one(Bvh(mesh), (0.5, 0.0, 0.0), (0, 0, 1))
         assert hit is not None
-        assert hit.triangle == 0  # both hit at t = 1; lowest id wins
+        assert hit[1] == 0  # both hit at t = 1; lowest id wins
 
     def test_empty_mesh_rejected(self):
         mesh = ClassedMesh(np.zeros((0, 3)), np.zeros((0, 3), dtype=np.int64), np.zeros(0, dtype=np.uint8))

@@ -316,6 +316,18 @@ def test_ascii_ply_matches_line_scan(tmp_path, monkeypatch, caplog):
     assert all(a for a, p in zip(accepted, clean) if "element vertex 0" not in p.read_text())
 
 
+@pytest.mark.parametrize("comment", ["comment seeded", "comment page\x0cbreak"])
+def test_ascii_ply_error_names_the_files_line(comment, tmp_path):
+    # 9 header lines, so "5 6 x 8" is the file's 10th line, whatever the
+    # comment holds; both read paths share the body's offset, so the corpus
+    # comparison above cannot see it
+    head = f"ply\nformat ascii 1.0\n{comment}\nelement vertex 2\n" + "".join(
+        f"property double {p}\n" for p in "xyz") + "property uchar class_id\nend_header\n"
+    path = _write(tmp_path, "bad.ply", head + "5 6 x 8\n1 2 3 4\n")
+    with pytest.raises(ParseError, match=r"bad\.ply:10: bad vertex value"):
+        pio.read_cloud(path)
+
+
 def _obj_file(rng, odd):
     """Seeded OBJ text: vertices, groups (some unknown or nameless), faces
     mostly triangles; odd ones add quads, slashed or negative refs, refs to
