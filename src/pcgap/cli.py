@@ -38,11 +38,17 @@ def _sha256(path) -> str:
     return h.hexdigest()
 
 
-def _write_manifest(out_path, command: str, config: dict, inputs: list, seed=None) -> None:
+def _digests(inputs: list) -> dict:
+    """SHA-256 of each input file, taken before any output is written, so an
+    output that overwrites an input cannot stand in for it."""
+    return {str(p): _sha256(p) for p in inputs}
+
+
+def _write_manifest(out_path, command: str, config: dict, digests: dict, seed=None) -> None:
     manifest = {
         "command": command,
         "config": config,
-        "inputs": {str(p): _sha256(p) for p in inputs},
+        "inputs": digests,
         "seed": seed,
         "version": __version__,
     }
@@ -101,6 +107,7 @@ def cmd_compare(args) -> int:
     magnitudes = _offset_magnitudes(args.offset) if args.offset is not None else None
     real = io.read_cloud(args.real)
     synth = io.read_cloud(args.synthetic)
+    digests = _digests([args.real, args.synthetic])
 
     if magnitudes is not None:
         vectors = metric.scalar_offsets_to_vectors(magnitudes)
@@ -115,7 +122,7 @@ def cmd_compare(args) -> int:
         io.write_report(report, args.out)
 
     config = {**params.to_json_dict(), "seed": seed}
-    _write_manifest(args.out, "compare", config, [args.real, args.synthetic], seed=seed)
+    _write_manifest(args.out, "compare", config, digests, seed=seed)
     return EXIT_OK
 
 
@@ -145,13 +152,14 @@ def cmd_simulate(args) -> int:
     if args.sigma is not None and args.sigma > 0:
         scan = simulate.apply_range_noise(scan, simulate.NoiseModel(args.sigma, seed))
 
+    digests = _digests([args.mesh, args.trajectory] + ([args.scan_config] if args.scan_config else []))
     io.write_cloud(scan.cloud, args.out, fmt=args.format)
     io.write_ray_origins(scan.ray_origins, origins_path)
     _write_manifest(
         args.out,
         "simulate",
         {"scan": scan_cfg.to_json_dict(), "sigma": args.sigma, "format": args.format},
-        [args.mesh, args.trajectory] + ([args.scan_config] if args.scan_config else []),
+        digests,
         seed=seed,
     )
     return EXIT_OK
@@ -167,10 +175,10 @@ def cmd_noise(args) -> int:
         )
     scan = simulate.SimulatedScan(cloud, origins)
     noisy = simulate.apply_range_noise(scan, simulate.NoiseModel(args.sigma, args.seed))
+    digests = _digests([args.cloud, origins_path])
     io.write_cloud(noisy.cloud, args.out, fmt=args.format)
     _write_manifest(
-        args.out, "noise", {"sigma": args.sigma, "format": args.format},
-        [args.cloud, origins_path], seed=args.seed,
+        args.out, "noise", {"sigma": args.sigma, "format": args.format}, digests, seed=args.seed,
     )
     return EXIT_OK
 
@@ -179,6 +187,7 @@ def cmd_mix(args) -> int:
     real = io.read_cloud(args.real)
     synth = io.read_cloud(args.synthetic)
     result = dataset.mix(real, synth, dataset.RatioMix(args.fraction, args.count, args.seed))
+    digests = _digests([args.real, args.synthetic])
     io.write_cloud(result.cloud, args.out, fmt=args.format)
     io.write_provenance(result.provenance, str(args.out) + ".provenance.txt")
     n_real, n_synth = result.counts()
@@ -194,7 +203,7 @@ def cmd_mix(args) -> int:
             "synthetic_with_replacement": result.synthetic_with_replacement,
             "format": args.format,
         },
-        [args.real, args.synthetic],
+        digests,
         seed=args.seed,
     )
     return EXIT_OK
@@ -204,15 +213,14 @@ def cmd_split(args) -> int:
     cloud = io.read_cloud(args.cloud)
     spec = dataset.SplitSpec.from_json_dict(_read_json(args.spec))
     parts = dataset.split(cloud, spec)
+    digests = _digests([args.cloud, args.spec])
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     counts = {}
     for name, part in parts.items():
         io.write_cloud(part, out_dir / f"{name}.xyzl", fmt=io.FORMAT_XYZL)
         counts[name] = len(part)
-    _write_manifest(
-        out_dir / "split", "split", {"regions": counts}, [args.cloud, args.spec]
-    )
+    _write_manifest(out_dir / "split", "split", {"regions": counts}, digests)
     return EXIT_OK
 
 
@@ -224,8 +232,9 @@ def cmd_eval_seg(args) -> int:
             f"{args.pred}: {len(pred)} labels for {len(truth)} ground-truth points"
         )
     report = dataset.evaluate_segmentation(truth, pred, synthetic_ratio=args.ratio)
+    digests = _digests([args.truth, args.pred])
     io.write_report(report, args.out)
-    _write_manifest(args.out, "eval-seg", {"ratio": args.ratio}, [args.truth, args.pred])
+    _write_manifest(args.out, "eval-seg", {"ratio": args.ratio}, digests)
     return EXIT_OK
 
 
@@ -286,7 +295,7 @@ def cmd_report(args) -> int:
         rows = []
         for path, doc in docs:
             rows += _parse_report(path, partial(_gap_rows, path), doc)
-        with open(args.out, "w", encoding="utf-8", newline="") as fh:
+        with io.output_file(args.out, "summary", "w", encoding="utf-8", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(("report", "offset_m") + _GAP_COLUMNS)
             for name, magnitude, values in rows:
@@ -313,7 +322,7 @@ def cmd_report(args) -> int:
         rows = [(cls.canonical_name, [r.per_class[cls].iou for r in reports])
                 for cls in NON_NOISE_CLASSES] + [("mIoU", [r.miou for r in reports])]
         xs = ratios if have_ratios else range(len(reports))
-        with open(args.out, "w", encoding="utf-8", newline="") as fh:
+        with io.output_file(args.out, "summary", "w", encoding="utf-8", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(header)
             for name, ious in rows:

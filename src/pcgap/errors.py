@@ -39,10 +39,16 @@ class DegenerateDataError(PcgapError):
 
 def config_number(value, key: str, integer: bool = False):
     """``value`` when it is a number (an integer if asked; a bool is
-    neither), else a ConfigError naming ``key``."""
+    neither) and, unless an integer, one a float can hold, else a
+    ConfigError naming ``key``."""
     kind = numbers.Integral if integer else numbers.Real
     if isinstance(value, bool) or not isinstance(value, kind):
         raise ConfigError(f"{key}: expected {'an integer' if integer else 'a number'}, got {value!r}")
+    if not integer:
+        try:
+            float(value)
+        except OverflowError as exc:  # an integer beyond the float range
+            raise ConfigError(f"{key}: number too large for a float") from exc
     return value
 
 

@@ -12,10 +12,13 @@ All coordinates are meters. Write/read pairs round-trip losslessly.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import logging
 import math
+import os
 import re
+import stat
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
@@ -68,10 +71,8 @@ def write_cloud(cloud: LabeledPointCloud, path, fmt: str = "auto") -> None:
         fmt = FORMAT_PLY_BINARY if path.suffix.lower() == ".ply" else FORMAT_XYZL
     if fmt == FORMAT_XYZL:
         _write_rows(path, "cloud", _XYZL_ROW, *cloud.xyz.T, cloud.labels)
-    elif fmt == FORMAT_PLY_ASCII:
-        _write_ply(cloud, path, binary=False)
-    elif fmt == FORMAT_PLY_BINARY:
-        _write_ply(cloud, path, binary=True)
+    elif fmt in (FORMAT_PLY_ASCII, FORMAT_PLY_BINARY):
+        _write_ply(cloud, path, binary=fmt == FORMAT_PLY_BINARY)
     else:
         raise FormatError(f"unknown cloud format: {fmt!r}")
 
@@ -174,29 +175,59 @@ def _read_text_table(path, spec: _TextTable) -> np.ndarray:
     return table
 
 
+@contextlib.contextmanager
+def output_file(path, what: str, mode: str = "wb", **open_kwargs):
+    """``open(path, mode)`` for an output. A regular file is replaced whole by a temp file
+    renamed onto it when the block succeeds, so a failed write leaves it intact; a FIFO,
+    device, directory, hard-linked or read-only file, or a read-only dir's, is written in place."""
+    try:
+        target = os.path.realpath(path)  # a symlink stays; its target gets the bytes
+        head, name = os.path.split(target)
+        old = os.stat(target) if os.path.exists(target) else None
+        if not os.access(head, os.W_OK) or old is not None and not (
+                stat.S_ISREG(old.st_mode) and old.st_nlink == 1 and os.access(target, os.W_OK)):
+            with open(target, mode, **open_kwargs) as fh:
+                yield fh
+            return
+        tmp = os.path.join(head, f".{name}.{os.getpid()}.tmp")
+        fh = open(tmp, mode.replace("w", "x"), **open_kwargs)  # "x": fails on a planted file
+        try:
+            with fh:
+                yield fh
+            if old is not None:
+                os.chmod(tmp, stat.S_IMODE(old.st_mode))
+                # unlink first: ext4 flushes a file renamed over an existing
+                # one (auto_da_alloc), as it does one truncated by open("w")
+                os.unlink(target)
+            os.rename(tmp, target)
+        except BaseException:
+            with contextlib.suppress(OSError):
+                os.unlink(tmp)
+            raise
+    except OSError as exc:
+        raise OSError(f"cannot write {what} to {path}: {exc.strerror or exc}") from exc
+
+
 def _write_rows(path, what: str, row_fmt: str, *columns, header: str = "") -> None:
     """Write ``header``, then ``row_fmt % row`` for every row of the
     equal-length columns, ``_CHUNK_ROWS`` rows at a time. Within a chunk
     each run of bit-identical rows (a scan's shared ray origins) is
     formatted once and its text repeated."""
-    try:
-        with open(path, "wb") as fh:
-            fh.write(header.encode("ascii"))
-            for start in range(0, len(columns[0]), _CHUNK_ROWS):
-                chunk = [np.asarray(c[start:start + _CHUNK_ROWS]) for c in columns]
-                # a run starts where any column differs from the row above;
-                # floats compare as bits, so 0.0 and -0.0 (and NaNs) stay apart
-                starts = np.arange(len(chunk[0])) == 0
-                for c in chunk:
-                    c = c.view(f"i{c.itemsize}") if c.dtype.kind == "f" else c
-                    starts[1:] |= c[1:] != c[:-1]
-                first = np.flatnonzero(starts)
-                rows = map(row_fmt.__mod__, zip(*(c[first].tolist() for c in chunk)))
-                if first.size < starts.size:
-                    rows = map(str.__mul__, rows, np.diff(first, append=starts.size).tolist())
-                fh.write("".join(rows).encode("ascii"))
-    except OSError as exc:
-        raise OSError(f"cannot write {what} to {path}: {exc}") from exc
+    with output_file(path, what) as fh:
+        fh.write(header.encode("ascii"))
+        for start in range(0, len(columns[0]), _CHUNK_ROWS):
+            chunk = [np.asarray(c[start:start + _CHUNK_ROWS]) for c in columns]
+            # a run starts where any column differs from the row above;
+            # floats compare as bits, so 0.0 and -0.0 (and NaNs) stay apart
+            starts = np.arange(len(chunk[0])) == 0
+            for c in chunk:
+                c = c.view(f"i{c.itemsize}") if c.dtype.kind == "f" else c
+                starts[1:] |= c[1:] != c[:-1]
+            first = np.flatnonzero(starts)
+            rows = map(row_fmt.__mod__, zip(*(c[first].tolist() for c in chunk)))
+            if first.size < starts.size:
+                rows = map(str.__mul__, rows, np.diff(first, append=starts.size).tolist())
+            fh.write("".join(rows).encode("ascii"))
 
 
 _PLY_TYPES = {
@@ -297,7 +328,10 @@ def _read_ply(path: Path) -> LabeledPointCloud:
             f"vertex row has {{n}} fields, expected {len(props)}", "bad vertex value: {exc}",
             comments=False,
         )
-        rows = body.decode("ascii", errors="replace").splitlines()
+        # split at \n, \r\n and \r only, as the text reader does (str.splitlines
+        # would also split at \x0b, \x0c and \x1c-\x1e)
+        text = body.decode("ascii", errors="replace")
+        rows = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
         table = _bulk_table(spec, rows, max_rows=count) if body.isascii() else None
         if table is None:
             # count "\n"s: str.splitlines would also end a header line at "\x0c"
@@ -336,16 +370,13 @@ def _write_ply(cloud: LabeledPointCloud, path: Path, binary: bool) -> None:
     if not binary:
         _write_rows(path, "cloud", _XYZL_ROW, *cloud.xyz.T, cloud.labels, header=header)
         return
-    try:
-        with open(path, "wb") as fh:
-            fh.write(header.encode("ascii"))
-            rec = np.dtype([("x", "<f8"), ("y", "<f8"), ("z", "<f8"), ("c", "u1")])
-            table = np.empty(len(cloud), dtype=rec)
-            table["x"], table["y"], table["z"] = cloud.xyz[:, 0], cloud.xyz[:, 1], cloud.xyz[:, 2]
-            table["c"] = cloud.labels
-            fh.write(table.tobytes())
-    except OSError as exc:
-        raise OSError(f"cannot write cloud to {path}: {exc}") from exc
+    rec = np.dtype([("x", "<f8"), ("y", "<f8"), ("z", "<f8"), ("c", "u1")])
+    table = np.empty(len(cloud), dtype=rec)
+    table["x"], table["y"], table["z"] = cloud.xyz[:, 0], cloud.xyz[:, 1], cloud.xyz[:, 2]
+    table["c"] = cloud.labels
+    with output_file(path, "cloud") as fh:
+        fh.write(header.encode("ascii"))
+        fh.write(table.tobytes())
 
 
 def write_ray_origins(origins: np.ndarray, path) -> None:
@@ -584,11 +615,8 @@ def dump_json(payload: Mapping, path) -> None:
         text = json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n"
     except ValueError as exc:
         raise ValueError(f"cannot write {path}: {exc}") from exc
-    try:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
-    except OSError as exc:
-        raise OSError(f"cannot write report to {path}: {exc}") from exc
+    with output_file(path, "report") as fh:
+        fh.write(text.encode("utf-8"))
 
 
 def write_report(report, path) -> None:

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import math
 import os
@@ -16,6 +17,13 @@ from pcgap.io import FORMAT_XYZL, read_cloud, read_report, write_cloud
 from pcgap.metric import MetricParams, dogss_pcl
 
 from conftest import build_street_scene, random_cloud, room_mesh_obj_text
+
+
+@pytest.fixture(autouse=True)
+def no_temp_file_left(tmp_path):
+    """No command, failed or not, leaves an output's temp file behind."""
+    yield
+    assert sorted(tmp_path.rglob(".*.tmp")) == []
 
 
 @pytest.fixture()
@@ -140,6 +148,8 @@ def _samples(**second):
     ("--trajectory", _samples(t="0.2"), "[1].t"),
     ("--trajectory", _samples(z=None), "[1].z"),
     ("--trajectory", [_samples()[0], 7], "[1]"),
+    ("--scan-config", {"max_range_m": 10**400}, "max_range_m"),
+    ("--trajectory", _samples(z=-10**400), "[1].z"),
 ])
 def test_simulate_bad_scan_config_or_trajectory_exit_2(tmp_path, small_inputs, capsys,
                                                          flag, doc, key):
@@ -191,6 +201,121 @@ def test_compare_in_a_fresh_interpreter_matches_in_process(tmp_path, small_input
     assert main(argv + [str(here), "--offset", "0,0.1"]) == EXIT_OK
     for suffix in ("", ".manifest.json"):
         assert Path(f"{fresh}{suffix}").read_bytes() == Path(f"{here}{suffix}").read_bytes()
+
+
+def _sha256(path) -> str:
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+
+
+@pytest.mark.parametrize("command,alias", [
+    ("compare", "street.xyzl"),
+    ("simulate", "traj.json"),
+    ("noise", "c.xyzl"),
+    ("mix", "c.xyzl"),
+    ("eval-seg", "pred.txt"),
+    ("split", "c.xyzl"),
+])
+def test_manifest_records_inputs_as_read(tmp_path, small_inputs, command, alias):
+    """An ``--out`` that overwrites an input leaves that input's digest, as
+    read, in the manifest."""
+    (tmp_path / "spec.json").write_text(json.dumps({"regions": [
+        {"name": "c", "rect": [-99, -99, 0, 99]}, {"name": "d", "rect": [0, -99, 99, 99]}]}))
+    argvs = dict(small_inputs, noise=["noise", "--sigma", "0.5"] + small_inputs["noise"][1:],
+                 split=["split", "--cloud", str(tmp_path / "c.xyzl"), "--spec",
+                        str(tmp_path / "spec.json"), "--out-dir", str(tmp_path)])
+    argv = argvs[command]
+    if command != "split":
+        argv = argv[:-1] + [str(tmp_path / alias)]  # each argv ends with --out
+    before = _sha256(tmp_path / alias)
+    assert main(argv) == EXIT_OK
+    assert _sha256(tmp_path / alias) != before
+    manifest = tmp_path / ("split.manifest.json" if command == "split" else f"{alias}.manifest.json")
+    assert json.loads(manifest.read_text())["inputs"][str(tmp_path / alias)] == before
+
+
+@pytest.mark.parametrize("command,what", [
+    ("compare", "report"), ("simulate", "cloud"), ("noise", "cloud"), ("mix", "cloud"),
+    ("eval-seg", "report"), ("report", "summary"),
+])
+def test_out_in_a_missing_directory_exit_3(tmp_path, small_inputs, capsys, command, what):
+    out = tmp_path / "missing" / "o.out"
+    eval_json = tmp_path / "eval.json"
+    assert main(small_inputs["eval-seg"][:-1] + [str(eval_json)]) == EXIT_OK
+    argvs = dict(small_inputs, noise=["noise", "--sigma", "0.1"] + small_inputs["noise"][1:],
+                 report=["report", str(eval_json), "--out", "x"])
+    assert main(argvs[command][:-1] + [str(out)]) == EXIT_IO
+    error = json.loads(capsys.readouterr().err)["error"]
+    assert error == f"cannot write {what} to {out}: No such file or directory"
+
+
+@pytest.mark.skipif(os.geteuid() == 0, reason="root may write a read-only file")
+def test_read_only_output_refused_exit_3(tmp_path, small_inputs, capsys):
+    out = tmp_path / "eval.json"
+    out.write_text("old\n")
+    out.chmod(0o444)
+    assert main(small_inputs["eval-seg"][:-1] + [str(out)]) == EXIT_IO
+    error = json.loads(capsys.readouterr().err)["error"]
+    assert error == f"cannot write report to {out}: Permission denied"
+    assert out.read_text() == "old\n"
+
+
+def _bench_commands(work: Path) -> list[list[str]]:
+    """Small inputs in ``work`` for the nine commands the benchmark times,
+    and their argvs, with paths relative to ``work``."""
+    write_cloud(build_street_scene(70, scale=0.02), work / "real.ply")
+    write_cloud(build_street_scene(71, scale=0.02), work / "synth.ply")
+    write_cloud(build_street_scene(70, scale=0.02), work / "real.xyzl")
+    write_cloud(build_street_scene(71, scale=0.02), work / "synth.xyzl")
+    n = len(read_cloud(work / "real.xyzl"))
+    (work / "pred.txt").write_text("".join(f"{k % 12 + 1}\n" for k in range(n)))
+    (work / "split.json").write_text(json.dumps({"regions": [
+        {"name": "west", "rect": [-1, -1, 10, 21]}, {"name": "east", "rect": [10, -1, 21, 21]}]}))
+    (work / "room.obj").write_text(room_mesh_obj_text())
+    (work / "ground.obj").write_text(
+        "g GroundSurface\nv -9 -9 0\nv 9 -9 0\nv 9 9 0\nv -9 9 0\nf 1 2 3 4\n"
+        "g RoadSurface\nv -9 -1 0.01\nv 9 -1 0.01\nv 9 1 0.01\nv -9 1 0.01\nf 5 6 7 8\n")
+    scan = {"channels": 8, "vertical_fov_deg": [-30, 10], "points_per_second": 8000}
+    (work / "scan.json").write_text(json.dumps(scan))
+    for name, (x0, x1) in {"ground": (-3.0, 3.0), "room": (2.0, 8.0)}.items():
+        (work / f"{name}_traj.json").write_text(json.dumps([
+            {"t": 0.0, "x": x0, "y": 4.0 if name == "room" else 0.0, "z": 1.5, "yaw": 0.1},
+            {"t": 0.3, "x": x1, "y": 3.5 if name == "room" else 0.0, "z": 1.4, "yaw": -0.1},
+        ]))
+    simulate = ["simulate", "--scan-config", "scan.json", "--mesh"]
+    return [
+        ["compare", "--real", "real.ply", "--synthetic", "synth.ply", "--out", "gap.json"],
+        ["compare", "--real", "real.ply", "--synthetic", "synth.ply", "--offset", "0,0.1,0.3",
+         "--out", "series.json"],
+        ["report", "gap.json", "series.json", "--out", "summary.csv", "--plot-data", "plot.json"],
+        simulate + ["ground.obj", "--trajectory", "ground_traj.json", "--out", "ground.xyzl"],
+        simulate + ["room.obj", "--trajectory", "room_traj.json", "--out", "room.xyzl"],
+        ["noise", "--cloud", "room.xyzl", "--sigma", "0.02", "--seed", "3", "--out", "noisy.xyzl"],
+        ["mix", "--real", "real.xyzl", "--synthetic", "synth.xyzl", "--fraction", "0.5",
+         "--count", "900", "--seed", "3", "--out", "mix.xyzl"],
+        ["split", "--cloud", "real.xyzl", "--spec", "split.json", "--out-dir", "parts"],
+        ["eval-seg", "--truth", "real.xyzl", "--pred", "pred.txt", "--out", "eval.json"],
+    ]
+
+
+def _tree(work: Path) -> dict:
+    return {str(p.relative_to(work)): p.read_bytes() for p in sorted(work.rglob("*")) if p.is_file()}
+
+
+def test_rerun_over_existing_outputs_equals_a_fresh_run(tmp_path, monkeypatch):
+    """Every file the benchmark's nine commands leave is the same, byte for
+    byte, after one run into an empty directory and after two runs."""
+    trees = []
+    for name, runs in (("fresh", 1), ("rerun", 2)):
+        work = tmp_path / name
+        work.mkdir()
+        argvs = _bench_commands(work)
+        monkeypatch.chdir(work)
+        for _ in range(runs):
+            for argv in argvs:
+                assert main(argv) == EXIT_OK, argv
+        trees.append(_tree(work))
+    assert len(trees[0]) == 33  # 11 inputs; 22 outputs and manifests
+    assert trees[0] == trees[1]
 
 
 # A config that sets every key to a non-default, integer-valued number or
@@ -308,9 +433,14 @@ class TestCompare:
             ('{"voxel_size_m": Infinity}', "voxel_size_m"),
             ('{"class_weights": {"WallSurface": NaN}}', "class_weights: weight for WallSurface must be finite"),
             ('{"class_weights": {"WallSurface": Infinity}}', "class_weights: weight for WallSurface must be finite"),
+            # integers a float cannot hold
+            ('{"alpha": -1%s}' % ("0" * 400), "alpha: number too large for a float"),
+            ('{"m3c2": {"max_depth_m": 1%s}}' % ("0" * 400), "m3c2.max_depth_m: number too large"),
+            ('{"class_weights": {"WallSurface": 1%s}}' % ("0" * 400), "class_weights.WallSurface: number"),
         ],
         ids=["alpha-nan", "max-depth-nan", "projection-radius-inf", "voxel-size-inf",
-             "class-weight-nan", "class-weight-inf"],
+             "class-weight-nan", "class-weight-inf", "alpha-huge-int", "max-depth-huge-int",
+             "class-weight-huge-int"],
     )
     def test_non_finite_config_exit_2(self, tmp_path, scene_files, capsys, config, key):
         real_path, synth_path, *_ = scene_files

@@ -1,5 +1,8 @@
 import json
+import os
 import re
+import stat
+import threading
 
 import numpy as np
 import pytest
@@ -14,6 +17,7 @@ from pcgap.io import (
     FORMAT_XYZL,
     ClassedMesh,
     dump_json,
+    output_file,
     read_cloud,
     read_label_file,
     read_mesh,
@@ -391,3 +395,96 @@ class TestReports:
         p.write_text("0\n13\n")
         with caplog.at_level("WARNING"):
             assert read_label_file(p).tolist() == [12, 12]
+
+
+def _temps(directory):
+    return sorted(p.name for p in directory.glob(".*.tmp"))
+
+
+class TestOutputFile:
+    """Outputs are replaced whole; in-place writes only where a rename would
+    change what the path is."""
+
+    @pytest.mark.parametrize("fmt", [FORMAT_XYZL, FORMAT_PLY_ASCII, FORMAT_PLY_BINARY])
+    def test_rewrite_equals_fresh_write(self, fmt, tmp_path):
+        cloud = random_cloud(np.random.default_rng(8), 40)
+        fresh, again = tmp_path / "fresh.out", tmp_path / "again.out"
+        write_cloud(random_cloud(np.random.default_rng(9), 70), again, fmt)
+        write_cloud(cloud, fresh, fmt)
+        write_cloud(cloud, again, fmt)
+        assert again.read_bytes() == fresh.read_bytes() and _temps(tmp_path) == []
+
+    @pytest.mark.parametrize("error", [RuntimeError, KeyboardInterrupt, OSError])
+    def test_failed_block_keeps_the_old_file(self, error, tmp_path):
+        path = tmp_path / "cloud.xyzl"
+        path.write_bytes(b"old rows\n")
+        with pytest.raises(error) as info:
+            with output_file(path, "cloud") as fh:
+                fh.write(b"half a new ")
+                raise error("disk full")
+        assert path.read_bytes() == b"old rows\n" and _temps(tmp_path) == []
+        if error is OSError:
+            assert str(info.value) == f"cannot write cloud to {path}: disk full"
+
+    def test_new_file_gets_the_umask_mode(self, tmp_path):
+        umask = os.umask(0o027)
+        try:
+            with output_file(tmp_path / "new.json", "report") as fh:
+                fh.write(b"{}\n")
+        finally:
+            os.umask(umask)
+        assert stat.S_IMODE(os.stat(tmp_path / "new.json").st_mode) == 0o640
+
+    def test_permission_bits_carry_over(self, tmp_path):
+        path = tmp_path / "report.json"
+        path.write_text("old\n")
+        path.chmod(0o604)
+        dump_json({"a": 1}, path)
+        assert path.read_text() == '{\n  "a": 1\n}\n'
+        assert stat.S_IMODE(os.stat(path).st_mode) == 0o604
+
+    def test_symlink_keeps_its_link(self, tmp_path):
+        (tmp_path / "data").mkdir()
+        target, link = tmp_path / "data" / "report.json", tmp_path / "link.json"
+        target.write_text("old\n")
+        link.symlink_to(target)
+        dump_json({"a": 1}, link)
+        assert link.is_symlink() and link.resolve() == target.resolve()
+        assert target.read_text() == '{\n  "a": 1\n}\n'
+        assert _temps(tmp_path) == [] and _temps(tmp_path / "data") == []
+
+    def test_hard_link_is_written_in_place(self, tmp_path):
+        first, second = tmp_path / "a.json", tmp_path / "b.json"
+        first.write_text("old\n")
+        os.link(first, second)
+        dump_json({"a": 1}, first)
+        assert second.read_text() == first.read_text() == '{\n  "a": 1\n}\n'
+        assert os.stat(first).st_ino == os.stat(second).st_ino
+
+    def test_fifo_is_written_in_place(self, tmp_path):
+        fifo = tmp_path / "pipe"
+        os.mkfifo(fifo)
+        got = []
+        reader = threading.Thread(target=lambda: got.append(fifo.read_bytes()), daemon=True)
+        reader.start()
+        with output_file(fifo, "cloud") as fh:
+            fh.write(b"through the pipe\n")
+        reader.join(timeout=30)
+        assert got == [b"through the pipe\n"]
+        assert stat.S_ISFIFO(os.stat(fifo).st_mode) and _temps(tmp_path) == []
+
+    @pytest.mark.parametrize("planted", ["file", "symlink"])
+    def test_a_file_at_the_temp_name_is_left_alone(self, planted, tmp_path):
+        path, elsewhere = tmp_path / "r.json", tmp_path / "elsewhere"
+        path.write_text("old\n")
+        elsewhere.write_text("keep\n")
+        temp = tmp_path / f".r.json.{os.getpid()}.tmp"
+        if planted == "file":
+            temp.write_text("keep\n")
+        else:
+            temp.symlink_to(elsewhere)
+        with pytest.raises(OSError, match=f"^cannot write report to {path}: File exists$"):
+            dump_json({"a": 1}, path)
+        assert path.read_text() == "old\n" and elsewhere.read_text() == "keep\n"
+        assert temp.is_symlink() == (planted == "symlink") and temp.read_text() == "keep\n"
+

@@ -2,6 +2,7 @@
 M3C2 and voxel IoU throughput floors; long-running, so opt in with
 PCGAP_PERF=1 (e.g. ``PCGAP_PERF=1 pytest tests/test_perf.py -m perf``)."""
 
+import json
 import os
 import subprocess
 import sys
@@ -13,13 +14,15 @@ import pytest
 
 import pcgap
 from pcgap.core import partition_by_class
+from pcgap.cli import main
 from pcgap.io import (FORMAT_XYZL, ClassedMesh, read_cloud, read_ray_origins, write_cloud,
                       write_ray_origins)
 from pcgap.metric import voxel_miou
 from pcgap.simulate import ScanConfig, Trajectory, simulate_scan
 from pcgap.spatial import Bvh, NnIndex, cylinder_means, estimate_normals
 
-from conftest import build_room_mesh, build_street_scene, height_field_mesh, sensor_rays
+from conftest import (build_room_mesh, build_street_scene, height_field_mesh, room_mesh_obj_text,
+                      sensor_rays)
 
 pytestmark = [
     pytest.mark.perf,
@@ -162,3 +165,25 @@ def test_room_scan_72k_rays_with_sidecar_under_0_45s(tmp_path):
     scan, origins = scan_and_sidecar()
     assert len(scan.cloud) == 72_000 and np.array_equal(origins, scan.ray_origins)
     assert best_time(3, scan_and_sidecar) <= 0.45
+
+
+def test_room_simulate_rerun_within_1_5x_of_a_fresh_run(tmp_path):
+    """``simulate`` over its own outputs (cloud, sidecar and manifest) costs
+    about what a run into new files costs: outputs are replaced, not
+    truncated and rewritten."""
+    (tmp_path / "room.obj").write_text(room_mesh_obj_text())
+    (tmp_path / "traj.json").write_text(json.dumps([
+        {"t": 0.0, "x": 2.0, "y": 4.5, "z": 1.6, "yaw": 0.2},
+        {"t": 1.2, "x": 8.0, "y": 3.5, "z": 1.4, "yaw": -0.2}]))
+    (tmp_path / "scan.json").write_text(json.dumps(
+        {"channels": 16, "vertical_fov_deg": [-30.0, 30.0], "points_per_second": 60_000}))
+    argv = ["simulate", "--mesh", str(tmp_path / "room.obj"), "--trajectory",
+            str(tmp_path / "traj.json"), "--scan-config", str(tmp_path / "scan.json"), "--out"]
+    runs = iter(range(100))
+    fresh = best_time(3, lambda: main(argv + [str(tmp_path / f"fresh{next(runs)}.xyzl")]))
+    # on ext4 the first truncating overwrite of a just-written file can skip
+    # the flush that later ones pay, so the timed reruns follow one untimed
+    main(argv + [str(tmp_path / "fresh0.xyzl")])
+    rerun = best_time(3, lambda: main(argv + [str(tmp_path / "fresh0.xyzl")]))
+    assert rerun <= 1.5 * fresh
+

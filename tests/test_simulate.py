@@ -73,10 +73,17 @@ class TestConfigChecks:
         ({"vertical_fov_deg": (-25.0, np.nan)}, r"vertical_fov_deg\[1\]"),
         ({"rotation_rate_hz": np.inf}, "rotation_rate_hz"),
         ({"max_range_m": -1.0}, "max_range_m"),
+        ({"max_range_m": 10**400}, "max_range_m"),
+        ({"sensor_offset": (0, 0, -10**400)}, r"sensor_offset\[2\]"),
     ])
     def test_scan_config(self, kwargs, key):
         with pytest.raises(ValueError, match=f"^{key}: "):
             ScanConfig(**kwargs)
+
+    def test_trajectory_integer_too_large_for_a_float(self):
+        samples = [{"t": 0, "x": 0, "y": 0, "z": 0}, {"t": 1, "x": 0, "y": 0, "z": 10**400}]
+        with pytest.raises(ValueError, match=r"^\[1\]\.z: number too large"):
+            Trajectory.from_samples(samples)
 
     def test_trajectory_non_finite(self):
         with pytest.raises(ValueError, match=r"^\[1\]\.y: must be finite"):

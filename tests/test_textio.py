@@ -302,7 +302,8 @@ def test_ascii_ply_matches_line_scan(tmp_path, monkeypatch, caplog):
         for k, body in enumerate([
             "1 2 3 4\n5 6 7 8\n",
             "1 2 3 4\n5 6 7 8 # not a comment in ply\n",
-            "1 2 3 4\x0c5 6 7 8\n",  # a form feed ends a ply row
+            "1 2 3 4\x0c5 6 7 8\n",  # a form feed separates fields; it ends no row
+            "1 2 3\x0c4\n5\x1c6\x0b7 8\n",
             "1 2 3 4\n5 6 7 8\nnot read\n",
             "1 2 3 4\n",
             "1 2 3 4\n5 6 nan 8\n",
@@ -326,6 +327,19 @@ def test_ascii_ply_error_names_the_files_line(comment, tmp_path):
     path = _write(tmp_path, "bad.ply", head + "5 6 x 8\n1 2 3 4\n")
     with pytest.raises(ParseError, match=r"bad\.ply:10: bad vertex value"):
         pio.read_cloud(path)
+
+
+@pytest.mark.parametrize("rows,error", [
+    ("1 2 3 4\x0c5 6 7 8\n9 x 9 9\n", r"ff\.ply:9: vertex row has 8 fields"),
+    ("1 2 3\x0c4\n9 x 9 9\n", r"ff\.ply:10: bad vertex value"),
+    ("1 2 3\x1c4\r\n9 x 9 9\r\n", r"ff\.ply:10: bad vertex value"),
+])
+def test_ascii_ply_rows_end_only_at_line_ends(rows, error, tmp_path):
+    # 8 header lines: the body's first row is the file's 9th line
+    head = "ply\nformat ascii 1.0\nelement vertex 2\n" + "".join(
+        f"property double {p}\n" for p in "xyz") + "property uchar class_id\nend_header\n"
+    with pytest.raises(ParseError, match=error):
+        pio.read_cloud(_write(tmp_path, "ff.ply", head + rows))
 
 
 def _obj_file(rng, odd):
