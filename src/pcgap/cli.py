@@ -109,7 +109,9 @@ def cmd_compare(args) -> int:
     synth = io.read_cloud(args.synthetic)
     digests = _digests([args.real, args.synthetic])
 
+    config = {**params.to_json_dict(), "seed": seed}
     if magnitudes is not None:
+        config["offsets_m"] = magnitudes
         vectors = metric.scalar_offsets_to_vectors(magnitudes)
         reports = metric.offset_sensitivity(real, synth, vectors, params)
         payload = {
@@ -121,7 +123,6 @@ def cmd_compare(args) -> int:
         report = metric.dogss_pcl(real, synth, params)
         io.write_report(report, args.out)
 
-    config = {**params.to_json_dict(), "seed": seed}
     _write_manifest(args.out, "compare", config, digests, seed=seed)
     return EXIT_OK
 

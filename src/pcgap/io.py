@@ -181,10 +181,10 @@ def output_file(path, what: str, mode: str = "wb", **open_kwargs):
     renamed onto it when the block succeeds, so a failed write leaves it intact; a FIFO,
     device, directory, hard-linked or read-only file, or a read-only dir's, is written in place."""
     try:
-        target = os.path.realpath(path)  # a symlink stays; its target gets the bytes
+        target = os.path.realpath(path) if os.path.islink(path) else path  # only a symlink resolves
         head, name = os.path.split(target)
         old = os.stat(target) if os.path.exists(target) else None
-        if not os.access(head, os.W_OK) or old is not None and not (
+        if not os.access(head or os.curdir, os.W_OK) or old is not None and not (
                 stat.S_ISREG(old.st_mode) and old.st_nlink == 1 and os.access(target, os.W_OK)):
             with open(target, mode, **open_kwargs) as fh:
                 yield fh

@@ -9,6 +9,7 @@ queries are pure, so they are safe to share across threads.
 from __future__ import annotations
 
 import math
+import os
 
 import numpy as np
 
@@ -149,28 +150,53 @@ def _ball_count_bound(points: np.ndarray, radius: float):
     return bound
 
 
-def _pair_blocks(index: NnIndex, n: int, queries_of, radius: float):
-    """Yield ``(lo, hi, query, point)`` over contiguous blocks ``[lo, hi)``
-    of ``n`` items. ``queries_of(lo, hi)`` stacks the block's query balls
-    as ``k`` runs of ``hi - lo`` rows, one ball per item in each run;
-    ``query`` indexes those rows.
+def _lane_count() -> int:
+    """Lanes a gather runs on: the CPUs this process may run on."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
-    Blocks are cut so that each provably holds at most ``_CANDIDATE_BUDGET``
-    pairs by :func:`_ball_count_bound`; an item over the budget on its own
-    is gathered alone.
-    """
+
+def _gather(index: NnIndex, n: int, queries_of, radius: float, kernel) -> None:
+    """Call ``kernel(lo, hi, query, point)`` on blocks ``[lo, hi)`` of ``n``
+    items and their pairs within ``radius``; ``query`` indexes the rows of
+    ``queries_of(lo, hi)``, ``k`` runs of ``hi - lo`` balls. The calling
+    thread and one worker per further CPU each take the next block (the
+    join releases the GIL). A block provably holds at most a share of
+    ``_CANDIDATE_BUDGET`` pairs by :func:`_ball_count_bound`: one share for
+    the main lane and two per worker, whose own malloc arena keeps what it freed."""
+    import threading
+
+    lanes = _lane_count()
+    share = max(_CANDIDATE_BUDGET // (2 * lanes - 1), 1)
     bound = _ball_count_bound(index.points, radius)
     load = np.empty(n, dtype=np.int64)
     for lo in range(0, n, _BOUND_BLOCK):
         hi = min(lo + _BOUND_BLOCK, n)
         load[lo:hi] = bound(queries_of(lo, hi)).reshape(-1, hi - lo).sum(axis=0)
-    ends = np.cumsum(load)
-    lo = 0
-    while lo < n:
-        held_before = int(ends[lo - 1]) if lo else 0
-        hi = max(int(np.searchsorted(ends, held_before + _CANDIDATE_BUDGET, side="right")), lo + 1)
-        yield lo, hi, *index.within_radius_many(queries_of(lo, hi), radius)
-        lo = hi
+    held = np.append(0, np.cumsum(load))  # held[i]: the bound on items [0, i)
+    starts = [0]
+    while (lo := starts[-1]) < n:
+        starts.append(max(int(np.searchsorted(held, held[lo] + share, side="right")) - 1, lo + 1))
+    blocks, lock, failed = zip(starts, starts[1:]), threading.Lock(), []
+
+    def lane():
+        try:
+            while not failed:
+                with lock:
+                    block = next(blocks, None)
+                if block is None:
+                    return
+                kernel(*block, *index.within_radius_many(queries_of(*block), radius))
+        except BaseException as exc:  # raised again on the calling thread
+            failed.append(exc)
+
+    workers = [threading.Thread(target=lane) for _ in range(min(lanes, len(starts) - 1) - 1)]
+    for worker in workers:
+        worker.start()
+    lane()
+    for worker in workers:
+        worker.join()
+    if failed:
+        raise failed[0]
 
 
 def _slab_count(radius: float, half_depth: float) -> int:
@@ -182,13 +208,13 @@ def _slab_count(radius: float, half_depth: float) -> int:
 
 
 def cylinder_pairs(index: NnIndex, centers: np.ndarray, axes: np.ndarray,
-                   radius: float, half_depth: float):
+                   radius: float, half_depth: float, kernel) -> None:
     """Indexed points inside each of many finite cylinders, block by block.
 
     Cylinder ``i`` is centered at ``centers[i]`` along the unit axis
     ``axes[i]``; membership is the inclusive test of
-    :meth:`NnIndex.within_cylinder`. Yields ``(lo, hi, row, point)`` with
-    ``row`` counted from ``lo``; each member pair appears exactly once.
+    :meth:`NnIndex.within_cylinder`. Calls ``kernel(lo, hi, ball, point)`` on
+    blocks of member pairs, each once: ball ``slab * (hi - lo) + row`` gathered it.
 
     The axis span ``[-half_depth, half_depth]`` is cut into K equal slabs
     (see :func:`_slab_count`), each covered by one query ball on the axis
@@ -209,7 +235,8 @@ def cylinder_pairs(index: NnIndex, centers: np.ndarray, axes: np.ndarray,
         return (centers[lo:hi] + offsets[:, None, None] * axes[lo:hi]).reshape(-1, 3)
 
     center_cols, axis_cols = centers.T.copy(), axes.T.copy()
-    for lo, hi, q, p in _pair_blocks(index, centers.shape[0], balls, reach):
+
+    def members(lo, hi, q, p):
         slab, row = np.divmod(q, hi - lo)
         axial, radial2 = np.zeros(p.size), np.zeros(p.size)
         # dot products sum as (x + z) + y, as numpy's SIMD einsum does, so
@@ -224,20 +251,27 @@ def cylinder_pairs(index: NnIndex, centers: np.ndarray, axes: np.ndarray,
         # within the depth only the far end cap needs clipping into the last slab
         home = np.floor((axial + half_depth) / thick, out=axial)
         keep &= np.minimum(home, k - 1, out=home) == slab
-        yield lo, hi, row[keep], p[keep]
+        kernel(lo, hi, q[keep], p[keep])
+
+    _gather(index, centers.shape[0], balls, reach, members)
 
 
 def cylinder_means(index: NnIndex, centers: np.ndarray, axes: np.ndarray,
                    radius: float, half_depth: float) -> tuple[np.ndarray, np.ndarray]:
     """Mean position and count of the indexed points in each cylinder of
     :func:`cylinder_pairs`; the mean of an empty cylinder is zero."""
-    n = len(centers)
+    n, k = len(centers), _slab_count(radius, half_depth)
     sums = np.zeros((n, 3))
     counts = np.zeros(n, dtype=np.int64)
-    for lo, hi, row, p in cylinder_pairs(index, centers, axes, radius, half_depth):
-        counts[lo:hi] = np.bincount(row, minlength=hi - lo)
+
+    def kernel(lo, hi, ball, p):
+        # per ball, in the indexed tree's order, then slab by slab: no sum follows the cuts
+        m = hi - lo
+        counts[lo:hi] = np.bincount(ball, minlength=k * m).reshape(k, m).sum(axis=0)
         for d in range(3):
-            sums[lo:hi, d] = np.bincount(row, index.columns[d][p], hi - lo)
+            sums[lo:hi, d] = np.bincount(ball, index.columns[d][p], k * m).reshape(k, m).cumsum(0)[-1]
+
+    cylinder_pairs(index, centers, axes, radius, half_depth, kernel)
     return sums / np.maximum(counts, 1)[:, None], counts
 
 
@@ -262,13 +296,13 @@ def estimate_normals(index: NnIndex, at: np.ndarray, scale: float) -> tuple[np.n
     Returns ``(normals, valid)``; rows with a degenerate neighborhood
     (fewer than 3 points, or covariance rank < 2) are invalid.
 
-    Queries are processed in vectorized blocks of at most
-    ``_CANDIDATE_BUDGET`` neighbor pairs.
+    Queries are processed in vectorized blocks (see :func:`_gather`).
     """
     at = np.asarray(at, dtype=np.float64).reshape(-1, 3)
     normals = np.zeros((at.shape[0], 3))
     valid = np.zeros(at.shape[0], dtype=bool)
-    for lo, hi, q, p in _pair_blocks(index, at.shape[0], lambda lo, hi: at[lo:hi], scale):
+
+    def kernel(lo, hi, q, p):
         m = hi - lo
         counts = np.bincount(q, minlength=m)
         centered = []
@@ -286,6 +320,8 @@ def estimate_normals(index: NnIndex, at: np.ndarray, scale: float) -> tuple[np.n
         rows = lo + usable[rank_ok]
         normals[rows] = _orient_normals(eigvecs[rank_ok, :, 0])
         valid[rows] = True
+
+    _gather(index, at.shape[0], lambda lo, hi: at[lo:hi], scale, kernel)
     return normals, valid
 
 

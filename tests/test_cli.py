@@ -403,6 +403,18 @@ class TestCompare:
         offsets = [np.linalg.norm(r["offset"]) for r in doc["reports"]]
         assert offsets == pytest.approx([0.0, 0.1, 0.3])
 
+    def test_series_manifest_records_the_offsets(self, tmp_path, scene_files):
+        # the magnitudes as given, repeats and order kept; the rest is the
+        # single compare's manifest, whose bytes stay as they were
+        real_path, synth_path, *_ = scene_files
+        argv = ["compare", "--real", str(real_path), "--synthetic", str(synth_path), "--out"]
+        assert main(argv + [str(tmp_path / "one.json")]) == EXIT_OK
+        assert main(argv + [str(tmp_path / "series.json"), "--offset", "0, 0.3,1e-1,0.3"]) == EXIT_OK
+        one, series = (json.loads((tmp_path / f"{name}.json.manifest.json").read_text())
+                       for name in ("one", "series"))
+        assert series["config"].pop("offsets_m") == [0.0, 0.3, 0.1, 0.3]
+        assert series == one
+
     def test_missing_file_exit_3(self, tmp_path, capsys):
         out = tmp_path / "r.json"
         code = main([

@@ -453,6 +453,23 @@ class TestOutputFile:
         assert target.read_text() == '{\n  "a": 1\n}\n'
         assert _temps(tmp_path) == [] and _temps(tmp_path / "data") == []
 
+    def test_relative_output_without_a_working_directory_path(self, tmp_path, monkeypatch):
+        # below an ancestor the user may not search, the working directory has
+        # no path os.getcwd() can give, but open() still takes a relative name
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "old.json").write_text("old\n")
+
+        def no_path():
+            raise PermissionError(13, "Permission denied")
+
+        monkeypatch.setattr(os, "getcwd", no_path)
+        dump_json({"a": 1}, "old.json")
+        dump_json({"b": 2}, "new.json")
+        monkeypatch.undo()
+        assert (tmp_path / "old.json").read_text() == '{\n  "a": 1\n}\n'
+        assert (tmp_path / "new.json").read_text() == '{\n  "b": 2\n}\n'
+        assert _temps(tmp_path) == []
+
     def test_hard_link_is_written_in_place(self, tmp_path):
         first, second = tmp_path / "a.json", tmp_path / "b.json"
         first.write_text("old\n")

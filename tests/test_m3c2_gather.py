@@ -4,6 +4,8 @@ and the column-wise normal, cylinder and pair-bound kernels, checked bit
 for bit against the row-vector kernels they replaced."""
 
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -11,7 +13,7 @@ import pytest
 import pcgap.spatial as spatial
 from pcgap.core import LabeledPointCloud, partition_by_class
 from pcgap.metric import M3c2Params, m3c2_class_distance
-from pcgap.spatial import NnIndex, _slab_count, cylinder_means, cylinder_pairs, estimate_normals
+from pcgap.spatial import NnIndex, _slab_count, cylinder_means, estimate_normals
 
 from conftest import build_street_scene
 
@@ -26,9 +28,18 @@ def exact_units(v):
     return v, fixed
 
 
+def member_blocks(index, centers, axes, radius, half_depth):
+    """The ``(lo, hi, row, point)`` member blocks of ``cylinder_pairs`` in
+    order, ``row`` counted from ``lo``."""
+    blocks = []
+    spatial.cylinder_pairs(index, centers, axes, radius, half_depth,
+                           lambda lo, hi, ball, point: blocks.append((lo, hi, ball % (hi - lo), point)))
+    return sorted(blocks, key=lambda block: block[0])
+
+
 def gathered_members(index, centers, axes, radius, half_depth):
     members = [[] for _ in range(len(centers))]
-    for lo, _, row, point in cylinder_pairs(index, centers, axes, radius, half_depth):
+    for lo, _, row, point in member_blocks(index, centers, axes, radius, half_depth):
         for r, p in zip(row, point):
             members[lo + r].append(int(p))
     return [np.array(sorted(m), dtype=np.int64) for m in members]
@@ -143,6 +154,22 @@ class TestCylinderPairs:
             assert count == len(members)
             assert np.allclose(mean, points[members].mean(axis=0), rtol=0, atol=1e-12)
 
+    @pytest.mark.parametrize("budget", [1, 700])
+    def test_means_do_not_depend_on_block_cuts(self, monkeypatch, budget):
+        # nine slabs per cylinder; a budget of 1 gathers each cylinder alone,
+        # where numpy's sum over its nine slab sums would pair them up
+        rng = np.random.default_rng(11)
+        points = rng.uniform(-1.0, 1.0, (3000, 3)) + [3.0, -7.0, 5.0]
+        index = NnIndex(points)
+        centers, axes = points[:100], rng.normal(size=(100, 3))
+        axes /= np.linalg.norm(axes, axis=1, keepdims=True)
+        assert _slab_count(0.1, 0.9) == 9
+        means, counts = cylinder_means(index, centers, axes, 0.1, 0.9)
+        monkeypatch.setattr(spatial, "_CANDIDATE_BUDGET", budget)
+        blocked_means, blocked_counts = cylinder_means(index, centers, axes, 0.1, 0.9)
+        assert np.array_equal(blocked_counts, counts) and counts.min() > 0
+        assert np.array_equal(blocked_means.view(np.int64), means.view(np.int64))
+
     def test_blocks_respect_budget(self, monkeypatch):
         rng = np.random.default_rng(6)
         points = plane(rng, 3000, noise=0.02)
@@ -161,16 +188,65 @@ class TestCylinderPairs:
 
         monkeypatch.setattr(spatial, "_CANDIDATE_BUDGET", 2000)
         monkeypatch.setattr(NnIndex, "within_radius_many", spy)
+        # a block holds one lane's share: one for the main lane, two per worker
+        cap = 2000 // (2 * spatial._lane_count() - 1)
         blocked = gathered_members(index, centers, normals, 0.25, 1.0)
         assert len(held) > 5
-        assert max(held) <= 2000
+        assert max(held) <= cap
         assert all(np.array_equal(a, b) for a, b in zip(whole, blocked))
 
-        # coincident points make the pair bound exact: 100 pairs per query
+        # coincident points make the pair bound exact: 100 pairs per query,
+        # so each block takes the whole queries a share holds, the last the rest
         held.clear()
         stacked = NnIndex(np.full((100, 3), 2.0))
         estimate_normals(stacked, np.full((95, 3), 2.0), 0.5)
-        assert held == [2000] * 4 + [1500]
+        full, rest = divmod(9500, cap // 100 * 100)
+        assert sorted(held, reverse=True) == [cap // 100 * 100] * full + [rest] * (rest > 0)
+        assert max(held) <= cap
+
+    def test_lanes_under_rapid_thread_switching(self, monkeypatch):
+        # more lanes than cores, a thread switch every microsecond and blocks
+        # of a few cores: each block runs once, and every normal, count and
+        # mean equals one lane's bit for bit
+        rng = np.random.default_rng(12)
+        points = plane(rng, 1500, noise=0.02)
+        index = NnIndex(points)
+
+        def m3c2_gathers():
+            normals, valid = estimate_normals(index, points, 0.5)
+            return normals, valid, *cylinder_means(index, points[valid], normals[valid], 0.25, 1.0)
+
+        monkeypatch.setattr(spatial, "_lane_count", lambda: 1)
+        want = m3c2_gathers()
+        calls, gather = [], spatial._gather
+
+        def recorded(index, n, queries_of, radius, kernel):
+            ran = []
+            calls.append((n, ran))
+
+            def once(lo, hi, query, point):
+                ran.append((lo, hi))
+                kernel(lo, hi, query, point)
+
+            gather(index, n, queries_of, radius, once)
+
+        monkeypatch.setattr(spatial, "_gather", recorded)
+        monkeypatch.setattr(spatial, "_lane_count", lambda: 8)
+        monkeypatch.setattr(spatial, "_CANDIDATE_BUDGET", 30_000)
+        got, interval = [], sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            runner = threading.Thread(target=lambda: got.append(m3c2_gathers()), daemon=True)
+            runner.start()
+            runner.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not runner.is_alive() and len(got) == 1 and len(calls) == 2
+        for n, ran in calls:
+            starts, ends = zip(*sorted(ran))
+            assert len(ran) > 8 and starts[0] == 0 and ends[-1] == n and starts[1:] == ends[:-1]
+        for a, b in zip(got[0], want):
+            assert a.dtype == b.dtype and np.array_equal(a.view(np.uint8), b.view(np.uint8))
 
     def test_ball_count_bound_covers_exact_counts(self):
         rng = np.random.default_rng(7)
@@ -288,11 +364,18 @@ def row_ball_count_bound(points, radius):
     return bound
 
 
+def pair_blocks(index, n, queries_of, radius):
+    """The gathers' blocks and their joined pairs, in order."""
+    blocks = []
+    spatial._gather(index, n, queries_of, radius, lambda *block: blocks.append(block))
+    return sorted(blocks, key=lambda block: block[0])
+
+
 def row_estimate_normals(index, at, scale):
     at = np.asarray(at, dtype=np.float64).reshape(-1, 3)
     normals = np.zeros((at.shape[0], 3))
     valid = np.zeros(at.shape[0], dtype=bool)
-    for lo, hi, q, p in spatial._pair_blocks(index, at.shape[0], lambda lo, hi: at[lo:hi], scale):
+    for lo, hi, q, p in pair_blocks(index, at.shape[0], lambda lo, hi: at[lo:hi], scale):
         m = hi - lo
         counts = np.bincount(q, minlength=m)
         pts = index.points[p]
@@ -324,7 +407,7 @@ def row_cylinder_pairs(index, centers, axes, radius, half_depth):
     def balls(lo, hi):
         return (centers[lo:hi] + offsets[:, None, None] * axes[lo:hi]).reshape(-1, 3)
 
-    for lo, hi, q, p in spatial._pair_blocks(index, centers.shape[0], balls, reach):
+    for lo, hi, q, p in pair_blocks(index, centers.shape[0], balls, reach):
         slab, row = np.divmod(q, hi - lo)
         core = lo + row
         rel = index.points[p] - centers[core]
@@ -364,7 +447,7 @@ def assert_same_normals(index, at, scale):
 
 
 def assert_same_pairs(index, centers, axes, radius, half_depth):
-    got = list(cylinder_pairs(index, centers, axes, radius, half_depth))
+    got = member_blocks(index, centers, axes, radius, half_depth)
     want = reference(lambda: list(row_cylinder_pairs(index, centers, axes, radius, half_depth)))
     assert [(lo, hi) for lo, hi, _, _ in got] == [(lo, hi) for lo, hi, _, _ in want]
     for (_, _, row, point), (_, _, want_row, want_point) in zip(got, want):
