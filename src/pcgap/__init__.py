@@ -2,7 +2,6 @@
 for semantic point clouds."""
 
 from .core import (
-    ClassMapping,
     ClassWeights,
     LabeledPointCloud,
     SemanticClass,
@@ -18,7 +17,6 @@ from .dataset import (
     SplitSpec,
     evaluate_segmentation,
     mix,
-    most_misclassified,
     ratio_correlation,
     split,
 )
@@ -42,7 +40,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Bvh",
-    "ClassMapping",
     "ClassWeights",
     "ClassedMesh",
     "ConfigError",
@@ -74,7 +71,6 @@ __all__ = [
     "m3c2_class_distance",
     "map_class",
     "mix",
-    "most_misclassified",
     "offset_sensitivity",
     "partition_by_class",
     "ratio_correlation",

@@ -127,6 +127,15 @@ def cmd_compare(args) -> int:
     return EXIT_OK
 
 
+def _range_noise(scan, sigma: float, seed: int):
+    """``scan`` with range noise; a sigma that moves a point beyond the float
+    range is a ConfigError naming ``--sigma``."""
+    try:
+        return simulate.apply_range_noise(scan, simulate.NoiseModel(sigma, seed))
+    except ConfigError as exc:
+        raise ConfigError(f"--{exc}") from exc
+
+
 def cmd_simulate(args) -> int:
     origins_path = args.origins or (str(args.out) + ".origins")
     if Path(origins_path).resolve() == Path(args.out).resolve():
@@ -151,7 +160,7 @@ def cmd_simulate(args) -> int:
     seed = 0 if args.seed is None else args.seed
     scan = simulate.simulate_scan(mesh, trajectory, scan_cfg)
     if args.sigma is not None and args.sigma > 0:
-        scan = simulate.apply_range_noise(scan, simulate.NoiseModel(args.sigma, seed))
+        scan = _range_noise(scan, args.sigma, seed)
 
     digests = _digests([args.mesh, args.trajectory] + ([args.scan_config] if args.scan_config else []))
     io.write_cloud(scan.cloud, args.out, fmt=args.format)
@@ -175,7 +184,7 @@ def cmd_noise(args) -> int:
             f"{origins_path}: {origins.shape[0]} origins for {len(cloud)} points"
         )
     scan = simulate.SimulatedScan(cloud, origins)
-    noisy = simulate.apply_range_noise(scan, simulate.NoiseModel(args.sigma, args.seed))
+    noisy = _range_noise(scan, args.sigma, args.seed)
     digests = _digests([args.cloud, origins_path])
     io.write_cloud(noisy.cloud, args.out, fmt=args.format)
     _write_manifest(
@@ -187,7 +196,10 @@ def cmd_noise(args) -> int:
 def cmd_mix(args) -> int:
     real = io.read_cloud(args.real)
     synth = io.read_cloud(args.synthetic)
-    result = dataset.mix(real, synth, dataset.RatioMix(args.fraction, args.count, args.seed))
+    try:
+        result = dataset.mix(real, synth, dataset.RatioMix(args.fraction, args.count, args.seed))
+    except MemoryError as exc:
+        raise ConfigError(f"--count {args.count}: too many points to draw ({exc})") from exc
     digests = _digests([args.real, args.synthetic])
     io.write_cloud(result.cloud, args.out, fmt=args.format)
     io.write_provenance(result.provenance, str(args.out) + ".provenance.txt")

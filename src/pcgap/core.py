@@ -7,7 +7,6 @@ All types are immutable after construction and all operations are pure.
 
 from __future__ import annotations
 
-import json
 import logging
 import math
 from dataclasses import dataclass
@@ -70,67 +69,12 @@ NON_NOISE_CLASSES: tuple[SemanticClass, ...] = tuple(
 )
 
 
-def _norm_token(s: str) -> str:
-    # exact equality after ASCII lowercasing and trimming
-    return s.strip().lower()
-
-
-@dataclass(frozen=True)
-class MappingEntry:
-    """One source-descriptor row: qualifiers must all match the query attributes."""
-
-    descriptor: str
-    qualifiers: Mapping[str, str]
-    target: SemanticClass
-
-    def matches(self, descriptor: str, attributes: Mapping[str, str]) -> bool:
-        if _norm_token(self.descriptor) != _norm_token(descriptor):
-            return False
-        for key, value in self.qualifiers.items():
-            got = attributes.get(_norm_token(key))
-            if got is None or _norm_token(got) != _norm_token(value):
-                return False
-        return True
-
-
-@dataclass(frozen=True)
-class ClassMapping:
-    """Ordered descriptor-to-class table for one modeling standard.
-
-    Lookup is first-match in row order; descriptors absent from the table fall
-    back to Noise, so lookups are total.
-    """
-
-    source_standard: str
-    entries: tuple[MappingEntry, ...]
-
-    def lookup(self, descriptor: str, attributes: Mapping[str, str] | None = None) -> SemanticClass:
-        attrs = {_norm_token(k): v for k, v in (attributes or {}).items()}
-        for entry in self.entries:
-            if entry.matches(descriptor, attrs):
-                return entry.target
-        return SemanticClass.NOISE
-
-
-OPENDRIVE_14 = "OpenDRIVE-1.4"
-CITYGML_20 = "CityGML-2.0"
-
-_STANDARD_ALIASES = {
-    "opendrive-1.4": OPENDRIVE_14,
-    "opendrive": OPENDRIVE_14,
-    "citygml-2.0": CITYGML_20,
-    "citygml": CITYGML_20,
-}
-
-
-def _entries(rows: Sequence[tuple[str, dict, SemanticClass]]) -> tuple[MappingEntry, ...]:
-    return tuple(MappingEntry(d, dict(q), t) for d, q, t in rows)
-
-
-# Published correspondence rows, in table order. CityGML "AuxiliaryTrafficArea"
-# appears under both RoadSurface and GroundSurface in the source table; the
-# first row wins, so an unqualified lookup resolves to RoadSurface.
-_OPENDRIVE_ROWS = [
+# The CityGML 2.0 / OpenDRIVE 1.4 correspondence table: (descriptor,
+# qualifiers, class) rows in published order. The two standards share no
+# descriptor, so a lookup needs no standard. CityGML "AuxiliaryTrafficArea"
+# is listed under both RoadSurface and GroundSurface; the first row wins.
+_CLASS_TABLE = [
+    # OpenDRIVE 1.4
     ("LaneSectionLRLane", {"type": "driving"}, SemanticClass.ROAD_SURFACE),
     ("RoadObject", {"type": "barrier", "name": "raisedMedian"}, SemanticClass.ROAD_SURFACE),
     ("RoadObject", {"type": "barrier", "name": "trafficIsland"}, SemanticClass.ROAD_SURFACE),
@@ -151,9 +95,7 @@ _OPENDRIVE_ROWS = [
     ("RoadObject", {"type": "building", "surf_orientation": "top"}, SemanticClass.ROOF_SURFACE),
     ("RoadObject", {"type": "tree"}, SemanticClass.SOLITARY_VEGETATION_OBJECT),
     ("RoadObject", {"type": "vegetation"}, SemanticClass.SOLITARY_VEGETATION_OBJECT),
-]
-
-_CITYGML_ROWS = [
+    # CityGML 2.0
     ("TrafficArea", {"function": "1"}, SemanticClass.ROAD_SURFACE),
     ("AuxiliaryTrafficArea", {}, SemanticClass.ROAD_SURFACE),
     ("TrafficArea", {"function": "2"}, SemanticClass.GROUND_SURFACE),
@@ -169,52 +111,19 @@ _CITYGML_ROWS = [
     ("SolitaryVegetationObject", {}, SemanticClass.SOLITARY_VEGETATION_OBJECT),
 ]
 
-DEFAULT_MAPPINGS: dict[str, ClassMapping] = {
-    OPENDRIVE_14: ClassMapping(OPENDRIVE_14, _entries(_OPENDRIVE_ROWS)),
-    CITYGML_20: ClassMapping(CITYGML_20, _entries(_CITYGML_ROWS)),
-}
 
-
-def normalize_standard(standard: str) -> str:
-    key = _norm_token(standard)
-    if key not in _STANDARD_ALIASES:
-        raise ValueError(f"unknown modeling standard: {standard!r}")
-    return _STANDARD_ALIASES[key]
-
-
-def map_class(
-    standard: str,
-    descriptor: str,
-    attributes: Mapping[str, str] | None = None,
-    mapping: ClassMapping | None = None,
-) -> SemanticClass:
-    """Map a source-model descriptor to a point cloud class.
-
-    Total by design: any descriptor/attribute combination not covered by the
-    table maps to Noise.
-    """
-    if mapping is None:
-        mapping = DEFAULT_MAPPINGS[normalize_standard(standard)]
-    return mapping.lookup(descriptor, attributes)
-
-
-def load_mapping_file(path) -> dict[str, ClassMapping]:
-    """Load user mapping overrides: JSON array of
-    {standard, descriptor, attributes, target_id}."""
-    with open(path, "r", encoding="utf-8") as fh:
-        raw = json.load(fh)
-    if not isinstance(raw, list):
-        raise ValueError(f"{path}: mapping file must be a JSON array")
-    per_standard: dict[str, list[MappingEntry]] = {}
-    for i, row in enumerate(raw):
-        try:
-            standard = normalize_standard(row["standard"])
-            target = SemanticClass(int(row["target_id"]))
-            entry = MappingEntry(str(row["descriptor"]), dict(row.get("attributes", {})), target)
-        except (KeyError, ValueError, TypeError) as exc:
-            raise ValueError(f"{path}: bad mapping row {i}: {exc}") from exc
-        per_standard.setdefault(standard, []).append(entry)
-    return {std: ClassMapping(std, tuple(rows)) for std, rows in per_standard.items()}
+def map_class(descriptor: str, attributes: Mapping[str, str] | None = None) -> SemanticClass:
+    """Class of the first table row whose descriptor is ``descriptor`` and
+    whose qualifiers all appear in ``attributes`` (trimmed, case-insensitive;
+    other attributes are ignored). Total: anything unmatched is Noise."""
+    attrs = {k.strip().lower(): v.strip().lower() for k, v in (attributes or {}).items()}
+    descriptor = descriptor.strip().lower()
+    for name, qualifiers, target in _CLASS_TABLE:
+        if name.lower() == descriptor and all(
+            attrs.get(k.lower()) == v.lower() for k, v in qualifiers.items()
+        ):
+            return target
+    return SemanticClass.NOISE
 
 
 def coerce_labels(labels: np.ndarray, context: str = "") -> np.ndarray:

@@ -352,30 +352,3 @@ def ratio_correlation(series: Sequence[tuple[float, float]]) -> float | None:
     if sr == 0.0 or sv == 0.0:
         return None
     return float((dr * dv).sum() / (sr * sv))
-
-
-@dataclass(frozen=True)
-class MisclassRow:
-    true_class: SemanticClass
-    predicted_class: SemanticClass
-    proportion: float
-
-
-def most_misclassified(report: EvalReport) -> list[MisclassRow]:
-    """Per true class: the wrong prediction it most often receives.
-
-    Proportion is that prediction's share of all wrong predictions for the
-    class; classes with zero errors are omitted. Ties break to the lower id.
-    """
-    rows: list[MisclassRow] = []
-    confusion = np.asarray(report.confusion)
-    for cls in SemanticClass:
-        i = cls.value - 1
-        wrong = confusion[i].copy()
-        wrong[i] = 0
-        total = int(wrong.sum())
-        if total == 0:
-            continue
-        j = int(np.argmax(wrong))  # first max = lowest class id
-        rows.append(MisclassRow(cls, SemanticClass(j + 1), float(wrong[j] / total)))
-    return rows

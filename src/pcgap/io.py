@@ -26,11 +26,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .core import (
-    LabeledPointCloud,
-    SemanticClass,
-    coerce_labels,
-)
+from .core import LabeledPointCloud, SemanticClass, coerce_labels, map_class
 from .errors import FormatError, ParseError
 
 logger = logging.getLogger(__name__)
@@ -457,26 +453,31 @@ _GROUP_SUFFIX = re.compile(r"[_\-. ]")
 
 
 def _group_class(tokens: list[str], path, lineno: int) -> SemanticClass:
-    """Class of a ``g``/``o`` line's tokens; a nameless group is Noise."""
+    """Class of a ``g``/``o`` line's tokens: a pcgap class name (the whole
+    name or its stem), else the stem as a CityGML/OpenDRIVE descriptor with
+    the line's ``key=value`` tokens as qualifiers; a nameless group is Noise."""
     name = " ".join(tokens[1:])
     if not name:
         return SemanticClass.NOISE
-    token = name.strip()
-    stem = _GROUP_SUFFIX.split(token, 1)[0]
-    for candidate in (token, stem):
+    stem = _GROUP_SUFFIX.split(name, 1)[0]
+    for candidate in (name, stem):
         try:
             return SemanticClass.from_name(candidate)
         except KeyError:
             continue
-    logger.warning("%s:%d: group %r is not a known class, using Noise", path, lineno, name)
-    return SemanticClass.NOISE
+    cls = map_class(stem, dict(t.split("=", 1) for t in tokens[2:] if "=" in t))
+    if cls is SemanticClass.NOISE:
+        logger.warning("%s:%d: group %r is not a known class, using Noise", path, lineno, name)
+    return cls
 
 
 def read_mesh(path) -> ClassedMesh:
     """Read a Wavefront-style OBJ whose groups name semantic classes.
 
     Polygons are fan-triangulated; triangles with area <= 1e-12 m^2 are
-    dropped (count kept on the mesh). Unrecognized group names map to Noise.
+    dropped (count kept on the mesh). A group is named by a pcgap class or
+    by a CityGML/OpenDRIVE descriptor with ``key=value`` qualifiers (see
+    :func:`pcgap.core.map_class`); any other name maps to Noise.
     """
     path = Path(path)
     if not path.exists():

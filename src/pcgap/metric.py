@@ -488,6 +488,22 @@ def dogss_pcl(
     return offset_sensitivity(real, synth, [(0.0, 0.0, 0.0)], params)[0]
 
 
+def _check_spans(real: LabeledPointCloud, synth: LabeledPointCloud, offsets) -> None:
+    """Refuse, before any kd-tree is built, clouds whose joint extent has a
+    squared length beyond the float range, which no kd-tree query can
+    measure: the inputs as read, or the synthetic cloud moved by an offset."""
+    lo_r, hi_r = real.xyz.min(axis=0).tolist(), real.xyz.max(axis=0).tolist()
+    lo_s, hi_s = synth.xyz.min(axis=0).tolist(), synth.xyz.max(axis=0).tolist()
+    for v in [None] + offsets:
+        shift = [0.0] * 3 if v is None else v.tolist()
+        # Python floats overflow to inf without a numpy warning
+        span = [max(b, d + t) - min(a, c + t) for a, b, c, d, t in zip(lo_r, hi_r, lo_s, hi_s, shift)]
+        if sum(e * e for e in span) == math.inf:
+            what = ("the real and synthetic clouds" if v is None
+                    else f"offset {shift} m moves the synthetic cloud so the two clouds")
+            raise DegenerateDataError(f"{what} span {span} m, whose squared length overflows a float")
+
+
 def offset_sensitivity(
     real: LabeledPointCloud,
     synth: LabeledPointCloud,
@@ -500,10 +516,11 @@ def offset_sensitivity(
     params = params or MetricParams()
     if len(real) == 0 or len(synth) == 0:
         raise ValueError("gap comparison requires two non-empty clouds")
+    offsets = [np.asarray(vec, dtype=np.float64).reshape(3) for vec in offsets]
+    _check_spans(real, synth, offsets)
     sides = _RealSides(real, params.weights, params.m3c2)
     reports = []
-    for vec in offsets:
-        v = np.asarray(vec, dtype=np.float64).reshape(3)
+    for v in offsets:
         moved = synth.translate(v)
         d_c2c = c2c_distance(real, moved, params.c2c_mode)
         m3c2 = compute_m3c2_per_class(sides, moved, params.weights, params.m3c2)

@@ -247,7 +247,8 @@ def apply_range_noise(scan: SimulatedScan, noise: NoiseModel) -> SimulatedScan:
     """Move each point along its own ray by an independent N(0, sigma) draw.
 
     Labels and ray origins are unchanged; sigma = 0 returns the input data
-    untouched. Identical seed and input produce identical output.
+    untouched. Identical seed and input produce identical output. A draw
+    that leaves a non-finite point is a ConfigError naming ``sigma``.
     """
     if noise.sigma == 0 or len(scan.cloud) == 0:
         return scan
@@ -258,6 +259,9 @@ def apply_range_noise(scan: SimulatedScan, noise: NoiseModel) -> SimulatedScan:
     units = rays / norms
     rng = np.random.default_rng(noise.seed)
     displacement = rng.normal(0.0, noise.sigma, size=len(scan.cloud))
-    moved = scan.cloud.xyz + displacement[:, None] * units
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below
+        moved = scan.cloud.xyz + displacement[:, None] * units
+    if not np.isfinite(moved).all():
+        raise ConfigError(f"sigma: {noise.sigma!r} m of range noise moves a point beyond the float range")
     cloud = LabeledPointCloud(moved, scan.cloud.labels)
     return SimulatedScan(cloud, scan.ray_origins)

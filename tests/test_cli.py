@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -90,6 +91,9 @@ def small_inputs(tmp_path):
         ("mix", "--fraction", "-0.1"),
         ("mix", "--count", "-3"),
         ("mix", "--count", "0"),
+        # finite, but the draw leaves the float range or the address space
+        ("simulate", "--sigma", "1e308"),
+        ("mix", "--count", "1000000000000000"),
     ],
 )
 def test_non_finite_flag_exit_2(tmp_path, small_inputs, capsys, command, flag, value):
@@ -512,6 +516,28 @@ class TestCompare:
         assert json.loads(capsys.readouterr().err)["error"].startswith("voxel_size_m: 0.5 m voxels")
         assert not out.exists()
 
+    @pytest.mark.parametrize("far,offset,named", [
+        ((1e161, 0.0, 0.0), "0", "the real and synthetic clouds span [1e+161, "),
+        (None, "1e200", "offset [5.773502691896258e+199, "),
+    ], ids=["inputs", "offset"])
+    def test_overflowing_span_exit_4(self, tmp_path, scene_files, capsys, monkeypatch,
+                                     far, offset, named):
+        # the squared span overflows a float; refused before any kd-tree
+        real_path, synth_path, _, synth = scene_files
+        if far is not None:
+            synth_path = tmp_path / "far.xyzl"
+            write_cloud(LabeledPointCloud(np.vstack([synth.xyz, far]), np.append(synth.labels, 2)),
+                        synth_path, FORMAT_XYZL)
+        monkeypatch.setattr(pcgap.NnIndex, "__init__", lambda *a, **k: pytest.fail("kd-tree built"))
+        out = tmp_path / "r.json"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["compare", "--real", str(real_path), "--synthetic", str(synth_path),
+                         "--offset", offset, "--out", str(out)])
+        assert code == EXIT_DEGENERATE
+        assert json.loads(capsys.readouterr().err)["error"].startswith(named)
+        assert not out.exists()
+
     def test_flag_overrides_config(self, tmp_path, scene_files):
         real_path, synth_path, real, synth = scene_files
         cfg = tmp_path / "cfg.json"
@@ -579,6 +605,19 @@ class TestSimulateNoise:
         ])
         assert code == EXIT_OK
         assert scan_out.read_bytes() == noise_out.read_bytes()
+
+    def test_noise_sigma_beyond_float_range_exit_2(self, tmp_path, sim_inputs, capsys):
+        # 10 points may all stay finite under --sigma 1e308; a scan's do not
+        mesh_path, traj_path, scan_path = sim_inputs
+        scan_out = tmp_path / "scan.xyzl"
+        assert main(["simulate", "--mesh", str(mesh_path), "--trajectory", str(traj_path),
+                     "--scan-config", str(scan_path), "--seed", "1", "--out", str(scan_out)]) == EXIT_OK
+        noise_out = tmp_path / "noisy.xyzl"
+        code = main(["noise", "--cloud", str(scan_out), "--sigma", "1e308", "--seed", "5",
+                     "--out", str(noise_out)])
+        assert code == EXIT_CONFIG
+        assert json.loads(capsys.readouterr().err)["error"].startswith("--sigma: 1e+308 m")
+        assert not noise_out.exists() and not Path(f"{noise_out}.manifest.json").exists()
 
     def test_rerun_byte_identical(self, tmp_path, sim_inputs):
         mesh_path, traj_path, scan_path = sim_inputs

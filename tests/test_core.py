@@ -5,14 +5,12 @@ from hypothesis import strategies as st
 
 import pcgap
 from pcgap.core import (
-    CITYGML_20,
-    OPENDRIVE_14,
+    _CLASS_TABLE,
     ClassWeights,
     LabeledPointCloud,
     SemanticClass,
     coerce_labels,
     default_weights,
-    load_mapping_file,
     map_class,
     partition_by_class,
 )
@@ -91,54 +89,41 @@ CITYGML_ROWS = [
 class TestMapClass:
     @pytest.mark.parametrize("descriptor,attrs,target", OPENDRIVE_ROWS)
     def test_opendrive_rows(self, descriptor, attrs, target):
-        assert map_class(OPENDRIVE_14, descriptor, attrs).value == target
+        assert map_class(descriptor, attrs).value == target
 
     @pytest.mark.parametrize("descriptor,attrs,target", CITYGML_ROWS)
     def test_citygml_rows(self, descriptor, attrs, target):
-        assert map_class(CITYGML_20, descriptor, attrs).value == target
+        assert map_class(descriptor, attrs).value == target
+
+    def test_standards_share_no_descriptor(self):
+        # why a lookup needs no standard
+        opendrive, citygml = ({d for d, _, _ in rows} for rows in (OPENDRIVE_ROWS, CITYGML_ROWS))
+        assert not opendrive & citygml
+        assert {d for d, _, _ in _CLASS_TABLE} == opendrive | citygml | {"AuxiliaryTrafficArea"}
 
     def test_auxiliary_traffic_area_first_match(self):
         # listed under both RoadSurface and GroundSurface; table order wins
-        assert map_class(CITYGML_20, "AuxiliaryTrafficArea") is SemanticClass.ROAD_SURFACE
+        assert map_class("AuxiliaryTrafficArea") is SemanticClass.ROAD_SURFACE
 
     def test_unknown_descriptor_is_noise(self):
-        assert map_class(CITYGML_20, "FantasyObject") is SemanticClass.NOISE
+        assert map_class("FantasyObject") is SemanticClass.NOISE
 
     def test_unmatched_attributes_fall_through(self):
-        assert map_class(OPENDRIVE_14, "LaneSectionLRLane", {"type": "biking"}) is SemanticClass.NOISE
+        assert map_class("LaneSectionLRLane", {"type": "biking"}) is SemanticClass.NOISE
+        assert map_class("RoadObject") is SemanticClass.NOISE  # every RoadObject row is qualified
 
     def test_case_and_whitespace_insensitive(self):
-        assert map_class("citygml", "  window ") is SemanticClass.WINDOW
-        got = map_class(OPENDRIVE_14, "lanesectionlrlane", {"TYPE": " DRIVING "})
+        assert map_class("  window ") is SemanticClass.WINDOW
+        got = map_class("lanesectionlrlane", {"TYPE": " DRIVING "})
         assert got is SemanticClass.ROAD_SURFACE
 
     def test_extra_attributes_ignored(self):
-        got = map_class(OPENDRIVE_14, "Signal", {"name": "trafficLight", "id": "42"})
+        got = map_class("Signal", {"name": "trafficLight", "id": "42"})
         assert got is SemanticClass.CITY_FURNITURE
-
-    def test_unknown_standard_rejected(self):
-        with pytest.raises(ValueError):
-            map_class("IFC", "Wall")
 
     def test_total_and_deterministic(self):
         for _ in range(3):
-            assert map_class(CITYGML_20, "Door") is SemanticClass.DOOR
-
-    def test_mapping_override_file(self, tmp_path):
-        override = tmp_path / "mapping.json"
-        override.write_text(
-            '[{"standard": "CityGML-2.0", "descriptor": "Hydrant",'
-            ' "attributes": {}, "target_id": 3}]'
-        )
-        mappings = load_mapping_file(override)
-        got = map_class(CITYGML_20, "Hydrant", mapping=mappings[CITYGML_20])
-        assert got is SemanticClass.CITY_FURNITURE
-
-    def test_bad_mapping_file(self, tmp_path):
-        bad = tmp_path / "mapping.json"
-        bad.write_text('[{"standard": "CityGML-2.0", "descriptor": "X", "target_id": 99}]')
-        with pytest.raises(ValueError, match="row 0"):
-            load_mapping_file(bad)
+            assert map_class("Door") is SemanticClass.DOOR
 
 
 class TestLabeledPointCloud:

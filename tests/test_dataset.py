@@ -11,7 +11,6 @@ from pcgap.dataset import (
     SplitSpec,
     evaluate_segmentation,
     mix,
-    most_misclassified,
     ratio_correlation,
     split,
 )
@@ -348,43 +347,3 @@ class TestRatioCorrelation:
             corr = ratio_correlation(series)
             if corr is not None:
                 assert -1.0 - 1e-12 <= corr <= 1.0 + 1e-12
-
-
-class TestMostMisclassified:
-    def _report(self, true, pred):
-        cloud = LabeledPointCloud(np.zeros((len(true), 3)), np.array(true))
-        return evaluate_segmentation(cloud, np.array(pred))
-
-    def test_dominant_confusion(self):
-        # class 1 errors: 19 of 20 go to class 2
-        true = [1] * 40
-        pred = [1] * 20 + [2] * 19 + [3]
-        rows = most_misclassified(self._report(true, pred))
-        row = next(r for r in rows if r.true_class is SemanticClass.ROAD_SURFACE)
-        assert row.predicted_class is SemanticClass.GROUND_SURFACE
-        assert row.proportion == pytest.approx(0.95)
-
-    def test_zero_error_class_omitted(self):
-        rows = most_misclassified(self._report([1, 1, 2], [1, 1, 1]))
-        assert [r.true_class for r in rows] == [SemanticClass.GROUND_SURFACE]
-
-    def test_tie_breaks_to_lower_id(self):
-        true = [3] * 4
-        pred = [1, 1, 2, 2]
-        rows = most_misclassified(self._report(true, pred))
-        assert rows[0].predicted_class is SemanticClass.ROAD_SURFACE
-
-    def test_matches_brute_tally(self):
-        rng = np.random.default_rng(67)
-        true = rng.integers(1, 13, size=500)
-        pred = rng.integers(1, 13, size=500)
-        rows = most_misclassified(self._report(true, pred))
-        for row in rows:
-            t = row.true_class.value
-            counts = {}
-            for a, b in zip(true, pred):
-                if a == t and b != t:
-                    counts[b] = counts.get(b, 0) + 1
-            best = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))[0][0]
-            assert row.predicted_class.value == best
-            assert row.proportion == pytest.approx(counts[best] / sum(counts.values()))

@@ -195,6 +195,22 @@ class TestObjMesh:
         assert mesh.triangle_classes.tolist() == [12]
         assert "Noise" in caplog.text
 
+    def test_citygml_and_opendrive_groups(self, tmp_path, caplog):
+        p = tmp_path / "m.obj"
+        tri = "v 0 0 0\nv 1 0 0\nv 0 1 0\nf -3 -2 -1\n"
+        p.write_text(
+            "g OuterFloorSurface_3\n" + tri
+            + "g TrafficArea function=1\n" + tri
+            + "g RoadObject_7 type=pole name=streetLamp\n" + tri
+            + "g LaneSectionLRLane type=biking\n" + tri
+        )
+        with caplog.at_level("WARNING"):
+            mesh = read_mesh(p)
+        assert mesh.triangle_classes.tolist() == [2, 1, 3, 12]
+        assert [r.getMessage() for r in caplog.records] == [
+            f"{p}:16: group 'LaneSectionLRLane type=biking' is not a known class, using Noise"
+        ]
+
     def test_group_suffix(self, tmp_path):
         p = tmp_path / "m.obj"
         p.write_text("g WallSurface_02\nv 0 0 0\nv 1 0 0\nv 0 1 0\nf 1 2 3\n")

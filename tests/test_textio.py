@@ -401,6 +401,10 @@ def test_obj_matches_line_scan(tmp_path, monkeypatch, caplog):
             "g WallSurface\r\n" + tri.replace("\n", "\r\n") + "f 1 2 3\r\n",
             "g WallSurface\n" + tri,
             "",
+            "g OuterFloorSurface_3\n" + tri + "f 1 2 3\n",  # CityGML and OpenDRIVE descriptors
+            "g TrafficArea function=1\n" + tri + "f 1 2 3\n",
+            "g RoadObject_7 type=pole name=streetLamp\n" + tri + "f 1 2 3\n",
+            "g LaneSectionLRLane type=biking\n" + tri + "f 1 2 3\n",
         ])
     ]
     # how a line starts: the byte scan that finds the tags decides these
