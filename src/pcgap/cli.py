@@ -55,6 +55,15 @@ def _write_manifest(out_path, command: str, config: dict, digests: dict, seed=No
     io.dump_json(manifest, str(out_path) + ".manifest.json")
 
 
+def _distinct_outputs(outputs: dict) -> None:
+    """Refuse, before anything is read or written, a command whose outputs
+    ``{flag: path}`` (path None: not written) name one file twice."""
+    seen = {}
+    for flag, path in outputs.items():
+        if path is not None and (other := seen.setdefault(Path(path).resolve(), flag)) != flag:
+            raise ConfigError(f"{flag} {path} names the same file as {other}")
+
+
 def _read_json(path):
     """The parsed JSON of an input file; text that is not JSON is a
     ConfigError naming the file."""
@@ -138,8 +147,8 @@ def _range_noise(scan, sigma: float, seed: int):
 
 def cmd_simulate(args) -> int:
     origins_path = args.origins or (str(args.out) + ".origins")
-    if Path(origins_path).resolve() == Path(args.out).resolve():
-        raise ConfigError(f"--origins {origins_path} would overwrite the --out cloud")
+    _distinct_outputs({"--out": args.out, "--out's manifest": str(args.out) + ".manifest.json",
+                       "--origins": origins_path})
     mesh = io.read_mesh(args.mesh)
     samples = _read_json(args.trajectory)
     try:
@@ -158,7 +167,12 @@ def cmd_simulate(args) -> int:
     if args.sigma is not None and args.sigma > 0 and args.seed is None:
         raise ConfigError("--seed is required when applying noise (--sigma > 0)")
     seed = 0 if args.seed is None else args.seed
-    scan = simulate.simulate_scan(mesh, trajectory, scan_cfg)
+    try:
+        scan = simulate.simulate_scan(mesh, trajectory, scan_cfg)
+    except MemoryError as exc:  # rays are points_per_second times the trajectory's duration
+        raise ConfigError(f"{args.scan_config or '--scan-config'}: points_per_second: "
+                          f"{scan_cfg.points_per_second} rays/s over {trajectory.duration:g} s "
+                          f"are too many to cast ({exc})") from exc
     if args.sigma is not None and args.sigma > 0:
         scan = _range_noise(scan, args.sigma, seed)
 
@@ -295,6 +309,7 @@ def _parse_report(path: str, parse, doc: dict):
 
 
 def cmd_report(args) -> int:
+    _distinct_outputs({"--out": args.out, "--plot-data": args.plot_data})
     docs = [(str(p), io.read_report(p)) for p in args.reports]
     kinds = {d.get("report_type", "gap") for _, d in docs}
     kinds = {"gap" if k == "gap_series" else k for k in kinds}

@@ -119,8 +119,8 @@ class SplitSpec:
 
     @classmethod
     def from_json_dict(cls, raw: Mapping) -> "SplitSpec":
-        if not isinstance(raw, Mapping) or "regions" not in raw:
-            raise ConfigError("split spec must be an object with a 'regions' array")
+        if not isinstance(raw, Mapping) or not isinstance(raw.get("regions"), list):
+            raise ConfigError("regions: a split spec must be an object with a 'regions' array")
         regions = []
         for i, entry in enumerate(raw["regions"]):
             try:

@@ -261,23 +261,12 @@ class _RealSide:
         return M3c2ClassResult(float(np.median(signed)), n_in, n_cores - n_in)
 
 
-class _RealSides(dict):
-    """Prepared :class:`_RealSide` of every positively weighted class, and
-    the real cloud's voxel coordinates once asked for."""
-
-    def __init__(self, real: LabeledPointCloud, weights: ClassWeights, params: M3c2Params):
-        parts = partition_by_class(real)
-        super().__init__(
-            (cls, _RealSide(parts[cls], params)) for cls in SemanticClass if weights.get(cls) > 0
-        )
-        self.cloud = real
-        self._voxels: dict[float, tuple] = {}
-
-    def voxels(self, edge: float) -> tuple[np.ndarray, np.ndarray]:
-        """The real cloud's grid origin and the voxel coordinates of its points."""
-        if edge not in self._voxels:
-            self._voxels[edge] = voxelize(self.cloud, edge)
-        return self._voxels[edge]
+def _real_sides(real: LabeledPointCloud, weights: ClassWeights,
+                params: M3c2Params) -> dict[SemanticClass, _RealSide]:
+    """The real side of every positively weighted class, for
+    :func:`compute_m3c2_per_class` to compare synthetic clouds against."""
+    parts = partition_by_class(real)
+    return {cls: _RealSide(parts[cls], params) for cls in SemanticClass if weights.get(cls) > 0}
 
 
 def m3c2_class_distance(
@@ -314,26 +303,16 @@ def aggregate_mm3c2(
 
 
 def compute_m3c2_per_class(
-    real: LabeledPointCloud,
-    synth: LabeledPointCloud,
-    weights: ClassWeights,
-    params: M3c2Params,
+    sides: Mapping[SemanticClass, _RealSide], synth: LabeledPointCloud
 ) -> dict[SemanticClass, M3c2ClassResult]:
-    """Class-wise results for every positively weighted class.
-
-    ``real`` may also be the prepared real sides of an earlier call (then
-    ``weights`` and ``params`` are the ones they were prepared with), which
-    an offset series reuses.
-    """
-    sides = real if isinstance(real, _RealSides) else _RealSides(real, weights, params)
+    """Class-wise results against the real ``sides`` of :func:`_real_sides`;
+    a class without a side (weight 0) has no result."""
     parts_s = partition_by_class(synth)
-    out: dict[SemanticClass, M3c2ClassResult] = {}
-    for cls in SemanticClass:
-        if cls in sides:
-            out[cls] = m3c2_class_distance(sides[cls], parts_s[cls], params)
-        else:
-            out[cls] = M3c2ClassResult(None, 0, 0)
-    return out
+    return {
+        cls: m3c2_class_distance(sides[cls], parts_s[cls]) if cls in sides
+        else M3c2ClassResult(None, 0, 0)
+        for cls in SemanticClass
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -376,16 +355,9 @@ def voxel_miou(
     class falls in it. The weighted mean renormalizes over classes whose
     occupancy union is non-empty, so a class absent from both clouds never
     penalizes the score.
-
-    ``real`` may also be the prepared real sides of an earlier call, which
-    keep the real voxel coordinates for an offset series.
     """
     weights = weights or default_weights()
-    if isinstance(real, _RealSides):
-        origin, cells_r = real.voxels(edge)
-        real = real.cloud
-    else:
-        origin, cells_r = voxelize(real, edge)
+    origin, cells_r = voxelize(real, edge)
     keys_r, keys_s = _occupancy_keys(
         edge, (cells_r, real.labels), (voxelize(synth, edge, origin)[1], synth.labels)
     )
@@ -512,20 +484,20 @@ def offset_sensitivity(
 ) -> list[GapReport]:
     """Apply each rigid translation to the synthetic cloud and compare it
     with the real one; the applied offset is recorded in each report. The
-    real side of M3C2 and the real voxels are computed once for the series."""
+    real side of M3C2 is computed once for the series."""
     params = params or MetricParams()
     if len(real) == 0 or len(synth) == 0:
         raise ValueError("gap comparison requires two non-empty clouds")
     offsets = [np.asarray(vec, dtype=np.float64).reshape(3) for vec in offsets]
     _check_spans(real, synth, offsets)
-    sides = _RealSides(real, params.weights, params.m3c2)
+    sides = _real_sides(real, params.weights, params.m3c2)
     reports = []
     for v in offsets:
         moved = synth.translate(v)
         d_c2c = c2c_distance(real, moved, params.c2c_mode)
-        m3c2 = compute_m3c2_per_class(sides, moved, params.weights, params.m3c2)
+        m3c2 = compute_m3c2_per_class(sides, moved)
         d_mm3c2 = aggregate_mm3c2(m3c2, params.weights)
-        iou = voxel_miou(sides, moved, params.voxel_edge, params.weights)
+        iou = voxel_miou(real, moved, params.voxel_edge, params.weights)
         d, f_miou, m = compose_score(d_mm3c2, d_c2c, iou.miou, params)
         per_class = {
             cls: ClassGapStats(m3c2[cls].median, m3c2[cls].inliers, m3c2[cls].outliers,

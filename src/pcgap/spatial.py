@@ -133,9 +133,10 @@ def _ball_count_bound(points: np.ndarray, radius: float):
     last = np.array(shape) - 1
 
     def cells(xyz):
-        return np.floor((xyz - origin) / edge).astype(np.int64)
+        return np.floor((xyz - origin) / edge)
 
-    counts = np.bincount(np.ravel_multi_index(cells(points).T, shape), minlength=math.prod(shape))
+    counts = np.bincount(np.ravel_multi_index(cells(points).astype(np.int64).T, shape),
+                         minlength=math.prod(shape))
     # window[b + 1] sums the 2 x 2 x 2 cells from b, each clipped into the
     # grid, for b in [-1, last]: the edge padding repeats the clipped cells
     window = np.pad(counts.reshape(shape), 1, mode="edge")
@@ -144,7 +145,8 @@ def _ball_count_bound(points: np.ndarray, radius: float):
     window = window[:, :, :-1] + window[:, :, 1:]
 
     def bound(centers: np.ndarray) -> np.ndarray:
-        base = np.clip(cells(centers - radius * (1.0 + 1e-7)), -1, last) + 1
+        # clipped as floats: a center far outside the grid has no int64 cell
+        base = np.clip(cells(centers - radius * (1.0 + 1e-7)), -1, last).astype(np.int64) + 1
         return window[tuple(base.T)]
 
     return bound
@@ -409,8 +411,11 @@ def ray_triangles(origin: np.ndarray, direction: np.ndarray,
 class Bvh:
     """Median-split bounding-volume hierarchy over a class-tagged triangle soup.
 
-    Casting returns the nearest intersection with t > MIN_RAY_T, matching
-    a brute-force scan over all triangles (ties broken by lowest triangle id).
+    The tree is complete: every node of a level splits until none holds more
+    than ``_LEAF_SIZE`` triangles, so node ``k``'s children are ``2k + 1``
+    and ``2k + 2`` and the leaves are the last level. Casting returns the
+    nearest intersection with t > MIN_RAY_T, matching a brute-force scan
+    over all triangles (ties broken by lowest triangle id).
     """
 
     def __init__(self, mesh):
@@ -420,22 +425,17 @@ class Bvh:
         verts = np.asarray(mesh.vertices, dtype=np.float64)
         v0, v1, v2 = verts[tri[:, 0]], verts[tri[:, 1]], verts[tri[:, 2]]
         self.tri_class = np.asarray(mesh.triangle_classes, dtype=np.uint8)
-        self.n_tris = n = tri.shape[0]
+        n = tri.shape[0]
         centroids = ((v0 + v1 + v2) / 3.0).T
         # r[a, t]: place of triangle t in centroid order along axis a, ties to the lower id
         by_rank = np.argsort(centroids, axis=1, kind="stable")
         r = np.empty_like(by_rank)
         np.put_along_axis(r, by_rank, np.arange(n)[None], axis=1)
         ranked = np.take_along_axis(centroids, by_rank, axis=1)
-        # breadth first, one level per pass, ``r`` holding the level's ranks node by node;
-        # a split node's left child takes the lower half along its widest centroid extent
-        sizes, splits, leaves = np.array([n]), [], []
-        while sizes.size:
-            split = sizes > _LEAF_SIZE
-            splits.append(split)
-            inner = np.repeat(split, sizes)
-            leaves.append((r[0, ~inner], sizes[~split]))
-            r, sizes = np.compress(inner, r, axis=1), sizes[split]
+        # one level per pass, ``r`` holding the level's ranks node by node; each
+        # node's left child takes the lower half along its widest centroid extent
+        sizes = np.array([n])
+        while sizes.max() > _LEAF_SIZE:
             starts = np.cumsum(sizes) - sizes
             extent = (np.take_along_axis(ranked, np.maximum.reduceat(r, starts, axis=1), axis=1)
                       - np.take_along_axis(ranked, np.minimum.reduceat(r, starts, axis=1), axis=1))
@@ -443,25 +443,20 @@ class Bvh:
             key = node * n + np.take_along_axis(r, np.argmax(extent, axis=0)[node][None], axis=0)[0]
             r = np.take(r, np.argsort(key), axis=1)
             sizes = np.column_stack([sizes // 2, sizes - sizes // 2]).ravel()
-        # in breadth-first order the k-th split node's children are 2k + 1 and 2k + 2
-        split = np.concatenate(splits)
-        self._left = np.where(split, 2 * np.cumsum(split) - 1, -1)
-        self._right = np.where(split, self._left + 1, -1)
-        self._leaf_row = np.where(split, -1, np.cumsum(~split) - 1)
         # one row of triangle ids per leaf, ascending, padded with triangle
-        # n_tris, which has zero area (det = 0, never hit)
-        ranks, sizes = map(np.concatenate, zip(*leaves))
+        # n, which has zero area (det = 0, never hit)
         col = np.arange(sizes.max())
         at = np.where(col < sizes[:, None], (np.cumsum(sizes) - sizes)[:, None] + col, -1)
-        self._leaf_ids = np.sort(np.append(by_rank[0, ranks], n)[at], axis=1)
+        self._leaf_ids = np.sort(np.append(by_rank[0, r[0]], n)[at], axis=1)
+        del r, by_rank, ranked, centroids  # freed before the box pass, which peaks
         # boxes as (min, -max), so that one minimum serves both: a leaf's from
-        # its triangles; pass h settles every node h levels above its leaves
+        # its triangles, then each level's from the pairs of the level below
         tri_box = np.vstack([np.hstack([np.minimum(np.minimum(v0, v1), v2),
                                         -np.maximum(np.maximum(v0, v1), v2)]), np.full(6, np.inf)])
-        box = np.full((split.size, 6), np.inf)
-        box[~split] = np.take(tri_box, self._leaf_ids.T, axis=0).min(axis=0)
-        for _ in splits:
-            box[split] = np.minimum(box[self._left[split]], box[self._right[split]])
+        levels = [np.take(tri_box, self._leaf_ids.T, axis=0).min(axis=0)]
+        while len(levels[0]) > 1:
+            levels.insert(0, levels[0].reshape(-1, 2, 6).min(axis=1))
+        box = np.concatenate(levels)
         self._node_min, self._node_max = box[:, :3].copy(), -box[:, 3:]
         # corners and edges are stored component-first
         pad = np.zeros((1, 3))
@@ -490,6 +485,7 @@ class Bvh:
         best_id = np.full(n, -1, dtype=np.int64)
         with np.errstate(divide="ignore"):
             inv_dir = 1.0 / directions
+        first_leaf = len(self._leaf_ids) - 1
         stack = []
 
         def push(ray, node):
@@ -509,13 +505,11 @@ class Bvh:
                 # strict: a box entered exactly at the best t may hold a tied lower id
                 live = (leave >= entry) & ~(entry > best_t[ray])
                 ray, node = ray[live], node[live]
-                row = self._leaf_row[node]
-                leaf = row >= 0
+                leaf = node >= first_leaf
                 if leaf.any():
-                    self._leaf_pass(origins, directions, ray[leaf], row[leaf], best_t, best_id)
-                inner = node[~leaf]
-                push(np.repeat(ray[~leaf], 2),
-                     np.column_stack([self._left[inner], self._right[inner]]).ravel())
+                    self._leaf_pass(origins, directions, ray[leaf], node[leaf] - first_leaf,
+                                    best_t, best_id)
+                push(np.repeat(ray[~leaf], 2), (2 * node[~leaf, None] + [1, 2]).ravel())
         cls_out = np.where(best_id >= 0, self.tri_class[np.maximum(best_id, 0)], 0).astype(np.uint8)
         return best_t, best_id, cls_out
 

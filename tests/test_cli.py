@@ -1,5 +1,6 @@
 import csv
 import hashlib
+import importlib.util
 import json
 import math
 import os
@@ -154,6 +155,8 @@ def _samples(**second):
     ("--trajectory", [_samples()[0], 7], "[1]"),
     ("--scan-config", {"max_range_m": 10**400}, "max_range_m"),
     ("--trajectory", _samples(z=-10**400), "[1].z"),
+    # more rays than any address space holds: the allocation fails at once
+    ("--scan-config", {"points_per_second": 10**15, "channels": 4}, "points_per_second"),
 ])
 def test_simulate_bad_scan_config_or_trajectory_exit_2(tmp_path, small_inputs, capsys,
                                                          flag, doc, key):
@@ -299,6 +302,22 @@ def _bench_commands(work: Path) -> list[list[str]]:
         ["split", "--cloud", "real.xyzl", "--spec", "split.json", "--out-dir", "parts"],
         ["eval-seg", "--truth", "real.xyzl", "--pred", "pred.txt", "--out", "eval.json"],
     ]
+
+
+def test_benchmark_trace_targets_resolve():
+    """Every pcgap name the benchmark's per-layer spans patch still exists,
+    so that no per-layer metric reads zero because its name went away."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_tracer", Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    t = tracer.Tracer()
+    try:
+        t.install({name: importlib.import_module(name) for name, *_ in tracer.TARGETS})
+    finally:
+        t.uninstall()
+    # a stale entry for a method pcgap no longer has
+    assert t.absent == ["pcgap.spatial.NnIndex.count_within_radius_many"]
 
 
 def _tree(work: Path) -> dict:
@@ -538,6 +557,23 @@ class TestCompare:
         assert json.loads(capsys.readouterr().err)["error"].startswith(named)
         assert not out.exists()
 
+    @pytest.mark.parametrize("offset", ["1e20", "1e100", "1e150"])
+    def test_offset_beyond_int64_cells_exit_4(self, tmp_path, capsys, offset):
+        # the cylinder balls land far outside the real cloud's count grid,
+        # whose cells are clipped before they are cast to int64
+        rng = np.random.default_rng(5)
+        path = tmp_path / "plane.xyzl"
+        write_cloud(LabeledPointCloud(np.column_stack([rng.uniform(0, 4, (40, 2)), np.zeros(40)]),
+                                      np.full(40, 2)), path, FORMAT_XYZL)
+        out = tmp_path / "r.json"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["compare", "--real", str(path), "--synthetic", str(path),
+                         "--offset", offset, "--out", str(out)])
+        assert code == EXIT_DEGENERATE
+        assert "no comparable semantic content" in json.loads(capsys.readouterr().err)["error"]
+        assert not out.exists()
+
     def test_flag_overrides_config(self, tmp_path, scene_files):
         real_path, synth_path, real, synth = scene_files
         cfg = tmp_path / "cfg.json"
@@ -649,7 +685,7 @@ class TestSimulateNoise:
         assert f"{origins}:2: non-finite coordinate" in err
         assert not (tmp_path / "n.xyzl").exists()
 
-    @pytest.mark.parametrize("origins", ["scan.xyzl", "sub/../scan.xyzl"])
+    @pytest.mark.parametrize("origins", ["scan.xyzl", "sub/../scan.xyzl", "scan.xyzl.manifest.json"])
     def test_simulate_origins_onto_out_exit_2(self, tmp_path, sim_inputs, capsys, origins):
         mesh_path, traj_path, scan_path = sim_inputs
         (tmp_path / "sub").mkdir()
@@ -791,6 +827,18 @@ class TestMixSplit:
         assert "regions[1]: " in capsys.readouterr().err
         assert not out_dir.exists()
 
+    def test_split_regions_not_an_array_exit_2(self, tmp_path, capsys):
+        cloud_path = tmp_path / "c.xyzl"
+        write_cloud(random_cloud(np.random.default_rng(76), 20), cloud_path, FORMAT_XYZL)
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps({"regions": 5}))
+        out_dir = tmp_path / "splits"
+        code = main(["split", "--cloud", str(cloud_path), "--spec", str(spec_path),
+                     "--out-dir", str(out_dir)])
+        assert code == EXIT_CONFIG
+        assert json.loads(capsys.readouterr().err)["error"].startswith("regions: ")
+        assert not out_dir.exists()
+
     def test_mix_bad_fraction_exit_2(self, tmp_path):
         rng = np.random.default_rng(75)
         p = tmp_path / "c.xyzl"
@@ -848,6 +896,18 @@ class TestEvalAndReport:
         assert rows[0] == ["report", "offset_m", "m_dogss_pcl", "d", "d_mm3c2",
                            "d_c2c", "miou", "f_miou"]
         assert len(rows) == 4
+
+    def test_report_plot_data_onto_out_exit_2(self, tmp_path, capsys):
+        truth, pred = self._write_eval_fixture(tmp_path, "p", 84)
+        ev = tmp_path / "e.json"
+        assert main(["eval-seg", "--truth", str(truth), "--pred", str(pred),
+                     "--out", str(ev)]) == EXIT_OK
+        before = sorted(tmp_path.iterdir())
+        out = tmp_path / "s.csv"
+        code = main(["report", str(ev), "--out", str(out), "--plot-data", str(out)])
+        assert code == EXIT_CONFIG
+        assert "--plot-data" in json.loads(capsys.readouterr().err)["error"]
+        assert sorted(tmp_path.iterdir()) == before
 
     def test_eval_report_csv_with_correlation(self, tmp_path):
         paths = []

@@ -168,13 +168,14 @@ class TestM3c2:
         scan = simulate_scan(build_room_mesh(), trajectory, config)
         real, synth = scan.cloud, apply_range_noise(scan, NoiseModel(0.02, seed=8)).cloud
         p = MetricParams()
-        base = metric.compute_m3c2_per_class(real, synth, p.weights, p.m3c2)
+        base = metric.compute_m3c2_per_class(metric._real_sides(real, p.weights, p.m3c2), synth)
         rng = np.random.default_rng(41)
         for _ in range(3):
             pr, ps = rng.permutation(len(real)), rng.permutation(len(synth))
             got = metric.compute_m3c2_per_class(
-                LabeledPointCloud(real.xyz[pr], real.labels[pr]),
-                LabeledPointCloud(synth.xyz[ps], synth.labels[ps]), p.weights, p.m3c2,
+                metric._real_sides(LabeledPointCloud(real.xyz[pr], real.labels[pr]),
+                                   p.weights, p.m3c2),
+                LabeledPointCloud(synth.xyz[ps], synth.labels[ps]),
             )
             for cls, res in base.items():
                 assert got[cls].inliers == res.inliers
@@ -216,7 +217,7 @@ class TestMm3c2:
     def test_identical_clouds_zero(self):
         cloud = plane_cloud(41, 2_000, 0.0, cls=6)
         weights = ClassWeights({SemanticClass.WALL_SURFACE: 1.0})
-        per_class = compute_m3c2_per_class(cloud, cloud, weights, M3c2Params())
+        per_class = compute_m3c2_per_class(metric._real_sides(cloud, weights, M3c2Params()), cloud)
         assert aggregate_mm3c2(per_class, weights) == pytest.approx(0.0, abs=1e-6)
 
 
@@ -408,23 +409,27 @@ class TestOffsetSensitivity:
             init(self, xyz)
 
         monkeypatch.setattr(NnIndex, "__init__", spy)
-        real_voxelized = []
-        voxelize = metric.voxelize
-
-        def voxel_spy(cloud, edge, origin=None):
-            real_voxelized.append(cloud is real)
-            return voxelize(cloud, edge, origin)
-
-        monkeypatch.setattr(metric, "voxelize", voxel_spy)
         counts = []
         for n_offsets in (1, 2, 4):
             real_builds.clear()
-            real_voxelized.clear()
             offset_sensitivity(real, synth, [shift] * n_offsets)
-            counts.append((sum(real_builds), sum(real_voxelized), len(real_voxelized)))
-        assert counts[0][0] > 0
-        assert [c[:2] for c in counts] == [(counts[0][0], 1)] * 3
-        assert [c[2] for c in counts] == [2, 3, 5]  # one real, one per offset
+            counts.append(sum(real_builds))
+        assert counts[0] > 0
+        assert counts == [counts[0]] * 3
+
+    def test_series_calls_each_stage_once_per_offset(self, monkeypatch):
+        # through metric's own namespace, where per-stage timing wraps them
+        calls = {}
+        for name in ("c2c_distance", "compute_m3c2_per_class", "voxel_miou"):
+            def counted(*args, _name=name, _fn=getattr(metric, name), **kwargs):
+                calls[_name] = calls.get(_name, 0) + 1
+                return _fn(*args, **kwargs)
+
+            monkeypatch.setattr(metric, name, counted)
+        real = build_street_scene(48, scale=0.04)
+        synth = build_street_scene(49, scale=0.04)
+        offset_sensitivity(real, synth, scalar_offsets_to_vectors([0.0, 0.1, 0.3]))
+        assert calls == {"c2c_distance": 3, "compute_m3c2_per_class": 3, "voxel_miou": 3}
 
     def test_two_voxel_shift_zeroes_miou(self):
         # slab scene: every class sits in a fixed z layer; shifting by two

@@ -253,6 +253,7 @@ def random_soup(rng, n):
 STRUCTURE_MESHES = {
     "height-field-18": lambda rng: height_field_mesh(rng, 18),
     "height-field-122": lambda rng: height_field_mesh(rng, 122),
+    "soup-65": lambda rng: random_soup(rng, 65),  # halves of 32 and 33: both split
     "soup-600": lambda rng: random_soup(rng, 600),
     "soup-3000": lambda rng: random_soup(rng, 3000),
     "room": lambda rng: build_room_mesh(),
@@ -269,29 +270,29 @@ def test_bvh_structure(name):
     n = len(mesh.triangles)
     corners = mesh.vertices[mesh.triangles]
     centroids = (corners[:, 0] + corners[:, 1] + corners[:, 2]) / 3.0
-    left, right, ids = bvh._left, bvh._right, bvh._leaf_ids
-    leaf = left < 0
+    ids = bvh._leaf_ids
+    n_leaves = ids.shape[0]
 
-    # breadth first: the k-th split node's children are 2k + 1 and 2k + 2
-    assert np.array_equal(left[~leaf], 2 * np.arange((~leaf).sum()) + 1)
-    assert np.array_equal(right, np.where(leaf, -1, left + 1))
-    assert np.array_equal(bvh._leaf_row, np.where(leaf, np.cumsum(leaf) - 1, -1))
+    # a complete tree: the leaves are the whole last level, nodes n_leaves - 1 onwards
+    assert n_leaves & (n_leaves - 1) == 0
+    assert bvh._node_min.shape == bvh._node_max.shape == (2 * n_leaves - 1, 3)
 
-    # leaf rows ascend, padded with n_tris, and hold every triangle once
-    assert ids.shape[0] == leaf.sum()
+    # leaf rows ascend, padded with n, and hold every triangle once
     assert np.all((ids[:, 1:] > ids[:, :-1]) | (ids[:, 1:] == n))
     assert np.array_equal(np.sort(ids[ids < n]), np.arange(n))
 
-    members = [None] * left.size
-    for node in np.flatnonzero(leaf):
-        row = ids[bvh._leaf_row[node]]
-        members[node] = row[row < n]
-        assert 1 <= members[node].size <= spatial._LEAF_SIZE
-    for node in np.flatnonzero(~leaf)[::-1]:
-        lo, hi = members[left[node]], members[right[node]]
+    members = [None] * (2 * n_leaves - 1)
+    for row in range(n_leaves):
+        members[n_leaves - 1 + row] = ids[row][ids[row] < n]
+    leaf_sizes = [m.size for m in members[n_leaves - 1:]]
+    if n <= spatial._LEAF_SIZE:
+        assert leaf_sizes == [n]  # the root is the one leaf
+    else:
+        assert spatial._LEAF_SIZE // 2 <= min(leaf_sizes) and max(leaf_sizes) <= spatial._LEAF_SIZE
+    for node in range(n_leaves - 2, -1, -1):
+        lo, hi = members[2 * node + 1], members[2 * node + 2]
         members[node] = np.concatenate([lo, hi])
-        size = members[node].size
-        assert size > spatial._LEAF_SIZE and lo.size == size // 2
+        assert lo.size == members[node].size // 2
         # the median split along the widest centroid extent, ties to the lower id
         axis = np.argmax(np.ptp(centroids[members[node]], axis=0))
         boundary = centroids[lo, axis].max()
@@ -299,15 +300,17 @@ def test_bvh_structure(name):
         tied_hi = hi[centroids[hi, axis] == boundary]
         assert tied_hi.size == 0 or lo[centroids[lo, axis] == boundary].max() < tied_hi.min()
 
-    # each box is the tight box of its triangles, so it contains its children's
+    # a level splits, all of it, only while one of its nodes holds too many
+    for first in 2 ** np.arange(n_leaves.bit_length() - 1) - 1:
+        assert max(m.size for m in members[first:2 * first + 1]) > spatial._LEAF_SIZE
+
+    # each box is the tight box of its triangles
     for node, tris in enumerate(members):
         np.testing.assert_array_equal(bvh._node_min[node], corners[tris].min(axis=(0, 1)))
         np.testing.assert_array_equal(bvh._node_max[node], corners[tris].max(axis=(0, 1)))
-    assert np.all(bvh._node_min[~leaf] <= np.minimum(bvh._node_min[left[~leaf]], bvh._node_min[right[~leaf]]))
-    assert np.all(bvh._node_max[~leaf] >= np.maximum(bvh._node_max[left[~leaf]], bvh._node_max[right[~leaf]]))
 
     again = Bvh(mesh)
-    for attr in ("_node_min", "_node_max", "_left", "_right", "_leaf_row", "_leaf_ids", "_v0", "_e1", "_e2"):
+    for attr in ("_node_min", "_node_max", "_leaf_ids", "_v0", "_e1", "_e2"):
         a, b = getattr(bvh, attr), getattr(again, attr)
         assert a.dtype == b.dtype and np.array_equal(a, b), attr
 
