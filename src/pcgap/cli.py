@@ -336,7 +336,7 @@ def cmd_report(args) -> int:
         reports = [_parse_report(p, dataset.EvalReport.from_json_dict, d) for p, d in docs]
         ratios = [r.synthetic_ratio for r in reports]
         have_ratios = all(r is not None for r in ratios)
-        order = np.argsort(ratios) if have_ratios else np.arange(len(reports))
+        order = np.argsort(ratios, kind="stable") if have_ratios else np.arange(len(reports))
         reports = [reports[i] for i in order]
         ratios = [ratios[i] for i in order]
         names = [docs[i][0] for i in order]
@@ -467,14 +467,16 @@ def _fail(code: int, message: str) -> int:
 
 
 def _check_float_flags(args) -> None:
-    """Every float flag must be finite, ``--sigma`` >= 0, ``--ratio`` and
-    ``--fraction`` in [0, 1] and ``--count`` positive; a bad value names
-    its flag."""
+    """Every float flag must be finite, ``--sigma`` and ``--seed`` >= 0,
+    ``--ratio`` and ``--fraction`` in [0, 1] and ``--count`` positive; a
+    bad value names its flag."""
     for dest, value in vars(args).items():
         if isinstance(value, float) and not math.isfinite(value):
             raise ConfigError(f"--{dest.replace('_', '-')} must be finite, got {value}")
-    if getattr(args, "sigma", None) is not None and args.sigma < 0:
-        raise ConfigError(f"--sigma must be >= 0, got {args.sigma}")
+    for flag in ("sigma", "seed"):
+        value = getattr(args, flag, None)
+        if value is not None and value < 0:
+            raise ConfigError(f"--{flag} must be >= 0, got {value}")
     for flag in ("ratio", "fraction"):
         value = getattr(args, flag, None)
         if value is not None and not 0 <= value <= 1:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import IntEnum
 from typing import Iterable, Mapping, Sequence
 
@@ -217,6 +217,12 @@ def partition_by_class(cloud: LabeledPointCloud) -> dict[SemanticClass, LabeledP
     for cls in SemanticClass:
         out[cls] = cloud.select(cloud.labels == cls.value)
     return out
+
+
+def record_fields(record, **converted) -> dict:
+    """A dataclass record as a JSON object: its fields by name, each value
+    in ``converted`` (by field name) in place of the field's own."""
+    return {f.name: getattr(record, f.name) for f in fields(record)} | converted
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .core import NON_NOISE_CLASSES, LabeledPointCloud, SemanticClass
+from .core import NON_NOISE_CLASSES, LabeledPointCloud, SemanticClass, record_fields
 from .errors import ConfigError
 
 N_CLASSES = 12
@@ -127,12 +127,9 @@ class SplitSpec:
                 name = entry["name"]
                 if not _is_file_name(name):
                     raise ConfigError(f"regions[{i}].name: {name!r} is not a plain file name")
-                if "rect" in entry:
-                    regions.append(Region(name, rect=tuple(float(v) for v in entry["rect"])))
-                elif "polygon" in entry:
-                    regions.append(Region(name, polygon=np.asarray(entry["polygon"], dtype=np.float64)))
-                else:
-                    raise ValueError("needs 'rect' or 'polygon'")
+                rect = tuple(float(v) for v in entry["rect"]) if "rect" in entry else None
+                polygon = np.asarray(entry["polygon"], dtype=np.float64) if "polygon" in entry else None
+                regions.append(Region(name, rect, polygon))  # it refuses both shapes, or neither
             except (KeyError, TypeError, ValueError) as exc:
                 raise ConfigError(f"regions[{i}]: {exc}") from exc
         return cls(tuple(regions))
@@ -256,22 +253,9 @@ class EvalReport:
             raise ValueError(f"synthetic_ratio must be null or in [0, 1], got {r!r}")
 
     def to_json_dict(self) -> dict:
-        return {
-            "report_type": "eval",
-            "synthetic_ratio": self.synthetic_ratio,
-            "per_class": {
-                cls.canonical_name: {
-                    "tp": ev.tp,
-                    "fp": ev.fp,
-                    "fn": ev.fn,
-                    "iou": ev.iou,
-                    "absent": ev.absent,
-                }
-                for cls, ev in self.per_class.items()
-            },
-            "miou": self.miou,
-            "confusion": self.confusion.tolist(),
-        }
+        per_class = {cls.canonical_name: record_fields(ev) for cls, ev in self.per_class.items()}
+        return {"report_type": "eval",
+                **record_fields(self, per_class=per_class, confusion=self.confusion.tolist())}
 
     @classmethod
     def from_json_dict(cls, raw: Mapping) -> "EvalReport":

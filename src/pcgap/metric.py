@@ -13,7 +13,7 @@ m always lies strictly inside (0, 1) for alpha < 0.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import cached_property
 from typing import Mapping, Sequence
 
@@ -25,6 +25,7 @@ from .core import (
     SemanticClass,
     default_weights,
     partition_by_class,
+    record_fields,
 )
 from .errors import ConfigError, DegenerateDataError, config_number, config_object
 from .spatial import NnIndex, cylinder_means, estimate_normals, voxelize
@@ -40,24 +41,25 @@ class M3c2Params:
     """Cylinder search geometry: normal fit radius, projection radius, and
     half-depth of the search cylinder, all in meters."""
 
-    normal_scale: float = 0.5
-    projection_radius: float = 0.25
-    max_depth: float = 1.0
+    normal_scale_m: float = 0.5
+    projection_radius_m: float = 0.25
+    max_depth_m: float = 1.0
 
     def __post_init__(self):
-        for name in ("normal_scale", "projection_radius", "max_depth"):
-            value = getattr(self, name)
+        for f in fields(self):
+            value = getattr(self, f.name)
             if not math.isfinite(value):
-                raise ConfigError(f"m3c2.{name}_m: must be finite, got {value!r}")
+                raise ConfigError(f"m3c2.{f.name}: must be finite, got {value!r}")
             if value <= 0:
-                raise ConfigError(f"m3c2.{name}_m: must be > 0, got {value!r}")
+                raise ConfigError(f"m3c2.{f.name}: must be > 0, got {value!r}")
 
 
 @dataclass(frozen=True)
 class MetricParams:
-    """Everything the gap pipeline needs, validated on construction.
+    """Everything the gap pipeline needs, validated on construction. Each
+    field is named after its config key.
 
-    ``validation="strict"`` enforces the published weighting rule
+    ``lambda_validation="strict"`` enforces the published weighting rule
     (lambda sum 1, strictly decreasing); ``"relaxed"`` only requires
     non-negative lambdas so alternative weightings can be explored.
     Every error is a :class:`ConfigError` naming the config key path.
@@ -68,37 +70,24 @@ class MetricParams:
     lambda3: float = 0.1
     alpha: float = -0.2
     epsilon: float = 1e-6
-    voxel_edge: float = 0.5
-    weights: ClassWeights = field(default_factory=default_weights)
+    voxel_size_m: float = 0.5
+    class_weights: ClassWeights = field(default_factory=default_weights)
     m3c2: M3c2Params = field(default_factory=M3c2Params)
-    c2c_mode: str = "directed-max"
-    eq3_weight_mode: str = "as-given"
-    validation: str = "strict"
+    lambda_validation: str = field(default="strict", metadata={"modes": LAMBDA_VALIDATION_MODES})
+    c2c_mode: str = field(default="directed-max", metadata={"modes": C2C_MODES})
+    eq3_weight_mode: str = field(default="as-given", metadata={"modes": EQ3_WEIGHT_MODES})
 
     def __post_init__(self):
-        numbers = {
-            "lambda1": self.lambda1,
-            "lambda2": self.lambda2,
-            "lambda3": self.lambda3,
-            "alpha": self.alpha,
-            "epsilon": self.epsilon,
-            "voxel_size_m": self.voxel_edge,
-        }
-        for key, value in numbers.items():
-            if not math.isfinite(value):
-                raise ConfigError(f"{key}: must be finite, got {value!r}")
-        modes = {
-            "lambda_validation": (self.validation, LAMBDA_VALIDATION_MODES),
-            "c2c_mode": (self.c2c_mode, C2C_MODES),
-            "eq3_weight_mode": (self.eq3_weight_mode, EQ3_WEIGHT_MODES),
-        }
-        for key, (value, allowed) in modes.items():
-            if value not in allowed:
-                raise ConfigError(f"{key}: expected one of {allowed}, got {value!r}")
+        for f in fields(self):  # field order: every finite check before any mode check
+            value = getattr(self, f.name)
+            if f.type == "float" and not math.isfinite(value):
+                raise ConfigError(f"{f.name}: must be finite, got {value!r}")
+            if "modes" in f.metadata and value not in f.metadata["modes"]:
+                raise ConfigError(f"{f.name}: expected one of {f.metadata['modes']}, got {value!r}")
         lams = (self.lambda1, self.lambda2, self.lambda3)
         if min(lams) < 0:
             raise ConfigError("lambda1/lambda2/lambda3: must be non-negative")
-        if self.validation == "strict":
+        if self.lambda_validation == "strict":
             if abs(sum(lams) - 1.0) > 1e-9:
                 raise ConfigError(f"lambda1+lambda2+lambda3: must sum to 1, got {sum(lams)!r}")
             if not (self.lambda1 > self.lambda2 > self.lambda3):
@@ -107,8 +96,8 @@ class MetricParams:
             raise ConfigError(f"alpha: must be < 0, got {self.alpha!r}")
         if self.epsilon <= 0:
             raise ConfigError(f"epsilon: must be > 0, got {self.epsilon!r}")
-        if self.voxel_edge <= 0:
-            raise ConfigError(f"voxel_size_m: must be > 0, got {self.voxel_edge!r}")
+        if self.voxel_size_m <= 0:
+            raise ConfigError(f"voxel_size_m: must be > 0, got {self.voxel_size_m!r}")
 
     @classmethod
     def from_json_dict(cls, raw) -> tuple["MetricParams", int]:
@@ -117,47 +106,19 @@ class MetricParams:
         take their defaults and numbers are stored as floats; an unknown
         key or a value of the wrong type is a ConfigError naming its path."""
         cfg = _merge_config({**cls().to_json_dict(), "seed": 0}, config_object(raw, "config root"), "")
-        seed = config_number(cfg["seed"], "seed", integer=True)
+        seed = config_number(cfg.pop("seed"), "seed", integer=True)
+        if seed < 0:
+            raise ConfigError(f"seed: must be >= 0, got {seed!r}")
         try:
-            weights = ClassWeights.from_json_dict(cfg["class_weights"])
+            cfg["class_weights"] = ClassWeights.from_json_dict(cfg["class_weights"])
         except (KeyError, ValueError) as exc:  # an unknown class name, or a bad weight
             raise ConfigError(f"class_weights: {exc}") from exc
-        m3c2 = cfg["m3c2"]
-        params = cls(
-            lambda1=cfg["lambda1"],
-            lambda2=cfg["lambda2"],
-            lambda3=cfg["lambda3"],
-            alpha=cfg["alpha"],
-            epsilon=cfg["epsilon"],
-            voxel_edge=cfg["voxel_size_m"],
-            weights=weights,
-            m3c2=M3c2Params(
-                m3c2["normal_scale_m"], m3c2["projection_radius_m"], m3c2["max_depth_m"]
-            ),
-            c2c_mode=cfg["c2c_mode"],
-            eq3_weight_mode=cfg["eq3_weight_mode"],
-            validation=cfg["lambda_validation"],
-        )
-        return params, seed
+        cfg["m3c2"] = M3c2Params(**cfg["m3c2"])
+        return cls(**cfg), seed
 
     def to_json_dict(self) -> dict:
-        return {
-            "lambda1": self.lambda1,
-            "lambda2": self.lambda2,
-            "lambda3": self.lambda3,
-            "alpha": self.alpha,
-            "epsilon": self.epsilon,
-            "voxel_size_m": self.voxel_edge,
-            "class_weights": self.weights.to_json_dict(),
-            "m3c2": {
-                "normal_scale_m": self.m3c2.normal_scale,
-                "projection_radius_m": self.m3c2.projection_radius,
-                "max_depth_m": self.m3c2.max_depth,
-            },
-            "c2c_mode": self.c2c_mode,
-            "eq3_weight_mode": self.eq3_weight_mode,
-            "lambda_validation": self.validation,
-        }
+        return record_fields(self, class_weights=self.class_weights.to_json_dict(),
+                             m3c2=record_fields(self.m3c2))
 
 
 def _merge_config(defaults: dict, raw: Mapping, prefix: str) -> dict:
@@ -237,9 +198,9 @@ class _RealSide:
         p = self.params
         xyz = self.cloud.xyz
         index = NnIndex(xyz)
-        normals, valid = estimate_normals(index, xyz, p.normal_scale)
+        normals, valid = estimate_normals(index, xyz, p.normal_scale_m)
         cores, normals = xyz[valid], normals[valid]
-        mean_r, _ = cylinder_means(index, cores, normals, p.projection_radius, p.max_depth)
+        mean_r, _ = cylinder_means(index, cores, normals, p.projection_radius_m, p.max_depth_m)
         return cores, normals, mean_r
 
     def against(self, synth_cls: LabeledPointCloud) -> M3c2ClassResult:
@@ -251,7 +212,7 @@ class _RealSide:
         cores, normals, mean_r = self._cores
         p = self.params
         mean_s, count_s = cylinder_means(
-            NnIndex(synth_cls.xyz), cores, normals, p.projection_radius, p.max_depth
+            NnIndex(synth_cls.xyz), cores, normals, p.projection_radius_m, p.max_depth_m
         )
         hit = count_s > 0
         signed = np.einsum("ij,ij->i", mean_s[hit] - mean_r[hit], normals[hit])
@@ -428,26 +389,9 @@ class GapReport:
     offset: tuple[float, float, float]
 
     def to_json_dict(self) -> dict:
-        return {
-            "report_type": "gap",
-            "params": self.params.to_json_dict(),
-            "offset": list(self.offset),
-            "d_c2c": self.d_c2c,
-            "per_class": {
-                cls.canonical_name: {
-                    "m3c2_median": stats.m3c2_median,
-                    "inlier_count": stats.inlier_count,
-                    "outlier_count": stats.outlier_count,
-                    "iou": stats.iou,
-                }
-                for cls, stats in self.per_class.items()
-            },
-            "d_mm3c2": self.d_mm3c2,
-            "miou": self.miou,
-            "f_miou": self.f_miou,
-            "d": self.d,
-            "m_dogss_pcl": self.m_dogss_pcl,
-        }
+        per_class = {cls.canonical_name: record_fields(stats) for cls, stats in self.per_class.items()}
+        return {"report_type": "gap", **record_fields(
+            self, params=self.params.to_json_dict(), offset=list(self.offset), per_class=per_class)}
 
 
 def dogss_pcl(
@@ -490,14 +434,14 @@ def offset_sensitivity(
         raise ValueError("gap comparison requires two non-empty clouds")
     offsets = [np.asarray(vec, dtype=np.float64).reshape(3) for vec in offsets]
     _check_spans(real, synth, offsets)
-    sides = _real_sides(real, params.weights, params.m3c2)
+    sides = _real_sides(real, params.class_weights, params.m3c2)
     reports = []
     for v in offsets:
         moved = synth.translate(v)
         d_c2c = c2c_distance(real, moved, params.c2c_mode)
         m3c2 = compute_m3c2_per_class(sides, moved)
-        d_mm3c2 = aggregate_mm3c2(m3c2, params.weights)
-        iou = voxel_miou(real, moved, params.voxel_edge, params.weights)
+        d_mm3c2 = aggregate_mm3c2(m3c2, params.class_weights)
+        iou = voxel_miou(real, moved, params.voxel_size_m, params.class_weights)
         d, f_miou, m = compose_score(d_mm3c2, d_c2c, iou.miou, params)
         per_class = {
             cls: ClassGapStats(m3c2[cls].median, m3c2[cls].inliers, m3c2[cls].outliers,

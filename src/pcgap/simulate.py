@@ -14,7 +14,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .core import LabeledPointCloud
+from .core import LabeledPointCloud, record_fields
 from .errors import ConfigError, DegenerateDataError, config_number, config_object
 from .spatial import Bvh
 
@@ -70,14 +70,8 @@ class ScanConfig:
         return cls(**raw)
 
     def to_json_dict(self) -> dict:
-        return {
-            "channels": self.channels,
-            "vertical_fov_deg": list(self.vertical_fov_deg),
-            "rotation_rate_hz": self.rotation_rate_hz,
-            "points_per_second": self.points_per_second,
-            "max_range_m": self.max_range_m,
-            "sensor_offset": list(self.sensor_offset),
-        }
+        return record_fields(self, vertical_fov_deg=list(self.vertical_fov_deg),
+                             sensor_offset=list(self.sensor_offset))
 
 
 def _wrap_pi(angle: np.ndarray) -> np.ndarray:
@@ -117,13 +111,17 @@ class Trajectory:
     @classmethod
     def from_samples(cls, samples: Sequence[Mapping]) -> "Trajectory":
         """A trajectory from ``{t, x, y, z, yaw}`` objects (yaw 0 when
-        absent); a sample that is not an object, or a value that is missing
-        or not a number, is a ConfigError naming it as ``[i].key``."""
+        absent); a sample that is not an object, an unknown key, or a value
+        that is missing or not a number, is a ConfigError naming it as
+        ``[i].key``."""
         if not isinstance(samples, (list, tuple)) or not samples:
             raise ConfigError("trajectory needs a non-empty array of samples")
         rows = []
         for i, sample in enumerate(samples):
             sample = {"yaw": 0.0, **config_object(sample, f"[{i}]")}
+            unknown = sorted(set(sample) - set(_SAMPLE_KEYS))
+            if unknown:
+                raise ConfigError(f"[{i}].{unknown[0]}: unknown trajectory key")
             for key in _SAMPLE_KEYS:
                 if key not in sample:
                     raise ConfigError(f"[{i}].{key}: missing from the trajectory sample")

@@ -36,7 +36,7 @@ def _report(name: str, detail: str = ""):
 def test_criterion_1_metric_composition_reproduction():
     """Published component values compose to the published d and m."""
     t0 = time.time()
-    params = MetricParams(lambda2=0.4, validation="relaxed")
+    params = MetricParams(lambda2=0.4, lambda_validation="relaxed")
 
     d, f_miou, m = compose_score(0.04, 0.31, 0.2907, params)
     assert d == pytest.approx(0.148, abs=0.005)

@@ -14,8 +14,9 @@ import pytest
 
 import pcgap
 from pcgap.cli import EXIT_CONFIG, EXIT_DEGENERATE, EXIT_IO, EXIT_OK, main
-from pcgap.core import LabeledPointCloud
-from pcgap.io import FORMAT_XYZL, read_cloud, read_report, write_cloud
+from pcgap.core import LabeledPointCloud, SemanticClass
+from pcgap.dataset import ClassEval, EvalReport
+from pcgap.io import FORMAT_XYZL, read_cloud, read_report, write_cloud, write_report
 from pcgap.metric import MetricParams, dogss_pcl
 
 from conftest import build_street_scene, random_cloud, room_mesh_obj_text
@@ -92,6 +93,9 @@ def small_inputs(tmp_path):
         ("mix", "--fraction", "-0.1"),
         ("mix", "--count", "-3"),
         ("mix", "--count", "0"),
+        ("compare", "--seed", "-1"),
+        ("simulate", "--seed", "-1"),
+        ("mix", "--seed", "-2"),
         # finite, but the draw leaves the float range or the address space
         ("simulate", "--sigma", "1e308"),
         ("mix", "--count", "1000000000000000"),
@@ -157,6 +161,7 @@ def _samples(**second):
     ("--trajectory", _samples(z=-10**400), "[1].z"),
     # more rays than any address space holds: the allocation fails at once
     ("--scan-config", {"points_per_second": 10**15, "channels": 4}, "points_per_second"),
+    ("--trajectory", _samples(yaw_deg=90), "[1].yaw_deg"),
 ])
 def test_simulate_bad_scan_config_or_trajectory_exit_2(tmp_path, small_inputs, capsys,
                                                          flag, doc, key):
@@ -598,6 +603,30 @@ class TestCompare:
         assert manifest["version"]
 
 
+# The manifest ``config`` of a simulate run with every scan key set, byte for
+# byte: numbers are echoed as the scan config file gave them.
+_SIMULATE_CONFIG_TEXT = """  "config": {
+    "format": "xyzl",
+    "scan": {
+      "channels": 4,
+      "max_range_m": 30.5,
+      "points_per_second": 4000,
+      "rotation_rate_hz": 5,
+      "sensor_offset": [
+        0,
+        0.25,
+        1
+      ],
+      "vertical_fov_deg": [
+        -10,
+        12.5
+      ]
+    },
+    "sigma": 0.01
+  },
+  "inputs": {"""
+
+
 class TestSimulateNoise:
     @pytest.fixture()
     def sim_inputs(self, tmp_path):
@@ -628,6 +657,21 @@ class TestSimulateNoise:
         assert len(cloud) > 500
         origins = (tmp_path / "scan.xyzl.origins").read_text().splitlines()
         assert len(origins) == len(cloud)
+
+    def test_manifest_config_bytes(self, tmp_path, sim_inputs):
+        mesh_path, traj_path, scan_path = sim_inputs
+        scan_path.write_text(json.dumps({
+            "channels": 4, "vertical_fov_deg": [-10, 12.5], "rotation_rate_hz": 5,
+            "points_per_second": 4000, "max_range_m": 30.5, "sensor_offset": [0, 0.25, 1],
+        }))
+        out = tmp_path / "scan.xyzl"
+        assert main([
+            "simulate", "--mesh", str(mesh_path), "--trajectory", str(traj_path),
+            "--scan-config", str(scan_path), "--sigma", "0.01", "--seed", "3",
+            "--format", "xyzl", "--out", str(out),
+        ]) == EXIT_OK
+        manifest = (tmp_path / "scan.xyzl.manifest.json").read_text()
+        assert _SIMULATE_CONFIG_TEXT in manifest
 
     def test_noise_sigma_zero_identical_point_data(self, tmp_path, sim_inputs):
         mesh_path, traj_path, scan_path = sim_inputs
@@ -811,6 +855,7 @@ class TestMixSplit:
         {"polygon": [[0, 0], [4, 0], [4, math.inf], [0, 4]]},
         {"rect": [0, 0, math.inf, 4]},
         {"rect": [-math.inf, 0, 4, 4]},
+        {"rect": [0, 0, 4, 4], "polygon": [[0, 0], [4, 0], [0, 4]]},  # two shapes
     ])
     def test_split_non_finite_region_exit_2(self, tmp_path, region, capsys):
         cloud_path = tmp_path / "c.xyzl"
@@ -927,6 +972,19 @@ class TestEvalAndReport:
         assert rows[-1][0] == "mIoU"
         series = json.loads(plot.read_text())["series"]
         assert len(series["mIoU"]) == 5
+
+    def test_eval_columns_keep_argument_order_among_tied_ratios(self, tmp_path):
+        # more than 16 reports: numpy's default argsort is not stable there
+        per_class = {c: ClassEval(0, 0, 0, 0.0, True) for c in SemanticClass}
+        paths = []
+        for i, ratio in enumerate([0.5] * 17 + [0.1]):
+            paths.append(tmp_path / f"eval-{i}.json")
+            write_report(EvalReport(per_class, i / 100, np.zeros((12, 12), np.int64), ratio),
+                         paths[-1])
+        out_csv = tmp_path / "evals.csv"
+        assert main(["report", *map(str, paths), "--out", str(out_csv)]) == EXIT_OK
+        miou_row = list(csv.reader(out_csv.read_text().splitlines()))[-1]
+        assert [float(v) for v in miou_row[1:19]] == [0.17] + [i / 100 for i in range(17)]
 
     @pytest.mark.parametrize("constant", ["NaN", "Infinity", "-Infinity", "1e400", "-1E+999"])
     def test_report_refuses_non_finite_input_exit_3(self, tmp_path, capsys, constant):

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pcgap.core import LabeledPointCloud, default_weights
+from pcgap.core import LabeledPointCloud, SemanticClass, default_weights
 from pcgap.errors import ConfigError, ParseError, PcgapError
 from pcgap.io import (
     FORMAT_PLY_ASCII,
@@ -282,13 +282,13 @@ class TestConfig:
 
     def test_defaults(self):
         params, seed = MetricParams.from_json_dict({})
-        assert params.voxel_edge == 0.5
+        assert params.voxel_size_m == 0.5
         assert (params.lambda1, params.lambda2, params.lambda3) == (0.6, 0.3, 0.1)
         assert params.alpha == -0.2
         assert params.epsilon == 1e-6
         assert params.c2c_mode == "directed-max"
         assert params.eq3_weight_mode == "as-given"
-        assert params.weights.weights == default_weights().weights
+        assert params.class_weights.weights == default_weights().weights
         assert seed == 0
 
     def test_alpha_default_echoed(self):
@@ -338,6 +338,7 @@ class TestConfig:
             ({"lambda_validation": "lax"}, "lambda_validation: expected one of"),
             ({"voxel_size_m": 0}, "voxel_size_m: must be > 0"),
             ({"m3c2": {"max_depth_m": 0}}, "m3c2.max_depth_m: must be > 0"),
+            ({"seed": -1}, "seed: must be >= 0"),
         ],
     )
     def test_refusals_name_the_key_path(self, raw, message):
@@ -357,11 +358,131 @@ class TestConfig:
         assert seed == 4
 
     def test_round_trips_its_own_json(self):
-        params = MetricParams(lambda2=0.4, alpha=-1.0, validation="relaxed")
+        params = MetricParams(lambda2=0.4, alpha=-1.0, lambda_validation="relaxed")
         assert MetricParams.from_json_dict({**params.to_json_dict(), "seed": 9}) == (params, 9)
 
 
+def _pinned_gap_report():
+    """A gap report of fixed numbers whose parameters all differ from the
+    defaults, built from config keys alone."""
+    from pcgap.metric import ClassGapStats, GapReport
+
+    params, _ = MetricParams.from_json_dict({
+        "voxel_size_m": 0.3, "lambda1": 0.5, "lambda2": 0.4, "lambda3": 0.25, "alpha": -0.5,
+        "epsilon": 0.001, "class_weights": {"WallSurface": 0.75, "Door": 0.25},
+        "m3c2": {"normal_scale_m": 0.75, "projection_radius_m": 0.125, "max_depth_m": 1.5},
+        "c2c_mode": "directed-mean", "eq3_weight_mode": "renormalized",
+        "lambda_validation": "relaxed",
+    })
+    per_class = {SemanticClass.WALL_SURFACE: ClassGapStats(-0.125, 40, 2, 0.75),
+                 SemanticClass.VEHICLE: ClassGapStats(None, 0, 0, None)}
+    return GapReport(params=params, d_c2c=0.5, per_class=per_class, d_mm3c2=0.25, miou=0.625,
+                     f_miou=1.6, d=0.375, m_dogss_pcl=0.5, offset=(0.0, 0.5, -1.0))
+
+
+def _pinned_eval_report():
+    from pcgap.dataset import ClassEval, EvalReport
+
+    per_class = {SemanticClass.ROAD_SURFACE: ClassEval(3, 1, 0, 0.75, False),
+                 SemanticClass.NOISE: ClassEval(0, 0, 0, 0.0, True)}
+    return EvalReport(per_class=per_class, miou=0.375, confusion=np.array([[3, 1], [0, 0]]),
+                      synthetic_ratio=0.25)
+
+
+# The exact bytes each record above is written as. A key renamed on both the
+# writing and the reading side passes every round trip, but not this text.
+_PINNED_GAP_TEXT = """{
+  "d": 0.375,
+  "d_c2c": 0.5,
+  "d_mm3c2": 0.25,
+  "f_miou": 1.6,
+  "m_dogss_pcl": 0.5,
+  "miou": 0.625,
+  "offset": [
+    0.0,
+    0.5,
+    -1.0
+  ],
+  "params": {
+    "alpha": -0.5,
+    "c2c_mode": "directed-mean",
+    "class_weights": {
+      "Door": 0.25,
+      "WallSurface": 0.75
+    },
+    "epsilon": 0.001,
+    "eq3_weight_mode": "renormalized",
+    "lambda1": 0.5,
+    "lambda2": 0.4,
+    "lambda3": 0.25,
+    "lambda_validation": "relaxed",
+    "m3c2": {
+      "max_depth_m": 1.5,
+      "normal_scale_m": 0.75,
+      "projection_radius_m": 0.125
+    },
+    "voxel_size_m": 0.3
+  },
+  "per_class": {
+    "Vehicle": {
+      "inlier_count": 0,
+      "iou": null,
+      "m3c2_median": null,
+      "outlier_count": 0
+    },
+    "WallSurface": {
+      "inlier_count": 40,
+      "iou": 0.75,
+      "m3c2_median": -0.125,
+      "outlier_count": 2
+    }
+  },
+  "report_type": "gap"
+}
+"""
+_PINNED_EVAL_TEXT = """{
+  "confusion": [
+    [
+      3,
+      1
+    ],
+    [
+      0,
+      0
+    ]
+  ],
+  "miou": 0.375,
+  "per_class": {
+    "Noise": {
+      "absent": true,
+      "fn": 0,
+      "fp": 0,
+      "iou": 0.0,
+      "tp": 0
+    },
+    "RoadSurface": {
+      "absent": false,
+      "fn": 0,
+      "fp": 1,
+      "iou": 0.75,
+      "tp": 3
+    }
+  },
+  "report_type": "eval",
+  "synthetic_ratio": 0.25
+}
+"""
+
+
 class TestReports:
+    @pytest.mark.parametrize("build,text", [
+        (_pinned_gap_report, _PINNED_GAP_TEXT), (_pinned_eval_report, _PINNED_EVAL_TEXT),
+    ], ids=["gap", "eval"])
+    def test_serialized_bytes(self, tmp_path, build, text):
+        p = tmp_path / "report.json"
+        dump_json(build().to_json_dict(), p)
+        assert p.read_text() == text
+
     def test_gap_report_round_trip(self, tmp_path):
         from pcgap.metric import MetricParams, dogss_pcl
 

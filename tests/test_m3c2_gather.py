@@ -268,12 +268,12 @@ def brute_force_m3c2(real, synth, params):
     if len(synth) == 0:
         return None, 0, n_cores
     index_r, index_s = NnIndex(real.xyz), NnIndex(synth.xyz)
-    normals, valid = estimate_normals(index_r, real.xyz, params.normal_scale)
+    normals, valid = estimate_normals(index_r, real.xyz, params.normal_scale_m)
     signed = []
     for core, n, ok in zip(real.xyz, normals, valid):
         if not ok:
             continue
-        geometry = (params.projection_radius, params.max_depth)
+        geometry = (params.projection_radius_m, params.max_depth_m)
         in_r = index_r.within_cylinder(core, n, *geometry)
         in_s = index_s.within_cylinder(core, n, *geometry)
         if len(in_r) and len(in_s):
@@ -467,9 +467,9 @@ def assert_same_m3c2_kernels(real_xyz, synth_xyz, params=M3c2Params()):
     """Normals at every real point, then the real and synthetic cylinder
     pairs at the cores with a valid normal, as ``_RealSide`` runs them."""
     index_r = NnIndex(real_xyz)
-    normals, valid = assert_same_normals(index_r, real_xyz, params.normal_scale)
+    normals, valid = assert_same_normals(index_r, real_xyz, params.normal_scale_m)
     cores, axes = real_xyz[valid], normals[valid]
-    geometry = (params.projection_radius, params.max_depth)
+    geometry = (params.projection_radius_m, params.max_depth_m)
     for index in (index_r, NnIndex(synth_xyz)):
         assert_same_pairs(index, cores, axes, *geometry)
 

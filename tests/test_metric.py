@@ -49,7 +49,7 @@ class TestParams:
             MetricParams(lambda1=0.1, lambda2=0.3, lambda3=0.6)
 
     def test_relaxed_allows_reproduction_weights(self):
-        p = MetricParams(lambda1=0.6, lambda2=0.4, lambda3=0.1, validation="relaxed")
+        p = MetricParams(lambda1=0.6, lambda2=0.4, lambda3=0.1, lambda_validation="relaxed")
         assert p.lambda2 == 0.4
 
     def test_alpha_must_be_negative(self):
@@ -168,13 +168,13 @@ class TestM3c2:
         scan = simulate_scan(build_room_mesh(), trajectory, config)
         real, synth = scan.cloud, apply_range_noise(scan, NoiseModel(0.02, seed=8)).cloud
         p = MetricParams()
-        base = metric.compute_m3c2_per_class(metric._real_sides(real, p.weights, p.m3c2), synth)
+        base = metric.compute_m3c2_per_class(metric._real_sides(real, p.class_weights, p.m3c2), synth)
         rng = np.random.default_rng(41)
         for _ in range(3):
             pr, ps = rng.permutation(len(real)), rng.permutation(len(synth))
             got = metric.compute_m3c2_per_class(
                 metric._real_sides(LabeledPointCloud(real.xyz[pr], real.labels[pr]),
-                                   p.weights, p.m3c2),
+                                   p.class_weights, p.m3c2),
                 LabeledPointCloud(synth.xyz[ps], synth.labels[ps]),
             )
             for cls, res in base.items():
@@ -293,14 +293,14 @@ class TestVoxelMiou:
 
 class TestCompose:
     def test_published_aligned_column(self):
-        params = MetricParams(lambda2=0.4, validation="relaxed")
+        params = MetricParams(lambda2=0.4, lambda_validation="relaxed")
         d, f_miou, m = compose_score(0.04, 0.31, 0.2907, params)
         assert d == pytest.approx(0.148, abs=0.005)
         assert f_miou == pytest.approx(3.44, abs=0.005)
         assert m == pytest.approx(0.09, abs=0.01)
 
     def test_published_translated_column(self):
-        params = MetricParams(lambda2=0.4, validation="relaxed")
+        params = MetricParams(lambda2=0.4, lambda_validation="relaxed")
         d, f_miou, m = compose_score(1.01, 1.34, 0.02, params)
         assert d == pytest.approx(1.14, abs=0.01)
         assert m == pytest.approx(0.73, abs=0.03)
@@ -360,7 +360,7 @@ class TestDogssPcl:
     def test_aggregates_recomputable_from_per_class(self, small_pair):
         real, synth = small_pair
         report = dogss_pcl(real, synth)
-        weights = report.params.weights
+        weights = report.params.class_weights
         defined = [c for c, s in report.per_class.items()
                    if s.m3c2_median is not None and weights.get(c) > 0]
         renorm = weights.restricted_to(defined)
