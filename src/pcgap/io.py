@@ -8,6 +8,11 @@ Formats:
   * Wavefront-style OBJ for meshes: group/object names carry the class.
 
 All coordinates are meters. Write/read pairs round-trip losslessly.
+
+Each input is read once. Text is ASCII: a non-ASCII byte decodes to U+FFFD,
+so it is never a digit or a separator. Lines end at ``\\n``, ``\\r\\n`` or
+``\\r`` only (str.splitlines would also end them at ``\\x0b``, ``\\x0c`` and
+``\\x1c``-``\\x1e``, which separate fields).
 """
 
 from __future__ import annotations
@@ -21,6 +26,7 @@ import re
 import stat
 import warnings
 from dataclasses import dataclass
+from io import BytesIO, TextIOWrapper
 from pathlib import Path
 from typing import Mapping
 
@@ -50,15 +56,14 @@ def read_cloud(path, fmt: str = "auto") -> LabeledPointCloud:
     path = Path(path)
     if not path.exists():
         raise FileNotFoundError(f"no such cloud file: {path}")
-    if fmt == "auto":
-        with open(path, "rb") as fh:
-            is_ply = fh.read(3) == b"ply"
-        return _read_ply(path) if is_ply else _read_xyzl(path)
-    if fmt == FORMAT_XYZL:
-        return _read_xyzl(path)
-    if fmt in (FORMAT_PLY_ASCII, FORMAT_PLY_BINARY):
-        return _read_ply(path)  # ascii or binary, as its header says
-    raise FormatError(f"unknown cloud format: {fmt!r}")
+    if fmt not in ("auto", *CLOUD_FORMATS):
+        raise FormatError(f"unknown cloud format: {fmt!r}")
+    data = path.read_bytes()
+    if fmt != FORMAT_XYZL and (fmt != "auto" or data.startswith(b"ply")):
+        return _read_ply(path, data)  # ascii or binary, as its header says
+    table = _read_text_table(path, _XYZL, data)
+    xyz = np.column_stack([table["x"], table["y"], table["z"]])
+    return LabeledPointCloud(xyz, coerce_labels(table["label"], str(path)))
 
 
 def write_cloud(cloud: LabeledPointCloud, path, fmt: str = "auto") -> None:
@@ -71,12 +76,6 @@ def write_cloud(cloud: LabeledPointCloud, path, fmt: str = "auto") -> None:
         _write_ply(cloud, path, binary=fmt == FORMAT_PLY_BINARY)
     else:
         raise FormatError(f"unknown cloud format: {fmt!r}")
-
-
-def _read_xyzl(path: Path) -> LabeledPointCloud:
-    table = _read_text_table(path, _XYZL)
-    xyz = np.column_stack([table["x"], table["y"], table["z"]])
-    return LabeledPointCloud(xyz, coerce_labels(table["label"], str(path)))
 
 
 # ---------------------------------------------------------------------------
@@ -160,14 +159,16 @@ def _bulk_table(spec: _TextTable, source, max_rows: int | None = None) -> np.nda
     return table
 
 
-def _read_text_table(path, spec: _TextTable) -> np.ndarray:
-    with open(path, "rb") as fh:
-        ascii_only = all(chunk.isascii() for chunk in iter(lambda: fh.read(1 << 20), b""))
-    with open(path, "r", encoding="utf-8", errors="replace") as fh:
-        table = _bulk_table(spec, fh) if ascii_only else None
+def _read_text_table(path, spec: _TextTable, data: bytes, first_line: int = 1,
+                     max_rows: int | None = None) -> np.ndarray:
+    """Records of the text table ``data`` (bytes) from the bulk parse, or
+    from the line scan when that refuses them or they are not ASCII. Both
+    decode as they go: a decoded copy in a StringIO holds 5x the bytes."""
+    with TextIOWrapper(BytesIO(data), encoding="ascii", errors="replace", newline=None) as text:
+        table = _bulk_table(spec, text, max_rows) if data.isascii() else None
         if table is None:
-            fh.seek(0)
-            table = _scan_table(path, spec, fh)
+            text.seek(0)
+            table = _scan_table(path, spec, text, first_line, max_rows)
     return table
 
 
@@ -240,10 +241,7 @@ _PLY_TYPES = {
 _LABEL_PROPERTIES = ("class_id", "scalar_classification")
 
 
-def _read_ply(path: Path) -> LabeledPointCloud:
-    with open(path, "rb") as fh:
-        data = fh.read()
-
+def _read_ply(path: Path, data: bytes) -> LabeledPointCloud:
     end = data.find(b"end_header")
     if not data.startswith(b"ply") or end < 0:
         raise ParseError(path, "not a ply file (missing header)")
@@ -324,15 +322,9 @@ def _read_ply(path: Path) -> LabeledPointCloud:
             f"vertex row has {{n}} fields, expected {len(props)}", "bad vertex value: {exc}",
             comments=False,
         )
-        # split at \n, \r\n and \r only, as the text reader does (str.splitlines
-        # would also split at \x0b, \x0c and \x1c-\x1e)
-        text = body.decode("ascii", errors="replace")
-        rows = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
-        table = _bulk_table(spec, rows, max_rows=count) if body.isascii() else None
-        if table is None:
-            # count "\n"s: str.splitlines would also end a header line at "\x0c"
-            first_line = data.count(b"\n", 0, header_end) + 2
-            table = _scan_table(path, spec, rows, first_line=first_line, max_rows=count)
+        # count "\n"s: str.splitlines would also end a header line at "\x0c"
+        first_line = data.count(b"\n", 0, header_end) + 2
+        table = _read_text_table(path, spec, body, first_line, max_rows=count)
         if len(table) != count:
             raise ParseError(path, f"vertex data truncated: {len(table)} of {count} rows")
     columns = {lower[i]: table[f"f{i}"] for i in range(len(props))}
@@ -385,10 +377,8 @@ def read_ray_origins(path) -> np.ndarray:
     """A sidecar's origins. A scan's channels share each step's origin, so
     a run of identical lines is parsed once; a file where that gives other
     than one row per distinct line is read as any other text table."""
-    with open(path, "rb") as fh:
-        data = fh.read()
-    # split at \n, \r\n and \r only, as the text reader does (str.splitlines
-    # would also split at \x0b, \x0c and \x1c-\x1e)
+    data = Path(path).read_bytes()
+    # bytes.splitlines splits at \n, \r\n and \r only, as the text reader does
     lines = data.splitlines() if data.isascii() else []
     table = None
     if lines:
@@ -397,13 +387,14 @@ def read_ray_origins(path) -> np.ndarray:
         if distinct is not None and len(distinct) == len(first):
             table = np.repeat(distinct, np.diff(first, append=len(lines)))
     if table is None:
-        table = _read_text_table(path, _ORIGINS)
+        table = _read_text_table(path, _ORIGINS, data)
     return np.column_stack([table["x"], table["y"], table["z"]])
 
 
 def read_label_file(path) -> np.ndarray:
     """Prediction labels, one integer per line; out-of-range goes to Noise."""
-    return coerce_labels(_read_text_table(path, _LABELS)["label"], context=str(path))
+    table = _read_text_table(path, _LABELS, Path(path).read_bytes())
+    return coerce_labels(table["label"], context=str(path))
 
 
 def write_provenance(provenance: np.ndarray, path) -> None:
@@ -482,7 +473,7 @@ def read_mesh(path) -> ClassedMesh:
     path = Path(path)
     if not path.exists():
         raise FileNotFoundError(f"no such mesh file: {path}")
-    text = path.read_text(encoding="utf-8", errors="replace")
+    text = path.read_text(encoding="ascii", errors="replace")  # U+FFFD is never a digit
     lines = text.split("\n")
     parsed = _bulk_obj(path, text, lines) if text.isascii() else None
     verts, tri_arr, cls_arr = parsed or _scan_obj(path, lines)

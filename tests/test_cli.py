@@ -925,6 +925,17 @@ class TestEvalAndReport:
                      "--out", str(tmp_path / "e.json")])
         assert code == EXIT_CONFIG
 
+    def test_eval_seg_non_ascii_label_exit_3(self, tmp_path, capsys):
+        truth, pred = self._write_eval_fixture(tmp_path, "na", 82)
+        labels = pred.read_text().splitlines()
+        labels[6] = "٣"  # Arabic-Indic three: not a digit of any input
+        pred.write_text("\n".join(labels) + "\n", encoding="utf-8")
+        code = main(["eval-seg", "--truth", str(truth), "--pred", str(pred),
+                     "--out", str(tmp_path / "e.json")])
+        assert code == EXIT_IO
+        assert json.loads(capsys.readouterr().err)["error"].startswith(f"{pred}:7: bad label")
+        assert not (tmp_path / "e.json").exists()
+
     def test_gap_report_csv(self, tmp_path, capsys):
         real = build_street_scene(76, scale=0.02)
         synth = build_street_scene(77, scale=0.02)

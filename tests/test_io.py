@@ -2,6 +2,7 @@ import json
 import os
 import re
 import stat
+import sys
 import threading
 
 import numpy as np
@@ -9,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pcgap import io as pio
 from pcgap.core import LabeledPointCloud, SemanticClass, default_weights
 from pcgap.errors import ConfigError, ParseError, PcgapError
 from pcgap.io import (
@@ -29,7 +31,7 @@ from pcgap.io import (
 )
 from pcgap.metric import MetricParams
 
-from conftest import random_cloud
+from conftest import random_cloud, room_mesh_obj_text
 
 
 coord = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False)
@@ -264,6 +266,16 @@ class TestObjMesh:
         p = tmp_path / "m.obj"
         p.write_text("g Door\nv 0 0 0\nv 1 0 0\nf 1 2\n")
         with pytest.raises(ParseError, match="at least 3"):
+            read_mesh(p)
+
+    @pytest.mark.parametrize("line,error", [
+        ("v 0 \u0661 0", "bad vertex coordinate"),  # Arabic-Indic one
+        ("f 1 2 \u0663", "bad face index"),  # Arabic-Indic three
+    ])
+    def test_non_ascii_digit_is_not_a_digit(self, line, error, tmp_path):
+        p = tmp_path / "m.obj"
+        p.write_text(f"g Door\nv 0 0 0\nv 1 0 0\nv 0 1 0\n{line}\n", encoding="utf-8")
+        with pytest.raises(ParseError, match=re.escape(f"{p}:5: {error}")):
             read_mesh(p)
 
     @given(blob=st.binary(min_size=0, max_size=300))
@@ -532,6 +544,93 @@ class TestReports:
         p.write_text("0\n13\n")
         with caplog.at_level("WARNING"):
             assert read_label_file(p).tolist() == [12, 12]
+
+
+# ---------------------------------------------------------------------------
+# every text format: one ASCII rule, one read of each input
+# ---------------------------------------------------------------------------
+
+_PLY_ASCII_HEAD = (  # 8 lines: the body's first row is the file's 9th line
+    "ply\nformat ascii 1.0\nelement vertex 2\nproperty double x\nproperty double y\n"
+    "property double z\nproperty uchar class_id\nend_header\n"
+)
+# reader, header, the fields of a clean row
+_TABLES = {
+    "xyzl": (read_cloud, "", ["1", "2", "3", "4"]),
+    "ply-ascii": (read_cloud, _PLY_ASCII_HEAD, ["1", "2", "3", "4"]),
+    "origins": (read_ray_origins, "", ["1", "2", "3"]),
+    "labels": (read_label_file, "", ["4"]),
+}
+_NON_ASCII_ROWS = {
+    "arabic-indic-3-last": lambda fields: " ".join(fields[:-1] + ["\u0663"]),
+    "fullwidth-1-first": lambda fields: " ".join(["\uff11"] + fields[1:]),
+    "no-break-spaces": lambda fields: "\xa0" + "\xa0".join(fields),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_NON_ASCII_ROWS))
+@pytest.mark.parametrize("table", sorted(_TABLES))
+def test_non_ascii_is_never_a_digit_or_a_separator(table, case, tmp_path):
+    read, head, fields = _TABLES[table]
+    p = tmp_path / f"t.{table}"
+    p.write_text(head + " ".join(fields) + "\n" + _NON_ASCII_ROWS[case](fields) + "\n",
+                 encoding="utf-8")
+    line = head.count("\n") + 2
+    with pytest.raises(ParseError, match=re.escape(f"{p}:{line}: ")):
+        read(p)
+
+
+_opened = None  # while a list, the audit hook below appends each opened path
+
+
+def _audit(event, args):
+    if event == "open" and _opened is not None:
+        _opened.append(str(args[0]))
+
+
+@pytest.fixture(scope="module")
+def open_audit():
+    sys.addaudithook(_audit)  # cannot be removed: it counts only while _opened is set
+
+
+def _origins_file(p, text_fallback):
+    write_ray_origins(np.repeat(np.eye(3), 16, axis=0), p)
+    if text_fallback:  # a comment line: the run parse refuses the file
+        p.write_text("# origins\n" + p.read_text())
+
+
+def _cloud_file(fmt):
+    return lambda p: write_cloud(random_cloud(np.random.default_rng(1), 40), p, fmt)
+
+
+_INPUTS = {
+    "xyzl": (read_cloud, _cloud_file(FORMAT_XYZL)),
+    "ply-binary": (read_cloud, _cloud_file(FORMAT_PLY_BINARY)),
+    "ply-ascii": (read_cloud, _cloud_file(FORMAT_PLY_ASCII)),
+    "labels": (read_label_file, lambda p: p.write_text("1\n2\n# note\n12\n")),
+    "origins-runs": (read_ray_origins, lambda p: _origins_file(p, False)),
+    "origins-fallback": (read_ray_origins, lambda p: _origins_file(p, True)),
+    "obj": (read_mesh, lambda p: p.write_text(room_mesh_obj_text())),
+}
+
+
+@pytest.mark.parametrize("name", list(_INPUTS))
+def test_each_reader_opens_its_input_once(name, tmp_path, open_audit, monkeypatch):
+    global _opened
+    read, write = _INPUTS[name]
+    p = tmp_path / name
+    write(p)
+    table_reads, real = [], pio._read_text_table
+    monkeypatch.setattr(pio, "_read_text_table",
+                        lambda *a, **k: table_reads.append(a) or real(*a, **k))
+    _opened = []
+    try:
+        read(p)
+    finally:
+        opened, _opened = _opened, None
+    assert opened.count(str(p)) == 1
+    if name.startswith("origins"):  # both origins paths are covered
+        assert bool(table_reads) == name.endswith("fallback")
 
 
 def _temps(directory):
