@@ -57,3 +57,14 @@ def config_object(value, key: str) -> Mapping:
     if not isinstance(value, Mapping):
         raise ConfigError(f"{key}: expected an object")
     return value
+
+
+def config_fields(value, key: str, record, prefix: str = "") -> dict:
+    """``value`` as a dict when it is a JSON object whose every key names a
+    field of the dataclass ``record``, else a ConfigError naming ``key`` or
+    the unknown key, after ``prefix``."""
+    value = dict(config_object(value, key))
+    for name in value:
+        if name not in record.__dataclass_fields__:
+            raise ConfigError(f"{prefix}{name}: unknown config key")
+    return value

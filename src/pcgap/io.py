@@ -51,15 +51,14 @@ _FLOAT_FMT = "%.17g"  # enough digits for exact float64 round-trips
 # ---------------------------------------------------------------------------
 
 
-def read_cloud(path, fmt: str = "auto") -> LabeledPointCloud:
-    """Read a labeled cloud; out-of-range labels are coerced to Noise."""
+def read_cloud(path) -> LabeledPointCloud:
+    """Read a labeled cloud: PLY when its bytes start with ``ply``, XYZL
+    otherwise; out-of-range labels are coerced to Noise."""
     path = Path(path)
     if not path.exists():
         raise FileNotFoundError(f"no such cloud file: {path}")
-    if fmt not in ("auto", *CLOUD_FORMATS):
-        raise FormatError(f"unknown cloud format: {fmt!r}")
     data = path.read_bytes()
-    if fmt != FORMAT_XYZL and (fmt != "auto" or data.startswith(b"ply")):
+    if data.startswith(b"ply"):
         return _read_ply(path, data)  # ascii or binary, as its header says
     table = _read_text_table(path, _XYZL, data)
     xyz = np.column_stack([table["x"], table["y"], table["z"]])

@@ -27,13 +27,23 @@ from .core import (
     partition_by_class,
     record_fields,
 )
-from .errors import ConfigError, DegenerateDataError, config_number, config_object
+from .errors import ConfigError, DegenerateDataError, config_fields, config_number, config_object
 from .spatial import NnIndex, cylinder_means, estimate_normals, voxelize
 
 C2C_MODES = ("directed-max", "directed-mean", "symmetric-max")
 EQ3_WEIGHT_MODES = ("as-given", "renormalized")
 LAMBDA_VALIDATION_MODES = ("strict", "relaxed")
 _CLASS_SLOTS = 16  # class ids (1..12) take the low 4 bits of a voxel key
+
+
+def _float_field(record, name: str, key: str) -> float:
+    """Field ``name`` of a frozen ``record``, stored back as a float; a
+    ConfigError naming ``key`` when it is not a finite number."""
+    value = float(config_number(getattr(record, name), key))
+    if not math.isfinite(value):
+        raise ConfigError(f"{key}: must be finite, got {value!r}")
+    object.__setattr__(record, name, value)
+    return value
 
 
 @dataclass(frozen=True)
@@ -47,9 +57,7 @@ class M3c2Params:
 
     def __post_init__(self):
         for f in fields(self):
-            value = getattr(self, f.name)
-            if not math.isfinite(value):
-                raise ConfigError(f"m3c2.{f.name}: must be finite, got {value!r}")
+            value = _float_field(self, f.name, f"m3c2.{f.name}")
             if value <= 0:
                 raise ConfigError(f"m3c2.{f.name}: must be > 0, got {value!r}")
 
@@ -62,7 +70,8 @@ class MetricParams:
     ``lambda_validation="strict"`` enforces the published weighting rule
     (lambda sum 1, strictly decreasing); ``"relaxed"`` only requires
     non-negative lambdas so alternative weightings can be explored.
-    Every error is a :class:`ConfigError` naming the config key path.
+    Numbers are stored as floats. Every error is a :class:`ConfigError`
+    naming the config key path.
     """
 
     lambda1: float = 0.6
@@ -71,17 +80,17 @@ class MetricParams:
     alpha: float = -0.2
     epsilon: float = 1e-6
     voxel_size_m: float = 0.5
-    class_weights: ClassWeights = field(default_factory=default_weights)
-    m3c2: M3c2Params = field(default_factory=M3c2Params)
+    class_weights: ClassWeights = field(default_factory=default_weights, metadata={"record": ClassWeights})
+    m3c2: M3c2Params = field(default_factory=M3c2Params, metadata={"record": M3c2Params})
     lambda_validation: str = field(default="strict", metadata={"modes": LAMBDA_VALIDATION_MODES})
     c2c_mode: str = field(default="directed-max", metadata={"modes": C2C_MODES})
     eq3_weight_mode: str = field(default="as-given", metadata={"modes": EQ3_WEIGHT_MODES})
 
     def __post_init__(self):
-        for f in fields(self):  # field order: every finite check before any mode check
-            value = getattr(self, f.name)
-            if f.type == "float" and not math.isfinite(value):
-                raise ConfigError(f"{f.name}: must be finite, got {value!r}")
+        for f in fields(self):  # field order: every number checked before any mode
+            value = _float_field(self, f.name, f.name) if f.type == "float" else getattr(self, f.name)
+            if "record" in f.metadata and not isinstance(value, f.metadata["record"]):
+                raise ConfigError(f"{f.name}: expected {f.type}, got {value!r}")
             if "modes" in f.metadata and value not in f.metadata["modes"]:
                 raise ConfigError(f"{f.name}: expected one of {f.metadata['modes']}, got {value!r}")
         lams = (self.lambda1, self.lambda2, self.lambda3)
@@ -103,43 +112,26 @@ class MetricParams:
     def from_json_dict(cls, raw) -> tuple["MetricParams", int]:
         """Parameters and seed from a config object of the shape
         :meth:`to_json_dict` writes, plus ``seed`` (default 0). Missing keys
-        take their defaults and numbers are stored as floats; an unknown
-        key or a value of the wrong type is a ConfigError naming its path."""
-        cfg = _merge_config({**cls().to_json_dict(), "seed": 0}, config_object(raw, "config root"), "")
-        seed = config_number(cfg.pop("seed"), "seed", integer=True)
+        take their defaults; an unknown key is a ConfigError naming its path,
+        and every value is checked on construction."""
+        cfg = dict(config_object(raw, "config root"))
+        seed = config_number(cfg.pop("seed", 0), "seed", integer=True)
         if seed < 0:
             raise ConfigError(f"seed: must be >= 0, got {seed!r}")
-        try:
-            cfg["class_weights"] = ClassWeights.from_json_dict(cfg["class_weights"])
-        except (KeyError, ValueError) as exc:  # an unknown class name, or a bad weight
-            raise ConfigError(f"class_weights: {exc}") from exc
-        cfg["m3c2"] = M3c2Params(**cfg["m3c2"])
+        cfg = config_fields(cfg, "config root", cls)
+        cfg["m3c2"] = M3c2Params(**config_fields(cfg.get("m3c2", {}), "m3c2", M3c2Params, "m3c2."))
+        if "class_weights" in cfg:
+            weights = {name: config_number(w, f"class_weights.{name}")
+                       for name, w in config_object(cfg["class_weights"], "class_weights").items()}
+            try:
+                cfg["class_weights"] = ClassWeights.from_json_dict(weights)
+            except (KeyError, ValueError) as exc:  # an unknown class name, or a bad weight
+                raise ConfigError(f"class_weights: {exc}") from exc
         return cls(**cfg), seed
 
     def to_json_dict(self) -> dict:
         return record_fields(self, class_weights=self.class_weights.to_json_dict(),
                              m3c2=record_fields(self.m3c2))
-
-
-def _merge_config(defaults: dict, raw: Mapping, prefix: str) -> dict:
-    """``defaults`` overridden by ``raw``, whose keys must be known and
-    whose values take the defaults' types: a number where the default is a
-    float, an object for ``m3c2`` (merged the same way) and for
-    ``class_weights`` (of numbers, replacing the default)."""
-    merged = dict(defaults)
-    for key, value in raw.items():
-        path = prefix + key
-        if key not in defaults:
-            raise ConfigError(f"{path}: unknown config key")
-        if key == "m3c2":
-            value = _merge_config(defaults[key], config_object(value, path), "m3c2.")
-        elif key == "class_weights":
-            value = {name: float(config_number(w, f"{path}.{name}"))
-                     for name, w in config_object(value, path).items()}
-        elif isinstance(defaults[key], float):
-            value = float(config_number(value, path))
-        merged[key] = value
-    return merged
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .core import LabeledPointCloud, record_fields
-from .errors import ConfigError, DegenerateDataError, config_number, config_object
+from .errors import ConfigError, DegenerateDataError, config_fields, config_number, config_object
 from .spatial import Bvh
 
 _TWO_PI = 2.0 * math.pi
@@ -64,10 +64,7 @@ class ScanConfig:
         """A config from a JSON object of this class's fields; an unknown
         key, or a value of the wrong type, length or range, is a
         ConfigError naming it."""
-        unknown = set(config_object(raw, "scan config root")) - set(cls.__dataclass_fields__)
-        if unknown:
-            raise ConfigError(f"unknown scan config keys: {sorted(unknown)}")
-        return cls(**raw)
+        return cls(**config_fields(raw, "scan config root", cls))
 
     def to_json_dict(self) -> dict:
         return record_fields(self, vertical_fov_deg=list(self.vertical_fov_deg),

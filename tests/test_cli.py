@@ -673,6 +673,16 @@ class TestSimulateNoise:
         manifest = (tmp_path / "scan.xyzl.manifest.json").read_text()
         assert _SIMULATE_CONFIG_TEXT in manifest
 
+    def test_unknown_scan_config_key_exit_2(self, tmp_path, sim_inputs, capsys):
+        mesh_path, traj_path, scan_path = sim_inputs
+        scan_path.write_text(json.dumps({"chanels": 4}))
+        out = tmp_path / "scan.xyzl"
+        code = main(["simulate", "--mesh", str(mesh_path), "--trajectory", str(traj_path),
+                     "--scan-config", str(scan_path), "--out", str(out)])
+        assert code == EXIT_CONFIG
+        assert json.loads(capsys.readouterr().err)["error"] == f"{scan_path}: chanels: unknown config key"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["room.obj", "scan.json", "traj.json"]
+
     def test_noise_sigma_zero_identical_point_data(self, tmp_path, sim_inputs):
         mesh_path, traj_path, scan_path = sim_inputs
         scan_out = tmp_path / "scan.xyzl"

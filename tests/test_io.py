@@ -4,6 +4,7 @@ import re
 import stat
 import sys
 import threading
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -29,7 +30,7 @@ from pcgap.io import (
     write_ray_origins,
     write_report,
 )
-from pcgap.metric import MetricParams
+from pcgap.metric import M3c2Params, MetricParams
 
 from conftest import random_cloud, room_mesh_obj_text
 
@@ -83,10 +84,6 @@ class TestXyzl:
     def test_unknown_format_rejected(self, tmp_path):
         from pcgap.errors import FormatError
 
-        p = tmp_path / "c.xyzl"
-        p.write_text("0 0 0 1\n")
-        with pytest.raises(FormatError, match="unknown cloud format"):
-            read_cloud(p, "las")
         with pytest.raises(FormatError, match="unknown cloud format"):
             write_cloud(LabeledPointCloud.empty(), tmp_path / "x", "las")
 
@@ -111,7 +108,7 @@ class TestPly:
         for fmt in (FORMAT_PLY_ASCII, FORMAT_PLY_BINARY, FORMAT_XYZL):
             p = tmp_path / f"c-{fmt}.dat"
             write_cloud(cloud, p, fmt)
-            assert read_cloud(p, "auto") == cloud
+            assert read_cloud(p) == cloud
 
     def test_scalar_classification_alias(self, tmp_path):
         p = tmp_path / "c.ply"
@@ -290,7 +287,8 @@ class TestObjMesh:
 
 
 class TestConfig:
-    """``MetricParams.from_json_dict``, the one config validator."""
+    """``MetricParams.from_json_dict`` maps JSON onto the records, whose
+    construction checks every field."""
 
     def test_defaults(self):
         params, seed = MetricParams.from_json_dict({})
@@ -372,6 +370,34 @@ class TestConfig:
     def test_round_trips_its_own_json(self):
         params = MetricParams(lambda2=0.4, alpha=-1.0, lambda_validation="relaxed")
         assert MetricParams.from_json_dict({**params.to_json_dict(), "seed": 9}) == (params, 9)
+
+    def test_library_and_json_params_write_the_same_bytes(self, tmp_path):
+        library = MetricParams(voxel_size_m=1, alpha=-1, m3c2=M3c2Params(max_depth_m=2))
+        parsed, _ = MetricParams.from_json_dict({"voxel_size_m": 1, "alpha": -1, "m3c2": {"max_depth_m": 2}})
+        assert library == parsed
+        for params in (library, parsed):
+            floats = [getattr(params, f.name) for f in fields(params) if f.type == "float"]
+            floats += [getattr(params.m3c2, f.name) for f in fields(params.m3c2)]
+            assert all(type(v) is float for v in floats)
+        dump_json(library.to_json_dict(), tmp_path / "library.json")
+        dump_json(parsed.to_json_dict(), tmp_path / "parsed.json")
+        assert (tmp_path / "library.json").read_bytes() == (tmp_path / "parsed.json").read_bytes()
+
+    @pytest.mark.parametrize(
+        "build,message",
+        [
+            (lambda: MetricParams(epsilon=True), "epsilon: expected a number"),
+            (lambda: MetricParams(alpha="-0.2"), "alpha: expected a number"),
+            (lambda: M3c2Params(max_depth_m="1"), "m3c2.max_depth_m: expected a number"),
+            (lambda: MetricParams(m3c2={"max_depth_m": 1.0}), "m3c2: expected M3c2Params"),
+            (lambda: MetricParams(class_weights={"WallSurface": 1.0}),
+             "class_weights: expected ClassWeights"),
+        ],
+        ids=["bool", "string", "nested-string", "m3c2-dict", "class-weights-dict"],
+    )
+    def test_construction_refuses_wrong_types(self, build, message):
+        with pytest.raises(ConfigError, match="^" + re.escape(message)):
+            build()
 
 
 def _pinned_gap_report():

@@ -80,6 +80,10 @@ class TestConfigChecks:
         with pytest.raises(ValueError, match=f"^{key}: "):
             ScanConfig(**kwargs)
 
+    def test_scan_config_unknown_key(self):
+        with pytest.raises(ValueError, match="^chanels: unknown config key$"):
+            ScanConfig.from_json_dict({"chanels": 4})
+
     def test_trajectory_integer_too_large_for_a_float(self):
         samples = [{"t": 0, "x": 0, "y": 0, "z": 0}, {"t": 1, "x": 0, "y": 0, "z": 10**400}]
         with pytest.raises(ValueError, match=r"^\[1\]\.z: number too large"):
