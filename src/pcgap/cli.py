@@ -28,23 +28,8 @@ EXIT_IO = 3
 EXIT_DEGENERATE = 4
 
 
-def _sha256(path) -> str:
-    import hashlib  # only manifests need it; kept off the import path
-
-    h = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(1 << 20), b""):
-            h.update(chunk)
-    return h.hexdigest()
-
-
-def _digests(inputs: list) -> dict:
-    """SHA-256 of each input file, taken before any output is written, so an
-    output that overwrites an input cannot stand in for it."""
-    return {str(p): _sha256(p) for p in inputs}
-
-
 def _write_manifest(out_path, command: str, config: dict, digests: dict, seed=None) -> None:
+    """``digests``: each input's SHA-256, taken by its reader from the bytes it parsed."""
     manifest = {
         "command": command,
         "config": config,
@@ -64,18 +49,17 @@ def _distinct_outputs(outputs: dict) -> None:
             raise ConfigError(f"{flag} {path} names the same file as {other}")
 
 
-def _read_json(path):
-    """The parsed JSON of an input file; text that is not JSON is a
-    ConfigError naming the file."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            return json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
+def _read_json(path, digests: dict | None = None):
+    """The parsed JSON of an input file (``digests``: see :func:`io.read_input`);
+    text that is not JSON is a ConfigError naming the file."""
+    try:
+        return json.loads(io.read_input(path, digests).decode("utf-8"))
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
 
 
 def _metric_params(args) -> tuple[metric.MetricParams, int]:
-    """Parameters and seed from the config file, then flag overrides."""
+    """Parameters and seed from the config file, then flags; an error of the file's own keys names it."""
     raw = _read_json(args.config) if args.config else {}
     if not isinstance(raw, dict):
         raise ConfigError(f"{args.config}: config root must be a JSON object")
@@ -91,8 +75,16 @@ def _metric_params(args) -> tuple[metric.MetricParams, int]:
         "lambda_validation": args.lambda_validation,
         "seed": args.seed,
     }
-    raw.update((key, value) for key, value in flags.items() if value is not None)
-    return metric.MetricParams.from_json_dict(raw)
+    flags = {key: value for key, value in flags.items() if value is not None}
+    try:
+        return metric.MetricParams.from_json_dict(raw | flags)
+    except ConfigError as exc:
+        try:
+            metric.MetricParams.from_json_dict({k: v for k, v in raw.items() if k not in flags})
+        except ConfigError as own:
+            if str(own) == str(exc):
+                raise ConfigError(f"{args.config}: {exc}") from exc
+        raise
 
 
 # ---------------------------------------------------------------------------
@@ -114,9 +106,9 @@ def _offset_magnitudes(text: str) -> list[float]:
 def cmd_compare(args) -> int:
     params, seed = _metric_params(args)
     magnitudes = _offset_magnitudes(args.offset) if args.offset is not None else None
-    real = io.read_cloud(args.real)
-    synth = io.read_cloud(args.synthetic)
-    digests = _digests([args.real, args.synthetic])
+    digests = {}
+    real = io.read_cloud(args.real, digests)
+    synth = io.read_cloud(args.synthetic, digests)
 
     config = {**params.to_json_dict(), "seed": seed}
     if magnitudes is not None:
@@ -149,8 +141,9 @@ def cmd_simulate(args) -> int:
     origins_path = args.origins or (str(args.out) + ".origins")
     _distinct_outputs({"--out": args.out, "--out's manifest": str(args.out) + ".manifest.json",
                        "--origins": origins_path})
-    mesh = io.read_mesh(args.mesh)
-    samples = _read_json(args.trajectory)
+    digests = {}
+    mesh = io.read_mesh(args.mesh, digests)
+    samples = _read_json(args.trajectory, digests)
     try:
         trajectory = simulate.Trajectory.from_samples(samples)
     except ValueError as exc:
@@ -158,7 +151,7 @@ def cmd_simulate(args) -> int:
 
     scan_cfg = simulate.ScanConfig()
     if args.scan_config:
-        raw = _read_json(args.scan_config)
+        raw = _read_json(args.scan_config, digests)
         try:
             scan_cfg = simulate.ScanConfig.from_json_dict(raw)
         except ValueError as exc:
@@ -176,7 +169,6 @@ def cmd_simulate(args) -> int:
     if args.sigma is not None and args.sigma > 0:
         scan = _range_noise(scan, args.sigma, seed)
 
-    digests = _digests([args.mesh, args.trajectory] + ([args.scan_config] if args.scan_config else []))
     io.write_cloud(scan.cloud, args.out, fmt=args.format)
     io.write_ray_origins(scan.ray_origins, origins_path)
     _write_manifest(
@@ -190,16 +182,16 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_noise(args) -> int:
-    cloud = io.read_cloud(args.cloud)
+    digests = {}
+    cloud = io.read_cloud(args.cloud, digests)
     origins_path = args.origins or (str(args.cloud) + ".origins")
-    origins = io.read_ray_origins(origins_path)
+    origins = io.read_ray_origins(origins_path, digests)
     if origins.shape[0] != len(cloud):
         raise ConfigError(
             f"{origins_path}: {origins.shape[0]} origins for {len(cloud)} points"
         )
     scan = simulate.SimulatedScan(cloud, origins)
     noisy = _range_noise(scan, args.sigma, args.seed)
-    digests = _digests([args.cloud, origins_path])
     io.write_cloud(noisy.cloud, args.out, fmt=args.format)
     _write_manifest(
         args.out, "noise", {"sigma": args.sigma, "format": args.format}, digests, seed=args.seed,
@@ -208,13 +200,13 @@ def cmd_noise(args) -> int:
 
 
 def cmd_mix(args) -> int:
-    real = io.read_cloud(args.real)
-    synth = io.read_cloud(args.synthetic)
+    digests = {}
+    real = io.read_cloud(args.real, digests)
+    synth = io.read_cloud(args.synthetic, digests)
     try:
         result = dataset.mix(real, synth, dataset.RatioMix(args.fraction, args.count, args.seed))
     except MemoryError as exc:
         raise ConfigError(f"--count {args.count}: too many points to draw ({exc})") from exc
-    digests = _digests([args.real, args.synthetic])
     io.write_cloud(result.cloud, args.out, fmt=args.format)
     io.write_provenance(result.provenance, str(args.out) + ".provenance.txt")
     n_real, n_synth = result.counts()
@@ -237,10 +229,10 @@ def cmd_mix(args) -> int:
 
 
 def cmd_split(args) -> int:
-    cloud = io.read_cloud(args.cloud)
-    spec = dataset.SplitSpec.from_json_dict(_read_json(args.spec))
+    digests = {}
+    cloud = io.read_cloud(args.cloud, digests)
+    spec = dataset.SplitSpec.from_json_dict(_read_json(args.spec, digests))
     parts = dataset.split(cloud, spec)
-    digests = _digests([args.cloud, args.spec])
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     counts = {}
@@ -252,14 +244,14 @@ def cmd_split(args) -> int:
 
 
 def cmd_eval_seg(args) -> int:
-    truth = io.read_cloud(args.truth)
-    pred = io.read_label_file(args.pred)
+    digests = {}
+    truth = io.read_cloud(args.truth, digests)
+    pred = io.read_label_file(args.pred, digests)
     if len(pred) != len(truth):
         raise ConfigError(
             f"{args.pred}: {len(pred)} labels for {len(truth)} ground-truth points"
         )
     report = dataset.evaluate_segmentation(truth, pred, synthetic_ratio=args.ratio)
-    digests = _digests([args.truth, args.pred])
     io.write_report(report, args.out)
     _write_manifest(args.out, "eval-seg", {"ratio": args.ratio}, digests)
     return EXIT_OK

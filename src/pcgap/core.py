@@ -15,6 +15,8 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
+from .errors import ConfigError, config_number
+
 logger = logging.getLogger(__name__)
 
 WEIGHT_SUM_TOL = 1e-9
@@ -227,7 +229,8 @@ def record_fields(record, **converted) -> dict:
 
 @dataclass(frozen=True)
 class ClassWeights:
-    """Non-negative per-class weights summing to 1 over the classes present."""
+    """Non-negative per-class weights summing to 1 over the classes present;
+    a refusal is a ConfigError naming its ``class_weights`` key."""
 
     weights: Mapping[SemanticClass, float]
 
@@ -235,13 +238,14 @@ class ClassWeights:
         cleaned: dict[SemanticClass, float] = {}
         for cls, w in self.weights.items():
             cls = SemanticClass(cls)
-            w = float(w)
+            w = float(config_number(w, f"class_weights.{cls.canonical_name}"))
             if not (math.isfinite(w) and w >= 0):
-                raise ValueError(f"weight for {cls.canonical_name} must be finite and non-negative: {w}")
+                raise ConfigError(f"class_weights: weight for {cls.canonical_name} must be finite "
+                                  f"and non-negative: {w}")
             cleaned[cls] = w
         total = sum(cleaned.values())
         if abs(total - 1.0) > WEIGHT_SUM_TOL:
-            raise ValueError(f"class weights must sum to 1 (got {total!r})")
+            raise ConfigError(f"class_weights: class weights must sum to 1 (got {total!r})")
         object.__setattr__(self, "weights", dict(sorted(cleaned.items())))
 
     def get(self, cls: SemanticClass) -> float:
@@ -261,7 +265,7 @@ class ClassWeights:
 
     @classmethod
     def from_json_dict(cls, raw: Mapping[str, float]) -> "ClassWeights":
-        return cls({SemanticClass.from_name(name): float(w) for name, w in raw.items()})
+        return cls({SemanticClass.from_name(name): w for name, w in raw.items()})
 
 
 def default_weights() -> ClassWeights:

@@ -51,13 +51,22 @@ _FLOAT_FMT = "%.17g"  # enough digits for exact float64 round-trips
 # ---------------------------------------------------------------------------
 
 
-def read_cloud(path) -> LabeledPointCloud:
+def read_input(path, digests: dict | None = None) -> bytes:
+    """An input file's bytes; their SHA-256 goes into ``digests``, if given, under ``str(path)``."""
+    data = Path(path).read_bytes()
+    if digests is not None:
+        import hashlib  # only manifests need it; kept off the import path
+
+        digests[str(path)] = hashlib.sha256(data).hexdigest()
+    return data
+
+
+def read_cloud(path, digests: dict | None = None) -> LabeledPointCloud:
     """Read a labeled cloud: PLY when its bytes start with ``ply``, XYZL
-    otherwise; out-of-range labels are coerced to Noise."""
-    path = Path(path)
-    if not path.exists():
-        raise FileNotFoundError(f"no such cloud file: {path}")
-    data = path.read_bytes()
+    otherwise; out-of-range labels are coerced to Noise. ``digests``: see :func:`read_input`."""
+    if not Path(path).exists():
+        raise FileNotFoundError(f"no such cloud file: {Path(path)}")
+    data, path = read_input(path, digests), Path(path)
     if data.startswith(b"ply"):
         return _read_ply(path, data)  # ascii or binary, as its header says
     table = _read_text_table(path, _XYZL, data)
@@ -372,11 +381,11 @@ def write_ray_origins(origins: np.ndarray, path) -> None:
     _write_rows(path, "ray origins", f"{_FLOAT_FMT} {_FLOAT_FMT} {_FLOAT_FMT}\n", *origins.T)
 
 
-def read_ray_origins(path) -> np.ndarray:
+def read_ray_origins(path, digests: dict | None = None) -> np.ndarray:
     """A sidecar's origins. A scan's channels share each step's origin, so
     a run of identical lines is parsed once; a file where that gives other
-    than one row per distinct line is read as any other text table."""
-    data = Path(path).read_bytes()
+    than one row per distinct line is read as any other text table (``digests``: see :func:`read_input`)."""
+    data = read_input(path, digests)
     # bytes.splitlines splits at \n, \r\n and \r only, as the text reader does
     lines = data.splitlines() if data.isascii() else []
     table = None
@@ -390,9 +399,10 @@ def read_ray_origins(path) -> np.ndarray:
     return np.column_stack([table["x"], table["y"], table["z"]])
 
 
-def read_label_file(path) -> np.ndarray:
-    """Prediction labels, one integer per line; out-of-range goes to Noise."""
-    table = _read_text_table(path, _LABELS, Path(path).read_bytes())
+def read_label_file(path, digests: dict | None = None) -> np.ndarray:
+    """Prediction labels, one integer per line; out-of-range goes to Noise.
+    ``digests``: see :func:`read_input`."""
+    table = _read_text_table(path, _LABELS, read_input(path, digests))
     return coerce_labels(table["label"], context=str(path))
 
 
@@ -461,18 +471,19 @@ def _group_class(tokens: list[str], path, lineno: int) -> SemanticClass:
     return cls
 
 
-def read_mesh(path) -> ClassedMesh:
+def read_mesh(path, digests: dict | None = None) -> ClassedMesh:
     """Read a Wavefront-style OBJ whose groups name semantic classes.
 
     Polygons are fan-triangulated; triangles with area <= 1e-12 m^2 are
     dropped (count kept on the mesh). A group is named by a pcgap class or
     by a CityGML/OpenDRIVE descriptor with ``key=value`` qualifiers (see
-    :func:`pcgap.core.map_class`); any other name maps to Noise.
+    :func:`pcgap.core.map_class`); any other name maps to Noise. ``digests``: see :func:`read_input`.
     """
-    path = Path(path)
-    if not path.exists():
-        raise FileNotFoundError(f"no such mesh file: {path}")
-    text = path.read_text(encoding="ascii", errors="replace")  # U+FFFD is never a digit
+    if not Path(path).exists():
+        raise FileNotFoundError(f"no such mesh file: {Path(path)}")
+    data, path = read_input(path, digests), Path(path)
+    # as a text-mode read decodes it: U+FFFD is never a digit, and lines end at \n
+    text = data.decode("ascii", errors="replace").replace("\r\n", "\n").replace("\r", "\n")
     lines = text.split("\n")
     parsed = _bulk_obj(path, text, lines) if text.isascii() else None
     verts, tri_arr, cls_arr = parsed or _scan_obj(path, lines)

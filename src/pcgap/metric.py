@@ -121,11 +121,10 @@ class MetricParams:
         cfg = config_fields(cfg, "config root", cls)
         cfg["m3c2"] = M3c2Params(**config_fields(cfg.get("m3c2", {}), "m3c2", M3c2Params, "m3c2."))
         if "class_weights" in cfg:
-            weights = {name: config_number(w, f"class_weights.{name}")
-                       for name, w in config_object(cfg["class_weights"], "class_weights").items()}
+            weights = config_object(cfg["class_weights"], "class_weights")
             try:
                 cfg["class_weights"] = ClassWeights.from_json_dict(weights)
-            except (KeyError, ValueError) as exc:  # an unknown class name, or a bad weight
+            except KeyError as exc:  # an unknown class name
                 raise ConfigError(f"class_weights: {exc}") from exc
         return cls(**cfg), seed
 

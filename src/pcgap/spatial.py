@@ -67,9 +67,11 @@ class NnIndex:
         pick = int(np.argmin(d2))
         return int(cand[pick]), float(np.sqrt(d2[pick]))
 
-    def nearest_distances(self, points: np.ndarray) -> np.ndarray:
-        """Distance from each query point to its nearest indexed point."""
-        d, _ = self._tree.query(np.asarray(points, dtype=np.float64), workers=-1)
+    def nearest_distances(self, points: np.ndarray, upper_bound: float = np.inf, lanes: int = 0) -> np.ndarray:
+        """Distance from each query point to its nearest indexed point, inf where none lies
+        within ``upper_bound``, on ``lanes`` threads (0: one per CPU the process may use)."""
+        d, _ = self._tree.query(np.asarray(points, dtype=np.float64), distance_upper_bound=upper_bound,
+                                workers=lanes or _lane_count())
         return np.atleast_1d(d)
 
     def within_radius_many(self, points: np.ndarray, radius: float) -> tuple[np.ndarray, np.ndarray]:
@@ -159,21 +161,23 @@ def _lane_count() -> int:
 
 def _gather(index: NnIndex, n: int, queries_of, radius: float, kernel) -> None:
     """Call ``kernel(lo, hi, query, point)`` on blocks ``[lo, hi)`` of ``n``
-    items and their pairs within ``radius``; ``query`` indexes the rows of
-    ``queries_of(lo, hi)``, ``k`` runs of ``hi - lo`` balls. The calling
+    balls and their pairs within ``radius``; ``query`` indexes the rows of
+    ``queries_of(lo, hi)``, the blocks' ball centers. The calling
     thread and one worker per further CPU each take the next block (the
     join releases the GIL). A block provably holds at most a share of
     ``_CANDIDATE_BUDGET`` pairs by :func:`_ball_count_bound`: one share for
     the main lane and two per worker, whose own malloc arena keeps what it freed."""
     import threading
 
+    if n == 0:
+        return
     lanes = _lane_count()
     share = max(_CANDIDATE_BUDGET // (2 * lanes - 1), 1)
     bound = _ball_count_bound(index.points, radius)
     load = np.empty(n, dtype=np.int64)
     for lo in range(0, n, _BOUND_BLOCK):
         hi = min(lo + _BOUND_BLOCK, n)
-        load[lo:hi] = bound(queries_of(lo, hi)).reshape(-1, hi - lo).sum(axis=0)
+        load[lo:hi] = bound(queries_of(lo, hi))
     held = np.append(0, np.cumsum(load))  # held[i]: the bound on items [0, i)
     starts = [0]
     while (lo := starts[-1]) < n:
@@ -202,9 +206,9 @@ def _gather(index: NnIndex, n: int, queries_of, radius: float, kernel) -> None:
 
 
 def _slab_count(radius: float, half_depth: float) -> int:
-    """Number of balls stacked along a cylinder's axis: the smallest odd
-    integer >= half_depth / radius, capped at ``_MAX_SLABS``. Odd keeps one
-    ball centered on the cylinder's center; 1 is the circumscribed ball."""
+    """Number of equal slabs a cylinder's axis span is cut into: the
+    smallest odd integer >= half_depth / radius, capped at ``_MAX_SLABS``.
+    Odd keeps one slab centered on the cylinder's center."""
     k = min(math.ceil(half_depth / radius), _MAX_SLABS)
     return k + 1 - k % 2
 
@@ -215,47 +219,61 @@ def cylinder_pairs(index: NnIndex, centers: np.ndarray, axes: np.ndarray,
 
     Cylinder ``i`` is centered at ``centers[i]`` along the unit axis
     ``axes[i]``; membership is the inclusive test of
-    :meth:`NnIndex.within_cylinder`. Calls ``kernel(lo, hi, ball, point)`` on
-    blocks of member pairs, each once: ball ``slab * (hi - lo) + row`` gathered it.
+    :meth:`NnIndex.within_cylinder`. Its axis span is cut into K equal slabs
+    (see :func:`_slab_count`), and a member belongs to the slab its axial
+    coordinate falls in. Calls ``kernel(core, slab, point)`` on blocks of
+    members, each (core, slab) whole in one call, in the indexed tree's order.
 
-    The axis span ``[-half_depth, half_depth]`` is cut into K equal slabs
-    (see :func:`_slab_count`), each covered by one query ball on the axis
-    that just encloses the slab's piece of the cylinder. A candidate counts
-    only in the slab its axial coordinate falls in, so no pair repeats, and
-    far fewer candidates are gathered than with the one circumscribed ball.
+    Candidates come from a ball on each center that just encloses the center
+    slab's piece of the cylinder and, when K > 1, a ball on each side that
+    just encloses the slabs beyond it, joined only where a nearest-point
+    query finds a point within its reach (most hold none). A candidate
+    counts only in the ball that serves its slab, so no pair repeats.
     """
     centers = np.asarray(centers, dtype=np.float64).reshape(-1, 3)
     axes = np.asarray(axes, dtype=np.float64).reshape(-1, 3)
     k = _slab_count(radius, half_depth)
     thick = 2.0 * half_depth / k
-    offsets = (np.arange(k) - (k - 1) / 2) * thick
     # slack for rounding in the ball centers, which matters at large coordinates
     slack = 4.0 * np.spacing(float(np.abs(centers).max(initial=0.0)))
-    reach = float(np.hypot(radius, thick / 2)) * (1.0 + 1e-9) + slack
-
-    def balls(lo, hi):
-        return (centers[lo:hi] + offsets[:, None, None] * axes[lo:hi]).reshape(-1, 3)
-
     center_cols, axis_cols = centers.T.copy(), axes.T.copy()
 
-    def members(lo, hi, q, p):
-        slab, row = np.divmod(q, hi - lo)
+    def members(core, p, side):
+        """The kernel on the members whose slab lies on ``side`` (-1, 0 or 1) of the center slab."""
         axial, radial2 = np.zeros(p.size), np.zeros(p.size)
         # dot products sum as (x + z) + y, as numpy's SIMD einsum does, so
         # that membership is exactly that of the row-vector form
         for d in (0, 2, 1):
             rel = index.columns[d][p]
-            rel -= center_cols[d, lo:hi][row]
-            axial += rel * axis_cols[d, lo:hi][row]
+            rel -= center_cols[d][core]
+            axial += rel * axis_cols[d][core]
             radial2 += np.square(rel, out=rel)
         radial2 -= axial * axial  # a negative rounding remainder passes as 0 would
         keep = (radial2 <= radius * radius) & (np.abs(axial) <= half_depth)
         # within the depth only the far end cap needs clipping into the last slab
         home = np.floor((axial + half_depth) / thick, out=axial)
-        keep &= np.minimum(home, k - 1, out=home) == slab
-        kernel(lo, hi, q[keep], p[keep])
+        np.minimum(home, k - 1, out=home)
+        keep &= np.sign(np.subtract(home, k // 2, out=radial2), out=radial2) == side
+        kernel(core[keep], home[keep].astype(np.int64), p[keep])
 
-    _gather(index, centers.shape[0], balls, reach, members)
+    along = (half_depth + thick / 2) / 2
+    side_reach = float(np.hypot(radius, (half_depth - thick / 2) / 2)) * (1.0 + 1e-9) + slack
+    held = np.zeros(2 * len(centers), dtype=bool)  # side balls 2 * core (toward -axis) and 2 * core + 1
+
+    def sides(balls):
+        return centers[balls // 2] + ((balls % 2 * 2 - 1) * along)[:, None] * axes[balls // 2]
+
+    def center(lo, hi, q, p):
+        members(lo + q, p, 0)
+        if k > 1:  # screened on this lane: query threads would each keep a malloc arena
+            near = index.nearest_distances(sides(np.arange(2 * lo, 2 * hi)), side_reach * (1.0 + 1e-6), 1)
+            held[2 * lo:2 * hi] = np.isfinite(near)
+
+    reach = float(np.hypot(radius, thick / 2)) * (1.0 + 1e-9) + slack
+    _gather(index, len(centers), lambda lo, hi: centers[lo:hi], reach, center)
+    cast = np.flatnonzero(held)
+    _gather(index, cast.size, lambda lo, hi: sides(cast[lo:hi]), side_reach,
+            lambda lo, hi, q, p: members(cast[lo:hi][q] // 2, p, cast[lo:hi][q] % 2 * 2 - 1))
 
 
 def cylinder_means(index: NnIndex, centers: np.ndarray, axes: np.ndarray,
@@ -263,18 +281,24 @@ def cylinder_means(index: NnIndex, centers: np.ndarray, axes: np.ndarray,
     """Mean position and count of the indexed points in each cylinder of
     :func:`cylinder_pairs`; the mean of an empty cylinder is zero."""
     n, k = len(centers), _slab_count(radius, half_depth)
-    sums = np.zeros((n, 3))
-    counts = np.zeros(n, dtype=np.int64)
+    sums = np.zeros((n * k, 3))
+    counts = np.zeros(n * k, dtype=np.int64)
 
-    def kernel(lo, hi, ball, p):
-        # per ball, in the indexed tree's order, then slab by slab: no sum follows the cuts
-        m = hi - lo
-        counts[lo:hi] = np.bincount(ball, minlength=k * m).reshape(k, m).sum(axis=0)
+    def kernel(core, slab, p):
+        # per (core, slab), in the indexed tree's order; each is whole in one
+        # call, so lanes write disjoint cells and no sum follows the cuts
+        first = core.min(initial=n)
+        cell = (core - first) * k + slab
+        size = np.bincount(cell)
+        hit = np.flatnonzero(size)
+        counts[first * k + hit] = size[hit]
         for d in range(3):
-            sums[lo:hi, d] = np.bincount(ball, index.columns[d][p], k * m).reshape(k, m).cumsum(0)[-1]
+            sums[first * k + hit, d] = np.bincount(cell, index.columns[d][p])[hit]
 
     cylinder_pairs(index, centers, axes, radius, half_depth, kernel)
-    return sums / np.maximum(counts, 1)[:, None], counts
+    counts = counts.reshape(n, k).sum(axis=1)
+    # then slab by slab, in slab order
+    return sums.reshape(n, k, 3).cumsum(axis=1)[:, -1] / np.maximum(counts, 1)[:, None], counts
 
 
 # ---------------------------------------------------------------------------

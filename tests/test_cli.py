@@ -245,6 +245,35 @@ def test_manifest_records_inputs_as_read(tmp_path, small_inputs, command, alias)
     assert json.loads(manifest.read_text())["inputs"][str(tmp_path / alias)] == before
 
 
+_opened = None  # the paths opened while a test records them, resolved
+
+
+def _record_open(event, args):
+    if event == "open" and _opened is not None and isinstance(args[0], (str, bytes, os.PathLike)):
+        _opened.append(os.path.realpath(os.fsdecode(args[0])))
+
+
+sys.addaudithook(_record_open)  # audit hooks see every open, however it is made
+
+
+def test_eval_seg_opens_each_input_once(tmp_path, small_inputs):
+    """The digests in the manifest are of the bytes the readers parsed, so
+    no input is opened a second time to hash it."""
+    global _opened
+    argv = small_inputs["eval-seg"]
+    inputs = [argv[argv.index(flag) + 1] for flag in ("--truth", "--pred")]
+    (tmp_path / "out").mkdir()
+    _opened = []
+    try:
+        assert main(argv) == EXIT_OK
+        opened = _opened
+    finally:
+        _opened = None
+    assert [opened.count(os.path.realpath(path)) for path in inputs] == [1, 1]
+    manifest = json.loads(Path(argv[-1] + ".manifest.json").read_text())
+    assert manifest["inputs"] == {path: _sha256(path) for path in inputs}
+
+
 @pytest.mark.parametrize("command,what", [
     ("compare", "report"), ("simulate", "cloud"), ("noise", "cloud"), ("mix", "cloud"),
     ("eval-seg", "report"), ("report", "summary"),
@@ -495,6 +524,42 @@ class TestCompare:
         assert key in json.loads(capsys.readouterr().err.strip())["error"]
         assert not out.exists()
         assert not (tmp_path / "r.json.manifest.json").exists()
+
+    @pytest.mark.parametrize(
+        "config,flags,message",
+        [
+            ({"alpha": 0.5}, [], "{cfg}: alpha: must be < 0, got 0.5"),
+            ({"m3c2": {"max_depth_m": -1}}, ["--alpha", "-0.5"], "{cfg}: m3c2.max_depth_m: must be > 0"),
+            ({"lambda1": 0.5}, [], "{cfg}: lambda1+lambda2+lambda3: must sum to 1"),
+            ({"class_weights": {"WallSurface": True}}, [], "{cfg}: class_weights.WallSurface: expected"),
+            # a flag's bad value keeps its text, whatever the file holds
+            ({"alpha": -0.5}, ["--alpha", "0.5"], "alpha: must be < 0, got 0.5"),
+            ({"alpha": 0.5}, ["--alpha", "0.5"], "alpha: must be < 0, got 0.5"),
+            ({"lambda1": 0.7, "lambda2": 0.2}, ["--lambda1", "0.5"], "lambda1+lambda2+lambda3: must"),
+        ],
+        ids=["file", "file-beside-flag", "file-lambdas", "file-class-weight",
+             "flag", "flag-over-file", "flag-lambdas"],
+    )
+    def test_config_errors_name_the_file(self, tmp_path, scene_files, capsys, config, flags,
+                                         message):
+        real_path, synth_path, *_ = scene_files
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        code = main([
+            "compare", "--real", str(real_path), "--synthetic", str(synth_path),
+            "--config", str(cfg), "--out", str(tmp_path / "r.json"), *flags,
+        ])
+        assert code == EXIT_CONFIG
+        assert json.loads(capsys.readouterr().err)["error"].startswith(message.format(cfg=cfg))
+
+    def test_flag_mends_the_file(self, tmp_path, scene_files):
+        real_path, synth_path, *_ = scene_files
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"alpha": 0.5}')
+        assert main([
+            "compare", "--real", str(real_path), "--synthetic", str(synth_path),
+            "--config", str(cfg), "--out", str(tmp_path / "r.json"), "--alpha", "-0.5",
+        ]) == EXIT_OK
 
     @pytest.mark.parametrize(
         "config,text,seed",

@@ -14,6 +14,7 @@ from pcgap.core import (
     map_class,
     partition_by_class,
 )
+from pcgap.errors import ConfigError
 
 
 def test_every_public_name_resolves():
@@ -223,6 +224,15 @@ class TestClassWeights:
     def test_rejects_negative(self):
         with pytest.raises(ValueError, match="negative"):
             ClassWeights({SemanticClass.DOOR: -0.5, SemanticClass.WINDOW: 1.5})
+
+    @pytest.mark.parametrize("weight", [True, "1", None, [1.0]])
+    def test_rejects_a_weight_that_is_not_a_number(self, weight):
+        with pytest.raises(ConfigError, match=r"^class_weights\.WallSurface: expected a number"):
+            ClassWeights({SemanticClass.WALL_SURFACE: weight})
+
+    def test_weights_stored_as_floats(self):
+        w = ClassWeights({SemanticClass.WALL_SURFACE: 1})
+        assert type(w.get(SemanticClass.WALL_SURFACE)) is float
 
     def test_rejects_bad_sum(self):
         with pytest.raises(ValueError, match="sum to 1"):

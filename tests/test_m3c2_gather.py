@@ -29,19 +29,40 @@ def exact_units(v):
 
 
 def member_blocks(index, centers, axes, radius, half_depth):
-    """The ``(lo, hi, row, point)`` member blocks of ``cylinder_pairs`` in
-    order, ``row`` counted from ``lo``."""
+    """The ``(core, slab, point)`` member blocks of ``cylinder_pairs``, in
+    the order the lanes ran them."""
     blocks = []
     spatial.cylinder_pairs(index, centers, axes, radius, half_depth,
-                           lambda lo, hi, ball, point: blocks.append((lo, hi, ball % (hi - lo), point)))
-    return sorted(blocks, key=lambda block: block[0])
+                           lambda core, slab, point: blocks.append((core, slab, point)))
+    return blocks
+
+
+def slab_members(blocks, k):
+    """``{(core, slab): points}`` of member blocks, each sequence in its
+    block's order; every (core, slab) must come whole in one block, its
+    slab one of the ``k``."""
+    members = {}
+    for core, slab, point in blocks:
+        assert core.dtype == slab.dtype == point.dtype == np.int64
+        assert core.shape == slab.shape == point.shape
+        assert np.all((0 <= slab) & (slab < k))
+        if not point.size:
+            continue
+        order = np.argsort(core * k + slab, kind="stable")
+        core, slab, point = core[order], slab[order], point[order]
+        cuts = np.flatnonzero((np.diff(core) != 0) | (np.diff(slab) != 0)) + 1
+        firsts = np.r_[0, cuts]
+        for c, s, run in zip(core[firsts].tolist(), slab[firsts].tolist(), np.split(point, cuts)):
+            assert (c, s) not in members, f"core {c}, slab {s} split over two blocks"
+            members[c, s] = run
+    return members
 
 
 def gathered_members(index, centers, axes, radius, half_depth):
     members = [[] for _ in range(len(centers))]
-    for lo, _, row, point in member_blocks(index, centers, axes, radius, half_depth):
-        for r, p in zip(row, point):
-            members[lo + r].append(int(p))
+    for core, _, point in member_blocks(index, centers, axes, radius, half_depth):
+        for c, p in zip(core, point):
+            members[c].append(int(p))
     return [np.array(sorted(m), dtype=np.int64) for m in members]
 
 
@@ -75,6 +96,14 @@ def sphere_cap(rng, n):
 
 def blob(rng, n):
     return rng.normal(0.0, rng.uniform(0.2, 1.0), size=(n, 3)) + rng.uniform(-5, 5, 3)
+
+
+def two_planes(rng, n, gap, noise=0.0):
+    """A plane of ``n`` points and its copy ``gap`` along its normal, which
+    it also returns."""
+    first = plane(rng, n, noise)
+    normal = np.linalg.svd(first - first.mean(axis=0))[2][2]
+    return np.concatenate([first, first + gap * normal]), normal
 
 
 SHAPES = (plane, sphere_cap, blob)
@@ -154,6 +183,41 @@ class TestCylinderPairs:
             assert count == len(members)
             assert np.allclose(mean, points[members].mean(axis=0), rtol=0, atol=1e-12)
 
+    @pytest.mark.parametrize("radius,half_depth", [(0.25, 1.0), (0.25, 0.75), (0.1, 0.9)])
+    def test_side_members_of_two_planes(self, radius, half_depth):
+        # each plane lies 0.5 m along the axis of the other's cylinders, in
+        # off-center slabs (one side, then the other) that only side balls reach
+        rng = np.random.default_rng(13)
+        points, normal = two_planes(rng, 800, 0.5)
+        axis, fixed = exact_units(normal)
+        assert fixed.all()
+        centers = points[np.r_[0:50, 800:850]]
+        axes = np.repeat(axis, len(centers), axis=0)
+        assert_matches_oracle(points, centers, axes, radius, half_depth)
+        k = _slab_count(radius, half_depth)
+        blocks = assert_same_pairs(NnIndex(points), centers, axes, radius, half_depth)
+        side = np.sign(np.concatenate([slab for _, slab, _ in blocks]) - k // 2)
+        assert (side == -1).sum() > 100 and (side == 1).sum() > 100
+
+    def test_lone_plane_joins_no_side_ball(self, monkeypatch):
+        rng = np.random.default_rng(14)
+        points = plane(rng, 2000, noise=0.01)
+        index = NnIndex(points)
+        normals, valid = estimate_normals(index, points[:300], 0.5)
+        joined, gather = [], NnIndex.within_radius_many
+
+        def spy(self, queries, radius):
+            joined.append((len(queries), radius))
+            return gather(self, queries, radius)
+
+        monkeypatch.setattr(NnIndex, "within_radius_many", spy)
+        blocks = member_blocks(index, points[:300][valid], normals[valid], 0.25, 1.0)
+        # one ball per cylinder, all at the center slab's reach
+        assert sum(n for n, _ in joined) == valid.sum() > 250
+        assert len({radius for _, radius in joined}) == 1
+        assert all(np.all(slab == 2) for _, slab, _ in blocks)
+        assert sum(point.size for _, _, point in blocks) > 250
+
     @pytest.mark.parametrize("budget", [1, 700])
     def test_means_do_not_depend_on_block_cuts(self, monkeypatch, budget):
         # nine slabs per cylinder; a budget of 1 gathers each cylinder alone,
@@ -171,8 +235,9 @@ class TestCylinderPairs:
         assert np.array_equal(blocked_means.view(np.int64), means.view(np.int64))
 
     def test_blocks_respect_budget(self, monkeypatch):
+        # a second plane 0.5 m off holds side members, so both passes join
         rng = np.random.default_rng(6)
-        points = plane(rng, 3000, noise=0.02)
+        points, _ = two_planes(rng, 1500, 0.5, noise=0.02)
         index = NnIndex(points)
         centers = points[:500]
         normals, valid = estimate_normals(index, centers, 0.5)
@@ -183,7 +248,7 @@ class TestCylinderPairs:
 
         def spy(self, queries, radius):
             pairs = gather(self, queries, radius)
-            held.append(len(pairs[0]))
+            held.append((radius, len(pairs[0])))
             return pairs
 
         monkeypatch.setattr(spatial, "_CANDIDATE_BUDGET", 2000)
@@ -191,8 +256,12 @@ class TestCylinderPairs:
         # a block holds one lane's share: one for the main lane, two per worker
         cap = 2000 // (2 * spatial._lane_count() - 1)
         blocked = gathered_members(index, centers, normals, 0.25, 1.0)
-        assert len(held) > 5
-        assert max(held) <= cap
+        reaches = {radius for radius, _ in held}
+        assert len(reaches) == 2  # the center balls' pass and the side balls'
+        for reach in reaches:
+            pairs = [n for radius, n in held if radius == reach]
+            assert len(pairs) > 5
+            assert max(pairs) <= cap
         assert all(np.array_equal(a, b) for a, b in zip(whole, blocked))
 
         # coincident points make the pair bound exact: 100 pairs per query,
@@ -201,15 +270,16 @@ class TestCylinderPairs:
         stacked = NnIndex(np.full((100, 3), 2.0))
         estimate_normals(stacked, np.full((95, 3), 2.0), 0.5)
         full, rest = divmod(9500, cap // 100 * 100)
-        assert sorted(held, reverse=True) == [cap // 100 * 100] * full + [rest] * (rest > 0)
-        assert max(held) <= cap
+        pairs = sorted((n for _, n in held), reverse=True)
+        assert pairs == [cap // 100 * 100] * full + [rest] * (rest > 0)
+        assert max(pairs) <= cap
 
     def test_lanes_under_rapid_thread_switching(self, monkeypatch):
         # more lanes than cores, a thread switch every microsecond and blocks
         # of a few cores: each block runs once, and every normal, count and
         # mean equals one lane's bit for bit
         rng = np.random.default_rng(12)
-        points = plane(rng, 1500, noise=0.02)
+        points, _ = two_planes(rng, 750, 0.5, noise=0.02)
         index = NnIndex(points)
 
         def m3c2_gathers():
@@ -241,7 +311,8 @@ class TestCylinderPairs:
             runner.join(timeout=120)
         finally:
             sys.setswitchinterval(interval)
-        assert not runner.is_alive() and len(got) == 1 and len(calls) == 2
+        # the normals, then the center and the side balls of the cylinders
+        assert not runner.is_alive() and len(got) == 1 and len(calls) == 3
         for n, ran in calls:
             starts, ends = zip(*sorted(ran))
             assert len(ran) > 8 and starts[0] == 0 and ends[-1] == n and starts[1:] == ends[:-1]
@@ -396,6 +467,9 @@ def row_estimate_normals(index, at, scale):
 
 
 def row_cylinder_pairs(index, centers, axes, radius, half_depth):
+    """One ball per slab, on the axis, that just encloses the slab's piece
+    of the cylinder: blocks ``(lo, hi, core, slab, point)`` of balls
+    ``[lo, hi)``, ball ``core * K + slab``, each keeping the members of its slab."""
     centers = np.asarray(centers, dtype=np.float64).reshape(-1, 3)
     axes = np.asarray(axes, dtype=np.float64).reshape(-1, 3)
     k = _slab_count(radius, half_depth)
@@ -403,19 +477,30 @@ def row_cylinder_pairs(index, centers, axes, radius, half_depth):
     offsets = (np.arange(k) - (k - 1) / 2) * thick
     slack = 4.0 * np.spacing(float(np.abs(centers).max(initial=0.0)))
     reach = float(np.hypot(radius, thick / 2)) * (1.0 + 1e-9) + slack
+    balls = (centers[:, None] + offsets[:, None] * axes[:, None]).reshape(-1, 3)
 
-    def balls(lo, hi):
-        return (centers[lo:hi] + offsets[:, None, None] * axes[lo:hi]).reshape(-1, 3)
-
-    for lo, hi, q, p in pair_blocks(index, centers.shape[0], balls, reach):
-        slab, row = np.divmod(q, hi - lo)
-        core = lo + row
+    for lo, hi, q, p in pair_blocks(index, len(balls), lambda lo, hi: balls[lo:hi], reach):
+        core, slab = np.divmod(lo + q, k)
         rel = index.points[p] - centers[core]
         axial = np.einsum("ij,ij->i", rel, axes[core])
         radial2 = np.maximum(np.einsum("ij,ij->i", rel, rel) - axial**2, 0.0)
         home = np.clip(np.floor((axial + half_depth) / thick), 0, k - 1)
         keep = (home == slab) & (np.abs(axial) <= half_depth) & (radial2 <= radius * radius)
-        yield lo, hi, row[keep], p[keep]
+        yield lo, hi, core[keep], slab[keep], p[keep]
+
+
+def row_cylinder_means(index, centers, axes, radius, half_depth):
+    """Means and counts from the one-ball-per-slab gather: per ball in the
+    indexed tree's order, then slab by slab."""
+    n, k = len(centers), _slab_count(radius, half_depth)
+    sums, counts = np.zeros((n * k, 3)), np.zeros(n * k, dtype=np.int64)
+    for lo, hi, core, slab, p in row_cylinder_pairs(index, centers, axes, radius, half_depth):
+        ball = core * k + slab - lo
+        counts[lo:hi] = np.bincount(ball, minlength=hi - lo)
+        for d in range(3):
+            sums[lo:hi, d] = np.bincount(ball, index.points[p, d], hi - lo)
+    counts = counts.reshape(n, k).sum(axis=1)
+    return sums.reshape(n, k, 3).cumsum(axis=1)[:, -1] / np.maximum(counts, 1)[:, None], counts
 
 
 def reference(run):
@@ -447,12 +532,19 @@ def assert_same_normals(index, at, scale):
 
 
 def assert_same_pairs(index, centers, axes, radius, half_depth):
+    """Each (core, slab) gets the members of the one-ball-per-slab gather,
+    in its order, and the means and counts are those of its sums bit for bit."""
+    k = _slab_count(radius, half_depth)
     got = member_blocks(index, centers, axes, radius, half_depth)
     want = reference(lambda: list(row_cylinder_pairs(index, centers, axes, radius, half_depth)))
-    assert [(lo, hi) for lo, hi, _, _ in got] == [(lo, hi) for lo, hi, _, _ in want]
-    for (_, _, row, point), (_, _, want_row, want_point) in zip(got, want):
-        assert row.dtype == want_row.dtype and point.dtype == want_point.dtype
-        assert np.array_equal(row, want_row) and np.array_equal(point, want_point)
+    got_members, want_members = slab_members(got, k), slab_members([b[2:] for b in want], k)
+    assert got_members.keys() == want_members.keys()
+    for cell, points in got_members.items():
+        assert np.array_equal(points, want_members[cell]), f"core {cell[0]}, slab {cell[1]}"
+    means, counts = cylinder_means(index, centers, axes, radius, half_depth)
+    want_means, want_counts = reference(lambda: row_cylinder_means(index, centers, axes, radius, half_depth))
+    assert counts.dtype == want_counts.dtype and np.array_equal(counts, want_counts)
+    assert np.array_equal(means.view(np.int64), want_means.view(np.int64))
     return got
 
 
@@ -530,7 +622,7 @@ class TestColumnKernelsMatchRowKernels:
             centers[:, None] + rho * side[:, None] + faces[..., None] * axes[:, None],
         ], axis=1).reshape(-1, 3)
         blocks = assert_same_pairs(NnIndex(points), centers, axes, radius, half_depth)
-        assert sum(row.size for _, _, row, _ in blocks) > 1000
+        assert sum(point.size for _, _, point in blocks) > 1000
 
     @pytest.mark.parametrize("radius", [0.01, 0.25, 3.0])
     def test_bounds_far_outside_the_point_box(self, radius):
