@@ -14,6 +14,7 @@ import csv
 import json
 import math
 import sys
+from dataclasses import fields
 from functools import partial
 from pathlib import Path
 
@@ -51,11 +52,18 @@ def _distinct_outputs(outputs: dict) -> None:
 
 def _read_json(path, digests: dict | None = None):
     """The parsed JSON of an input file (``digests``: see :func:`io.read_input`);
-    text that is not JSON is a ConfigError naming the file."""
+    bytes that are not UTF-8 JSON text are a ConfigError naming the file."""
     try:
         return json.loads(io.read_input(path, digests).decode("utf-8"))
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
+
+
+#: The compare flag of each number and mode key of MetricParams, as (key,
+#: dest, choices): the key without its ``_m`` unit suffix, so ``voxel_size_m``
+#: is ``--voxel-size``, and the key's modes as choices.
+_PARAM_FLAGS = [(f.name, f.name.removesuffix("_m"), f.metadata.get("modes"))
+                for f in fields(metric.MetricParams) if f.type == "float" or "modes" in f.metadata]
 
 
 def _metric_params(args) -> tuple[metric.MetricParams, int]:
@@ -63,18 +71,7 @@ def _metric_params(args) -> tuple[metric.MetricParams, int]:
     raw = _read_json(args.config) if args.config else {}
     if not isinstance(raw, dict):
         raise ConfigError(f"{args.config}: config root must be a JSON object")
-    flags = {
-        "voxel_size_m": args.voxel_size,
-        "lambda1": args.lambda1,
-        "lambda2": args.lambda2,
-        "lambda3": args.lambda3,
-        "alpha": args.alpha,
-        "epsilon": args.epsilon,
-        "c2c_mode": args.c2c_mode,
-        "eq3_weight_mode": args.eq3_weight_mode,
-        "lambda_validation": args.lambda_validation,
-        "seed": args.seed,
-    }
+    flags = {key: getattr(args, dest) for key, dest, _ in _PARAM_FLAGS} | {"seed": args.seed}
     flags = {key: value for key, value in flags.items() if value is not None}
     try:
         return metric.MetricParams.from_json_dict(raw | flags)
@@ -388,16 +385,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--offset", help="comma-separated offset magnitudes in meters, "
                    "applied along the unit diagonal (e.g. '0,0.1,0.3')")
     p.add_argument("--out", required=True)
-    p.add_argument("--voxel-size", type=float, dest="voxel_size")
-    p.add_argument("--lambda1", type=float)
-    p.add_argument("--lambda2", type=float)
-    p.add_argument("--lambda3", type=float)
-    p.add_argument("--alpha", type=float)
-    p.add_argument("--epsilon", type=float)
-    p.add_argument("--c2c-mode", choices=metric.C2C_MODES, dest="c2c_mode")
-    p.add_argument("--eq3-weight-mode", choices=metric.EQ3_WEIGHT_MODES, dest="eq3_weight_mode")
-    p.add_argument("--lambda-validation", choices=metric.LAMBDA_VALIDATION_MODES,
-                   dest="lambda_validation")
+    for _, dest, choices in _PARAM_FLAGS:
+        p.add_argument("--" + dest.replace("_", "-"), dest=dest, type=None if choices else float,
+                       choices=choices)
     p.add_argument("--seed", type=int)
     p.set_defaults(func=cmd_compare)
 

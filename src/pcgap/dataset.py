@@ -15,7 +15,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .core import NON_NOISE_CLASSES, LabeledPointCloud, SemanticClass, record_fields
-from .errors import ConfigError
+from .errors import ConfigError, config_fields
 
 N_CLASSES = 12
 
@@ -121,8 +121,10 @@ class SplitSpec:
     def from_json_dict(cls, raw: Mapping) -> "SplitSpec":
         if not isinstance(raw, Mapping) or not isinstance(raw.get("regions"), list):
             raise ConfigError("regions: a split spec must be an object with a 'regions' array")
+        config_fields(raw, "split spec", cls)
         regions = []
         for i, entry in enumerate(raw["regions"]):
+            entry = config_fields(entry, f"regions[{i}]", Region, f"regions[{i}].")
             try:
                 name = entry["name"]
                 if not _is_file_name(name):

@@ -641,7 +641,7 @@ def read_report(path) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh, parse_constant=refuse, parse_float=finite)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ParseError(path, f"invalid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ParseError(path, "report root must be a JSON object")

@@ -13,8 +13,7 @@ m always lies strictly inside (0, 1) for alpha < 0.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
-from functools import cached_property
+from dataclasses import dataclass, field, fields, replace
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -164,69 +163,53 @@ def c2c_distance(real: LabeledPointCloud, synth: LabeledPointCloud, mode: str = 
 
 
 @dataclass(frozen=True)
-class M3c2ClassResult:
-    """Signed median of inlier distances; None when no core point matched."""
+class ClassGapStats:
+    """One class's comparison: the signed median of its M3C2 inlier distances
+    (None when no core matched), its inlier and outlier core counts, and its
+    voxel IoU (None for a class in neither cloud, or from M3C2 alone)."""
 
-    median: float | None
-    inliers: int
-    outliers: int
-
-
-class _RealSide:
-    """The real half of one class's M3C2: the normal and real cylinder mean
-    at every core. Computed on first use and then kept, so a series of
-    synthetic clouds (the offsets of a series) pays for it once."""
-
-    def __init__(self, real_cls: LabeledPointCloud, params: M3c2Params):
-        self.cloud = real_cls
-        self.params = params
-
-    @cached_property
-    def _cores(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Core positions with a valid normal, their normals and real means.
-        Cores with a degenerate normal are outliers and are gathered no
-        further; every other core lies in its own real cylinder."""
-        p = self.params
-        xyz = self.cloud.xyz
-        index = NnIndex(xyz)
-        normals, valid = estimate_normals(index, xyz, p.normal_scale_m)
-        cores, normals = xyz[valid], normals[valid]
-        mean_r, _ = cylinder_means(index, cores, normals, p.projection_radius_m, p.max_depth_m)
-        return cores, normals, mean_r
-
-    def against(self, synth_cls: LabeledPointCloud) -> M3c2ClassResult:
-        n_cores = len(self.cloud)
-        if n_cores == 0:
-            return M3c2ClassResult(None, 0, 0)
-        if len(synth_cls) == 0:
-            return M3c2ClassResult(None, 0, n_cores)
-        cores, normals, mean_r = self._cores
-        p = self.params
-        mean_s, count_s = cylinder_means(
-            NnIndex(synth_cls.xyz), cores, normals, p.projection_radius_m, p.max_depth_m
-        )
-        hit = count_s > 0
-        signed = np.einsum("ij,ij->i", mean_s[hit] - mean_r[hit], normals[hit])
-        n_in = signed.shape[0]
-        if n_in == 0:
-            return M3c2ClassResult(None, 0, n_cores)
-        return M3c2ClassResult(float(np.median(signed)), n_in, n_cores - n_in)
+    m3c2_median: float | None
+    inlier_count: int
+    outlier_count: int
+    iou: float | None = None
 
 
-def _real_sides(real: LabeledPointCloud, weights: ClassWeights,
-                params: M3c2Params) -> dict[SemanticClass, _RealSide]:
-    """The real side of every positively weighted class, for
-    :func:`compute_m3c2_per_class` to compare synthetic clouds against."""
-    parts = partition_by_class(real)
-    return {cls: _RealSide(parts[cls], params) for cls in SemanticClass if weights.get(cls) > 0}
+def _real_side(real_cls: LabeledPointCloud, params: M3c2Params) -> tuple[np.ndarray, ...]:
+    """The real half of one class's M3C2: the cores with a valid normal,
+    their normals and their real cylinder means. Cores with a degenerate
+    normal are outliers and are gathered no further; every other core lies
+    in its own real cylinder."""
+    xyz = real_cls.xyz
+    index = NnIndex(xyz)
+    normals, valid = estimate_normals(index, xyz, params.normal_scale_m)
+    cores, normals = xyz[valid], normals[valid]
+    mean_r, _ = cylinder_means(index, cores, normals, params.projection_radius_m, params.max_depth_m)
+    return cores, normals, mean_r
+
+
+def _class_stats(n_cores: int, side: tuple | None, synth_cls: LabeledPointCloud,
+                 params: M3c2Params) -> ClassGapStats:
+    """M3C2 of ``synth_cls`` against a class of ``n_cores`` real points
+    whose :func:`_real_side` is ``side``; without a side every core is an
+    outlier."""
+    if side is None:
+        return ClassGapStats(None, 0, n_cores)
+    cores, normals, mean_r = side
+    mean_s, count_s = cylinder_means(
+        NnIndex(synth_cls.xyz), cores, normals, params.projection_radius_m, params.max_depth_m
+    )
+    hit = count_s > 0
+    signed = np.einsum("ij,ij->i", mean_s[hit] - mean_r[hit], normals[hit])
+    median = float(np.median(signed)) if len(signed) else None
+    return ClassGapStats(median, len(signed), n_cores - len(signed))
 
 
 def m3c2_class_distance(
     real_cls: LabeledPointCloud,
     synth_cls: LabeledPointCloud,
     params: M3c2Params = M3c2Params(),
-) -> M3c2ClassResult:
-    """Normal-direction distance between two same-class sub-clouds.
+) -> ClassGapStats:
+    """Normal-direction distance between two same-class sub-clouds (``iou`` None).
 
     Every real point is a core point. At each core the surface normal is
     fitted from the real neighborhood, a cylinder is projected both ways
@@ -234,37 +217,32 @@ def m3c2_class_distance(
     real and synthetic mean positions inside that cylinder. Cores with a
     degenerate normal or an empty cylinder on either side are outliers and
     are ignored; the result is the median over inlier signed distances.
-
-    ``real_cls`` may also be a prepared real side (then ``params`` is the
-    one it was prepared with), which an offset series reuses.
     """
-    side = real_cls if isinstance(real_cls, _RealSide) else _RealSide(real_cls, params)
-    return side.against(synth_cls)
+    side = _real_side(real_cls, params) if len(real_cls) and len(synth_cls) else None
+    return _class_stats(len(real_cls), side, synth_cls, params)
 
 
 def aggregate_mm3c2(
-    per_class: Mapping[SemanticClass, M3c2ClassResult], weights: ClassWeights
+    per_class: Mapping[SemanticClass, ClassGapStats], weights: ClassWeights
 ) -> float:
     """Weighted mean of absolute class medians, renormalized over the classes
     that produced a median. Raises when no weighted class is comparable."""
-    defined = [c for c, r in per_class.items() if r.median is not None and weights.get(c) > 0]
+    defined = [c for c, r in per_class.items() if r.m3c2_median is not None and weights.get(c) > 0]
     renorm = weights.restricted_to(defined)
     if not renorm:
         raise DegenerateDataError("no comparable semantic content for weighted M3C2")
-    return float(sum(w * abs(per_class[c].median) for c, w in renorm.items()))
+    return float(sum(w * abs(per_class[c].m3c2_median) for c, w in renorm.items()))
 
 
 def compute_m3c2_per_class(
-    sides: Mapping[SemanticClass, _RealSide], synth: LabeledPointCloud
-) -> dict[SemanticClass, M3c2ClassResult]:
-    """Class-wise results against the real ``sides`` of :func:`_real_sides`;
-    a class without a side (weight 0) has no result."""
-    parts_s = partition_by_class(synth)
-    return {
-        cls: m3c2_class_distance(sides[cls], parts_s[cls]) if cls in sides
-        else M3c2ClassResult(None, 0, 0)
-        for cls in SemanticClass
-    }
+    sides: Mapping[SemanticClass, tuple], parts_s: Mapping[SemanticClass, LabeledPointCloud],
+    offset: np.ndarray, params: M3c2Params,
+) -> dict[SemanticClass, ClassGapStats]:
+    """The M3C2 stats of each synthetic class part, moved by ``offset``, for
+    each class of ``sides``, which maps it to its real point count and real
+    side (see :func:`_class_stats`)."""
+    return {cls: _class_stats(n_cores, side, parts_s[cls].translate(offset), params)
+            for cls, (n_cores, side) in sides.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -358,14 +336,6 @@ def compose_score(d_mm3c2: float, d_c2c: float, miou: float, params: MetricParam
 
 
 @dataclass(frozen=True)
-class ClassGapStats:
-    m3c2_median: float | None
-    inlier_count: int
-    outlier_count: int
-    iou: float | None
-
-
-@dataclass(frozen=True)
 class GapReport:
     """Every intermediate quantity of one comparison, plus the parameters used."""
 
@@ -425,20 +395,22 @@ def offset_sensitivity(
         raise ValueError("gap comparison requires two non-empty clouds")
     offsets = [np.asarray(vec, dtype=np.float64).reshape(3) for vec in offsets]
     _check_spans(real, synth, offsets)
-    sides = _real_sides(real, params.class_weights, params.m3c2)
+    parts_r, parts_s = partition_by_class(real), partition_by_class(synth)
+    sides = {  # a translation keeps every label, so every offset gathers these classes
+        cls: (len(parts_r[cls]), _real_side(parts_r[cls], params.m3c2)
+              if len(parts_r[cls]) and len(parts_s[cls]) else None)
+        for cls in SemanticClass if params.class_weights.get(cls) > 0
+    }
     reports = []
     for v in offsets:
         moved = synth.translate(v)
         d_c2c = c2c_distance(real, moved, params.c2c_mode)
-        m3c2 = compute_m3c2_per_class(sides, moved)
+        m3c2 = compute_m3c2_per_class(sides, parts_s, v, params.m3c2)
         d_mm3c2 = aggregate_mm3c2(m3c2, params.class_weights)
         iou = voxel_miou(real, moved, params.voxel_size_m, params.class_weights)
         d, f_miou, m = compose_score(d_mm3c2, d_c2c, iou.miou, params)
-        per_class = {
-            cls: ClassGapStats(m3c2[cls].median, m3c2[cls].inliers, m3c2[cls].outliers,
-                               iou.per_class[cls])
-            for cls in SemanticClass
-        }
+        per_class = {cls: replace(m3c2.get(cls, ClassGapStats(None, 0, 0)), iou=iou.per_class[cls])
+                     for cls in SemanticClass}
         reports.append(GapReport(
             params=params, d_c2c=d_c2c, per_class=per_class, d_mm3c2=d_mm3c2, miou=iou.miou,
             f_miou=f_miou, d=d, m_dogss_pcl=m, offset=tuple(float(x) for x in v),

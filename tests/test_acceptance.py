@@ -88,11 +88,11 @@ def test_criterion_3_m3c2_plane_oracle():
     res_zero = m3c2_class_distance(plane(0.0), plane(0.0))
     elapsed = time.time() - t0
 
-    assert res_offset.median == pytest.approx(0.05, abs=0.001)
-    assert res_zero.median == pytest.approx(0.0, abs=0.001)
+    assert res_offset.m3c2_median == pytest.approx(0.05, abs=0.001)
+    assert res_zero.m3c2_median == pytest.approx(0.0, abs=0.001)
     assert elapsed < 10.0
     _report("3 M3C2 plane oracle",
-            f"median(0.05m)={res_offset.median:.5f}, median(0)={res_zero.median:.5f} "
+            f"median(0.05m)={res_offset.m3c2_median:.5f}, median(0)={res_zero.m3c2_median:.5f} "
             f"in {elapsed:.1f}s")
 
 

@@ -119,11 +119,15 @@ def test_simulate_sigma_zero_changes_no_byte(tmp_path, small_inputs):
     assert (out.read_bytes(), Path(f"{out}.origins").read_bytes()) == plain
 
 
-@pytest.mark.parametrize("flag", ["--config", "--trajectory", "--scan-config", "--spec"])
-def test_invalid_json_exit_2(tmp_path, small_inputs, capsys, flag):
+@pytest.mark.parametrize("flag,content", [
+    pytest.param(flag, content, id=flag + suffix)
+    for suffix, content in (("", b"{nope"), ("-not-utf8", b"\xff\xfe{}"))
+    for flag in ("--config", "--trajectory", "--scan-config", "--spec")
+])
+def test_invalid_json_exit_2(tmp_path, small_inputs, capsys, flag, content):
     (tmp_path / "out").mkdir()
     bad = tmp_path / "bad.json"
-    bad.write_text("{nope")
+    bad.write_bytes(content)
     argv = {
         "--config": small_inputs["compare"] + ["--config", str(bad)],
         "--trajectory": small_inputs["simulate"] + ["--trajectory", str(bad)],
@@ -959,6 +963,20 @@ class TestMixSplit:
         assert json.loads(capsys.readouterr().err)["error"].startswith("regions: ")
         assert not out_dir.exists()
 
+    def test_split_unknown_key_exit_2(self, tmp_path, capsys):
+        cloud_path = tmp_path / "c.xyzl"
+        write_cloud(random_cloud(np.random.default_rng(76), 20), cloud_path, FORMAT_XYZL)
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps({"regions": [
+            {"name": "a", "rect": [0, 0, 1, 1], "polgon": [[0, 0], [1, 0], [0, 1]]},
+        ]}))
+        out_dir = tmp_path / "splits"
+        code = main(["split", "--cloud", str(cloud_path), "--spec", str(spec_path),
+                     "--out-dir", str(out_dir)])
+        assert code == EXIT_CONFIG
+        assert json.loads(capsys.readouterr().err)["error"] == "regions[0].polgon: unknown config key"
+        assert not out_dir.exists()
+
     def test_mix_bad_fraction_exit_2(self, tmp_path):
         rng = np.random.default_rng(75)
         p = tmp_path / "c.xyzl"
@@ -1093,7 +1111,7 @@ class TestEvalAndReport:
         "case",
         ["gap-without-fields", "gap-column-not-a-number", "gap-column-huge-int", "list-root",
          "series-entry-not-object", "class-without-tp", "class-missing", "ratio-above-1",
-         "ratio-bool"],
+         "ratio-bool", "not-utf8"],
     )
     def test_report_refuses_malformed_input_exit_3(self, tmp_path, capsys, case):
         truth, pred = self._write_eval_fixture(tmp_path, "m", 82)
@@ -1116,9 +1134,9 @@ class TestEvalAndReport:
             del doc["per_class"]["Door"]["tp"]
         elif case == "class-missing":
             del doc["per_class"]["Door"]
-        else:
+        elif case != "not-utf8":
             doc["synthetic_ratio"] = 1.5 if case == "ratio-above-1" else True
-        path.write_text(json.dumps(doc))
+        path.write_bytes(b"\xff\xfe{}" if case == "not-utf8" else json.dumps(doc).encode())
         out_csv = tmp_path / "summary.csv"
         code = main(["report", str(path), "--out", str(out_csv)])
         assert code == EXIT_IO

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,6 +16,7 @@ from pcgap.dataset import (
     ratio_correlation,
     split,
 )
+from pcgap.errors import ConfigError
 
 from conftest import random_cloud
 
@@ -158,6 +161,15 @@ class TestSplit:
         )
         assert [r.name for r in spec.regions] == ["train", "test"]
 
+
+    @pytest.mark.parametrize("raw,key", [
+        ({"regions": [{"name": "a", "rect": [0, 0, 1, 1]}], "extra": 1}, "extra"),
+        ({"regions": [{"name": "a", "rect": [0, 0, 1, 1], "polgon": [[0, 0], [1, 0], [0, 1]]}]},
+         "regions[0].polgon"),
+    ], ids=["root", "region"])
+    def test_unknown_key_rejected(self, raw, key):
+        with pytest.raises(ConfigError, match=re.escape(f"{key}: unknown config key")):
+            SplitSpec.from_json_dict(raw)
 
 class TestMix:
     def setup_method(self):

@@ -373,11 +373,11 @@ class TestM3c2BruteForce:
         real, synth = labeled(real_xyz), labeled(synth_xyz)
         got = m3c2_class_distance(real, synth, params)
         median, inliers, outliers = brute_force_m3c2(real, synth, params)
-        assert (got.inliers, got.outliers) == (inliers, outliers)
+        assert (got.inlier_count, got.outlier_count) == (inliers, outliers)
         if median is None:
-            assert got.median is None
+            assert got.m3c2_median is None
         else:
-            assert abs(got.median - median) <= 1e-12
+            assert abs(got.m3c2_median - median) <= 1e-12
 
     def test_invalid_normal_cores_are_outliers(self):
         # a line has rank-1 covariance everywhere; three far points have too
@@ -390,16 +390,16 @@ class TestM3c2BruteForce:
         synth = labeled(np.concatenate([line, lonely, patch]) + [0.0, 0.0, 0.05])
         params = M3c2Params()
         got = m3c2_class_distance(real, synth, params)
-        assert (got.median, got.inliers, got.outliers) == pytest.approx(
+        assert (got.m3c2_median, got.inlier_count, got.outlier_count) == pytest.approx(
             brute_force_m3c2(real, synth, params), abs=1e-12
         )
-        assert got.inliers == 64
-        assert got.outliers == 43
+        assert got.inlier_count == 64
+        assert got.outlier_count == 43
 
     def test_empty_synthetic_class(self):
         real = labeled(plane(np.random.default_rng(3), 100))
         got = m3c2_class_distance(real, LabeledPointCloud.empty())
-        assert (got.median, got.inliers, got.outliers) == (None, 0, 100)
+        assert (got.m3c2_median, got.inlier_count, got.outlier_count) == (None, 0, 100)
 
 
 # ---------------------------------------------------------------------------
@@ -557,7 +557,7 @@ def assert_same_bounds(points, radius, centers):
 
 def assert_same_m3c2_kernels(real_xyz, synth_xyz, params=M3c2Params()):
     """Normals at every real point, then the real and synthetic cylinder
-    pairs at the cores with a valid normal, as ``_RealSide`` runs them."""
+    pairs at the cores with a valid normal, as ``metric._real_side`` runs them."""
     index_r = NnIndex(real_xyz)
     normals, valid = assert_same_normals(index_r, real_xyz, params.normal_scale_m)
     cores, axes = real_xyz[valid], normals[valid]

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,15 +9,13 @@ from pcgap.core import ClassWeights, LabeledPointCloud, SemanticClass, partition
 from pcgap.errors import DegenerateDataError
 from pcgap.metric import (
     DIAGONAL_DIRECTION,
+    ClassGapStats,
     GapReport,
-    M3c2ClassResult,
-    M3c2Params,
     MetricParams,
     aggregate_mm3c2,
     blend_distance,
     c2c_distance,
     compose_score,
-    compute_m3c2_per_class,
     dogss_pcl,
     m3c2_class_distance,
     offset_sensitivity,
@@ -120,40 +119,40 @@ class TestM3c2:
         r = plane_cloud(31, 10_000, 0.0)
         s = plane_cloud(32, 10_000, 0.05)
         res = m3c2_class_distance(r, s)
-        assert res.median == pytest.approx(0.05, abs=1e-3)
-        assert res.inliers + res.outliers == 10_000
+        assert res.m3c2_median == pytest.approx(0.05, abs=1e-3)
+        assert res.inlier_count + res.outlier_count == 10_000
 
     def test_identity_zero(self):
         r = plane_cloud(33, 5_000, 0.0)
         res = m3c2_class_distance(r, r)
-        assert res.median == pytest.approx(0.0, abs=1e-3)
+        assert res.m3c2_median == pytest.approx(0.0, abs=1e-3)
 
     def test_empty_synth_all_outliers(self):
         r = plane_cloud(34, 200, 0.0)
         res = m3c2_class_distance(r, LabeledPointCloud.empty())
-        assert res.median is None
-        assert res.outliers == 200
-        assert res.inliers == 0
+        assert res.m3c2_median is None
+        assert res.outlier_count == 200
+        assert res.inlier_count == 0
 
     def test_distant_synth_all_outliers(self):
         r = plane_cloud(35, 300, 0.0)
         s = plane_cloud(36, 300, 50.0)  # far outside the search cylinder
         res = m3c2_class_distance(r, s)
-        assert res.median is None
+        assert res.m3c2_median is None
 
     def test_signed_direction(self):
         # synthetic plane below the real one gives a negative median
         r = plane_cloud(37, 3_000, 0.0)
         s = plane_cloud(38, 3_000, -0.04)
         res = m3c2_class_distance(r, s)
-        assert res.median == pytest.approx(-0.04, abs=1e-3)
+        assert res.m3c2_median == pytest.approx(-0.04, abs=1e-3)
 
     def test_median_shifts_with_normal_translation(self):
         r = plane_cloud(39, 3_000, 0.0)
         s = plane_cloud(40, 3_000, 0.0)
-        base = m3c2_class_distance(r, s).median
+        base = m3c2_class_distance(r, s).m3c2_median
         for dz in (0.02, 0.07, 0.2):
-            shifted = m3c2_class_distance(r, s.translate((0, 0, dz))).median
+            shifted = m3c2_class_distance(r, s.translate((0, 0, dz))).m3c2_median
             assert shifted - base == pytest.approx(dz, abs=1e-3)
 
     def test_wall_medians_do_not_follow_point_order(self):
@@ -167,49 +166,45 @@ class TestM3c2:
                             points_per_second=24_000, max_range_m=50.0)
         scan = simulate_scan(build_room_mesh(), trajectory, config)
         real, synth = scan.cloud, apply_range_noise(scan, NoiseModel(0.02, seed=8)).cloud
-        p = MetricParams()
-        base = metric.compute_m3c2_per_class(metric._real_sides(real, p.class_weights, p.m3c2), synth)
+        base = dogss_pcl(real, synth).per_class
         rng = np.random.default_rng(41)
         for _ in range(3):
             pr, ps = rng.permutation(len(real)), rng.permutation(len(synth))
-            got = metric.compute_m3c2_per_class(
-                metric._real_sides(LabeledPointCloud(real.xyz[pr], real.labels[pr]),
-                                   p.class_weights, p.m3c2),
-                LabeledPointCloud(synth.xyz[ps], synth.labels[ps]),
-            )
+            got = dogss_pcl(LabeledPointCloud(real.xyz[pr], real.labels[pr]),
+                            LabeledPointCloud(synth.xyz[ps], synth.labels[ps])).per_class
             for cls, res in base.items():
-                assert got[cls].inliers == res.inliers
-                if res.median is not None:
-                    assert got[cls].median == pytest.approx(res.median, rel=1e-9), cls
+                assert got[cls].inlier_count == res.inlier_count
+                if res.m3c2_median is not None:
+                    assert got[cls].m3c2_median == pytest.approx(res.m3c2_median, rel=1e-9), cls
 
 
 class TestMm3c2:
     def test_arithmetic(self):
         per_class = {
-            SemanticClass.DOOR: M3c2ClassResult(0.02, 10, 0),
-            SemanticClass.WINDOW: M3c2ClassResult(0.06, 10, 0),
+            SemanticClass.DOOR: ClassGapStats(0.02, 10, 0),
+            SemanticClass.WINDOW: ClassGapStats(0.06, 10, 0),
         }
         weights = ClassWeights({SemanticClass.DOOR: 0.5, SemanticClass.WINDOW: 0.5})
         assert aggregate_mm3c2(per_class, weights) == pytest.approx(0.04)
 
     def test_absolute_medians(self):
         per_class = {
-            SemanticClass.DOOR: M3c2ClassResult(-0.02, 10, 0),
-            SemanticClass.WINDOW: M3c2ClassResult(0.06, 10, 0),
+            SemanticClass.DOOR: ClassGapStats(-0.02, 10, 0),
+            SemanticClass.WINDOW: ClassGapStats(0.06, 10, 0),
         }
         weights = ClassWeights({SemanticClass.DOOR: 0.5, SemanticClass.WINDOW: 0.5})
         assert aggregate_mm3c2(per_class, weights) == pytest.approx(0.04)
 
     def test_undefined_class_renormalizes(self):
         per_class = {
-            SemanticClass.DOOR: M3c2ClassResult(0.03, 10, 0),
-            SemanticClass.WINDOW: M3c2ClassResult(None, 0, 10),
+            SemanticClass.DOOR: ClassGapStats(0.03, 10, 0),
+            SemanticClass.WINDOW: ClassGapStats(None, 0, 10),
         }
         weights = ClassWeights({SemanticClass.DOOR: 0.5, SemanticClass.WINDOW: 0.5})
         assert aggregate_mm3c2(per_class, weights) == pytest.approx(0.03)
 
     def test_all_undefined_raises(self):
-        per_class = {SemanticClass.DOOR: M3c2ClassResult(None, 0, 5)}
+        per_class = {SemanticClass.DOOR: ClassGapStats(None, 0, 5)}
         weights = ClassWeights({SemanticClass.DOOR: 1.0})
         with pytest.raises(DegenerateDataError, match="no comparable semantic content"):
             aggregate_mm3c2(per_class, weights)
@@ -217,7 +212,7 @@ class TestMm3c2:
     def test_identical_clouds_zero(self):
         cloud = plane_cloud(41, 2_000, 0.0, cls=6)
         weights = ClassWeights({SemanticClass.WALL_SURFACE: 1.0})
-        per_class = compute_m3c2_per_class(metric._real_sides(cloud, weights, M3c2Params()), cloud)
+        per_class = {SemanticClass.WALL_SURFACE: m3c2_class_distance(cloud, cloud)}
         assert aggregate_mm3c2(per_class, weights) == pytest.approx(0.0, abs=1e-6)
 
 
@@ -416,6 +411,39 @@ class TestOffsetSensitivity:
             counts.append(sum(real_builds))
         assert counts[0] > 0
         assert counts == [counts[0]] * 3
+
+    def test_series_equals_the_class_distance(self, street_scene_pair):
+        # the series and the public function share one computation, bit for bit
+        real, synth = street_scene_pair
+        params = MetricParams()
+        parts_r, parts_s = partition_by_class(real), partition_by_class(synth)
+        vectors = scalar_offsets_to_vectors([0.0, 0.1, 0.3])
+        for v, report in zip(vectors, offset_sensitivity(real, synth, vectors, params)):
+            for cls, stats in report.per_class.items():
+                if params.class_weights.get(cls) > 0:
+                    want = m3c2_class_distance(parts_r[cls], parts_s[cls].translate(v), params.m3c2)
+                else:
+                    want = ClassGapStats(None, 0, 0)
+                assert replace(stats, iou=None) == want, (v, cls)
+
+    def test_series_fits_no_real_side_for_a_class_the_synthetic_cloud_lacks(self, monkeypatch):
+        real = build_street_scene(48, scale=0.04)
+        synth = build_street_scene(49, scale=0.04)
+        synth = synth.select(synth.labels != SemanticClass.DOOR)
+        door = real.select(real.labels == SemanticClass.DOOR)
+        assert MetricParams().class_weights.get(SemanticClass.DOOR) > 0 and len(door)
+        door_rows = set(map(tuple, door.xyz))
+        touched = []
+        for name in ("estimate_normals", "cylinder_means"):
+            def spy(index, points, *args, _fn=getattr(metric, name)):
+                touched.append(bool(door_rows & set(map(tuple, points))))
+                return _fn(index, points, *args)
+
+            monkeypatch.setattr(metric, name, spy)
+        reports = offset_sensitivity(real, synth, scalar_offsets_to_vectors([0.0, 0.1]))
+        assert touched and not any(touched)
+        for report in reports:
+            assert report.per_class[SemanticClass.DOOR] == ClassGapStats(None, 0, len(door), 0.0)
 
     def test_series_calls_each_stage_once_per_offset(self, monkeypatch):
         # through metric's own namespace, where per-stage timing wraps them
