@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, dataset, io, metric, simulate
-from .errors import ConfigError, DegenerateDataError, FormatError, ParseError
+from .errors import ConfigError, DegenerateDataError, FormatError, ParseError, check_number
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -448,30 +448,18 @@ def _fail(code: int, message: str) -> int:
     return code
 
 
-def _check_float_flags(args) -> None:
-    """Every float flag must be finite, ``--sigma`` and ``--seed`` >= 0,
-    ``--ratio`` and ``--fraction`` in [0, 1] and ``--count`` positive; a
-    bad value names its flag."""
-    for dest, value in vars(args).items():
-        if isinstance(value, float) and not math.isfinite(value):
-            raise ConfigError(f"--{dest.replace('_', '-')} must be finite, got {value}")
-    for flag in ("sigma", "seed"):
-        value = getattr(args, flag, None)
-        if value is not None and value < 0:
-            raise ConfigError(f"--{flag} must be >= 0, got {value}")
-    for flag in ("ratio", "fraction"):
-        value = getattr(args, flag, None)
-        if value is not None and not 0 <= value <= 1:
-            raise ConfigError(f"--{flag} must be in [0, 1], got {value}")
-    if getattr(args, "count", None) is not None and args.count <= 0:
-        raise ConfigError(f"--count must be positive, got {args.count}")
+#: The range rule of each number flag that has one (see :data:`errors.RULES`).
+_FLAG_RULES = {"sigma": ">= 0", "seed": ">= 0", "ratio": "in [0, 1]", "fraction": "in [0, 1]", "count": ">= 1"}
 
 
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        _check_float_flags(args)
+        for dest, value in vars(args).items():  # every number flag: finite and within its rule
+            if isinstance(value, (int, float)):
+                check_number(value, "--" + dest.replace("_", "-"), _FLAG_RULES.get(dest),
+                             integer=isinstance(value, int))
         return args.func(args)
     except ValueError as exc:  # a ConfigError is one too
         return _fail(EXIT_CONFIG, str(exc))

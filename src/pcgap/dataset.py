@@ -9,13 +9,13 @@ confusion summaries).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 import numpy as np
 
 from .core import NON_NOISE_CLASSES, LabeledPointCloud, SemanticClass, record_fields
-from .errors import ConfigError, config_fields
+from .errors import ConfigError, check_fields, config_fields, config_number, config_tuple
 
 N_CLASSES = 12
 
@@ -38,8 +38,6 @@ class Region:
     polygon: np.ndarray | None = None
 
     def __post_init__(self):
-        if not _is_file_name(self.name):
-            raise ValueError(f"region name {self.name!r} is not a plain file name")
         if (self.rect is None) == (self.polygon is None):
             raise ValueError(f"region {self.name!r}: exactly one of rect/polygon required")
         if self.rect is not None:
@@ -124,16 +122,21 @@ class SplitSpec:
         config_fields(raw, "split spec", cls)
         regions = []
         for i, entry in enumerate(raw["regions"]):
-            entry = config_fields(entry, f"regions[{i}]", Region, f"regions[{i}].")
+            key = f"regions[{i}]"
+            entry = config_fields(entry, key, Region, key + ".")
+            if "name" not in entry:
+                raise ConfigError(f"{key}.name: missing from the region")
+            if not _is_file_name(entry["name"]):
+                raise ConfigError(f"{key}.name: {entry['name']!r} is not a plain file name")
+            rect = None
+            if "rect" in entry:
+                items = config_tuple(entry["rect"], f"{key}.rect", 4)
+                rect = tuple(float(config_number(v, f"{key}.rect[{k}]")) for k, v in enumerate(items))
             try:
-                name = entry["name"]
-                if not _is_file_name(name):
-                    raise ConfigError(f"regions[{i}].name: {name!r} is not a plain file name")
-                rect = tuple(float(v) for v in entry["rect"]) if "rect" in entry else None
                 polygon = np.asarray(entry["polygon"], dtype=np.float64) if "polygon" in entry else None
-                regions.append(Region(name, rect, polygon))  # it refuses both shapes, or neither
-            except (KeyError, TypeError, ValueError) as exc:
-                raise ConfigError(f"regions[{i}]: {exc}") from exc
+                regions.append(Region(entry["name"], rect, polygon))  # it refuses both shapes, or neither
+            except (TypeError, ValueError) as exc:
+                raise ConfigError(f"{key}: {exc}") from exc
         return cls(tuple(regions))
 
 
@@ -161,15 +164,12 @@ def _round_half_up(x: float) -> int:
 
 @dataclass(frozen=True)
 class RatioMix:
-    real_fraction: float
-    target_count: int
-    seed: int = 0
+    real_fraction: float = field(metadata={"rule": "in [0, 1]"})
+    target_count: int = field(metadata={"rule": ">= 1"})
+    seed: int = field(default=0, metadata={"rule": ">= 0"})
 
     def __post_init__(self):
-        if not 0.0 <= self.real_fraction <= 1.0:
-            raise ValueError("real_fraction must be in [0, 1]")
-        if self.target_count <= 0:
-            raise ValueError("target_count must be positive")
+        check_fields(self)
 
     @property
     def real_count(self) -> int:

@@ -26,7 +26,7 @@ from .core import (
     partition_by_class,
     record_fields,
 )
-from .errors import ConfigError, DegenerateDataError, config_fields, config_number, config_object
+from .errors import ConfigError, DegenerateDataError, check_fields, check_number, config_fields, config_object
 from .spatial import NnIndex, cylinder_means, estimate_normals, voxelize
 
 C2C_MODES = ("directed-max", "directed-mean", "symmetric-max")
@@ -35,14 +35,12 @@ LAMBDA_VALIDATION_MODES = ("strict", "relaxed")
 _CLASS_SLOTS = 16  # class ids (1..12) take the low 4 bits of a voxel key
 
 
-def _float_field(record, name: str, key: str) -> float:
-    """Field ``name`` of a frozen ``record``, stored back as a float; a
-    ConfigError naming ``key`` when it is not a finite number."""
-    value = float(config_number(getattr(record, name), key))
-    if not math.isfinite(value):
-        raise ConfigError(f"{key}: must be finite, got {value!r}")
-    object.__setattr__(record, name, value)
-    return value
+def _check_floats(record, prefix: str = "") -> None:
+    """:func:`check_fields` of ``record``, then each float field stored as a float."""
+    check_fields(record, prefix)
+    for f in fields(record):
+        if f.type == "float":
+            object.__setattr__(record, f.name, float(getattr(record, f.name)))
 
 
 @dataclass(frozen=True)
@@ -50,15 +48,12 @@ class M3c2Params:
     """Cylinder search geometry: normal fit radius, projection radius, and
     half-depth of the search cylinder, all in meters."""
 
-    normal_scale_m: float = 0.5
-    projection_radius_m: float = 0.25
-    max_depth_m: float = 1.0
+    normal_scale_m: float = field(default=0.5, metadata={"rule": "> 0"})
+    projection_radius_m: float = field(default=0.25, metadata={"rule": "> 0"})
+    max_depth_m: float = field(default=1.0, metadata={"rule": "> 0"})
 
     def __post_init__(self):
-        for f in fields(self):
-            value = _float_field(self, f.name, f"m3c2.{f.name}")
-            if value <= 0:
-                raise ConfigError(f"m3c2.{f.name}: must be > 0, got {value!r}")
+        _check_floats(self, "m3c2.")
 
 
 @dataclass(frozen=True)
@@ -73,12 +68,12 @@ class MetricParams:
     naming the config key path.
     """
 
-    lambda1: float = 0.6
-    lambda2: float = 0.3
-    lambda3: float = 0.1
-    alpha: float = -0.2
-    epsilon: float = 1e-6
-    voxel_size_m: float = 0.5
+    lambda1: float = field(default=0.6, metadata={"rule": ">= 0"})
+    lambda2: float = field(default=0.3, metadata={"rule": ">= 0"})
+    lambda3: float = field(default=0.1, metadata={"rule": ">= 0"})
+    alpha: float = field(default=-0.2, metadata={"rule": "< 0"})
+    epsilon: float = field(default=1e-6, metadata={"rule": "> 0"})
+    voxel_size_m: float = field(default=0.5, metadata={"rule": "> 0"})
     class_weights: ClassWeights = field(default_factory=default_weights, metadata={"record": ClassWeights})
     m3c2: M3c2Params = field(default_factory=M3c2Params, metadata={"record": M3c2Params})
     lambda_validation: str = field(default="strict", metadata={"modes": LAMBDA_VALIDATION_MODES})
@@ -86,26 +81,13 @@ class MetricParams:
     eq3_weight_mode: str = field(default="as-given", metadata={"modes": EQ3_WEIGHT_MODES})
 
     def __post_init__(self):
-        for f in fields(self):  # field order: every number checked before any mode
-            value = _float_field(self, f.name, f.name) if f.type == "float" else getattr(self, f.name)
-            if "record" in f.metadata and not isinstance(value, f.metadata["record"]):
-                raise ConfigError(f"{f.name}: expected {f.type}, got {value!r}")
-            if "modes" in f.metadata and value not in f.metadata["modes"]:
-                raise ConfigError(f"{f.name}: expected one of {f.metadata['modes']}, got {value!r}")
+        _check_floats(self)  # field order: every number checked before any mode
         lams = (self.lambda1, self.lambda2, self.lambda3)
-        if min(lams) < 0:
-            raise ConfigError("lambda1/lambda2/lambda3: must be non-negative")
         if self.lambda_validation == "strict":
             if abs(sum(lams) - 1.0) > 1e-9:
                 raise ConfigError(f"lambda1+lambda2+lambda3: must sum to 1, got {sum(lams)!r}")
             if not (self.lambda1 > self.lambda2 > self.lambda3):
                 raise ConfigError("lambda1 > lambda2 > lambda3 is required in strict mode")
-        if self.alpha >= 0:
-            raise ConfigError(f"alpha: must be < 0, got {self.alpha!r}")
-        if self.epsilon <= 0:
-            raise ConfigError(f"epsilon: must be > 0, got {self.epsilon!r}")
-        if self.voxel_size_m <= 0:
-            raise ConfigError(f"voxel_size_m: must be > 0, got {self.voxel_size_m!r}")
 
     @classmethod
     def from_json_dict(cls, raw) -> tuple["MetricParams", int]:
@@ -114,9 +96,7 @@ class MetricParams:
         take their defaults; an unknown key is a ConfigError naming its path,
         and every value is checked on construction."""
         cfg = dict(config_object(raw, "config root"))
-        seed = config_number(cfg.pop("seed", 0), "seed", integer=True)
-        if seed < 0:
-            raise ConfigError(f"seed: must be >= 0, got {seed!r}")
+        seed = check_number(cfg.pop("seed", 0), "seed", ">= 0", integer=True)
         cfg = config_fields(cfg, "config root", cls)
         cfg["m3c2"] = M3c2Params(**config_fields(cfg.get("m3c2", {}), "m3c2", M3c2Params, "m3c2."))
         if "class_weights" in cfg:

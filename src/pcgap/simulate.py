@@ -9,13 +9,13 @@ points only along their own ray.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 import numpy as np
 
 from .core import LabeledPointCloud, record_fields
-from .errors import ConfigError, DegenerateDataError, config_fields, config_number, config_object
+from .errors import ConfigError, DegenerateDataError, check_fields, config_fields, config_number, config_object
 from .spatial import Bvh
 
 _TWO_PI = 2.0 * math.pi
@@ -26,35 +26,15 @@ _SAMPLE_KEYS = ("t", "x", "y", "z", "yaw")
 class ScanConfig:
     """Generic rotating-lidar parameterization (no vendor profile)."""
 
-    channels: int = 64
-    vertical_fov_deg: tuple[float, float] = (-25.0, 15.0)
-    rotation_rate_hz: float = 10.0
-    points_per_second: int = 600_000
-    max_range_m: float = 120.0
-    sensor_offset: tuple[float, float, float] = (0.0, 0.0, 0.0)
+    channels: int = field(default=64, metadata={"rule": ">= 1"})
+    vertical_fov_deg: tuple[float, float] = field(default=(-25.0, 15.0), metadata={"size": 2})
+    rotation_rate_hz: float = field(default=10.0, metadata={"rule": "> 0"})
+    points_per_second: int = field(default=600_000, metadata={"rule": ">= 1"})
+    max_range_m: float = field(default=120.0, metadata={"rule": "> 0"})
+    sensor_offset: tuple[float, float, float] = field(default=(0.0, 0.0, 0.0), metadata={"size": 3})
 
     def __post_init__(self):
-        for key, size in (("vertical_fov_deg", 2), ("sensor_offset", 3)):
-            value = getattr(self, key)
-            items = tuple(value) if isinstance(value, (list, tuple, np.ndarray)) else ()
-            if len(items) != size:
-                raise ConfigError(f"{key}: expected {size} numbers, got {value!r}")
-            object.__setattr__(self, key, items)
-        for key in ("channels", "points_per_second"):
-            if config_number(getattr(self, key), key, integer=True) < 1:
-                raise ConfigError(f"{key}: must be >= 1, got {getattr(self, key)!r}")
-        values = {
-            "rotation_rate_hz": self.rotation_rate_hz,
-            "max_range_m": self.max_range_m,
-            **{f"vertical_fov_deg[{i}]": v for i, v in enumerate(self.vertical_fov_deg)},
-            **{f"sensor_offset[{i}]": v for i, v in enumerate(self.sensor_offset)},
-        }
-        for key, value in values.items():
-            if not math.isfinite(config_number(value, key)):
-                raise ConfigError(f"{key}: must be finite, got {value!r}")
-        for key in ("rotation_rate_hz", "max_range_m"):
-            if values[key] <= 0:
-                raise ConfigError(f"{key}: must be > 0, got {values[key]!r}")
+        check_fields(self)
         lo, hi = self.vertical_fov_deg
         if self.channels > 1 and not lo < hi:
             raise ConfigError("vertical_fov_deg: min must be below max")
@@ -144,12 +124,11 @@ class Trajectory:
 class NoiseModel:
     """Gaussian range noise: per-point displacement along the ray."""
 
-    sigma: float = 0.02
-    seed: int = 0
+    sigma: float = field(default=0.02, metadata={"rule": ">= 0"})
+    seed: int = field(default=0, metadata={"rule": ">= 0"})
 
     def __post_init__(self):
-        if not (math.isfinite(self.sigma) and self.sigma >= 0):
-            raise ValueError("sigma must be finite and >= 0")
+        check_fields(self)
 
 
 @dataclass(frozen=True)

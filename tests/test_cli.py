@@ -109,6 +109,17 @@ def test_non_finite_flag_exit_2(tmp_path, small_inputs, capsys, command, flag, v
     assert list((tmp_path / "out").iterdir()) == []
 
 
+@pytest.mark.parametrize("command,flag,value,message", [
+    ("noise", "--sigma", "-0.5", "--sigma: must be >= 0, got -0.5"),
+    ("mix", "--count", "0", "--count: must be >= 1, got 0"),
+    ("eval-seg", "--ratio", "1.5", "--ratio: must be in [0, 1], got 1.5"),
+    ("compare", "--alpha", "-inf", "--alpha: must be finite, got -inf"),
+])
+def test_flag_refusal_names_flag_and_rule(tmp_path, small_inputs, capsys, command, flag, value, message):
+    assert main(small_inputs[command] + [f"{flag}={value}"]) == EXIT_CONFIG
+    assert json.loads(capsys.readouterr().err)["error"] == message
+
+
 def test_simulate_sigma_zero_changes_no_byte(tmp_path, small_inputs):
     (tmp_path / "out").mkdir()
     argv = small_inputs["simulate"]
@@ -975,6 +986,24 @@ class TestMixSplit:
                      "--out-dir", str(out_dir)])
         assert code == EXIT_CONFIG
         assert json.loads(capsys.readouterr().err)["error"] == "regions[0].polgon: unknown config key"
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("region,message", [
+        ({"name": "..", "rect": [0, 0, 1, 1]}, "regions[0].name: '..' is not a plain file name"),
+        ({"rect": [0, 0, 1, 1]}, "regions[0].name: missing from the region"),
+        ({"name": "a", "rect": [0, 0, 1]}, "regions[0].rect: expected 4 numbers, got [0, 0, 1]"),
+        ({"name": "a", "rect": [0, 0, True, 1]}, "regions[0].rect[2]: expected a number, got True"),
+    ], ids=["dot-dot-name", "no-name", "three-number-rect", "bool-coordinate"])
+    def test_split_region_error_names_its_key_exit_2(self, tmp_path, capsys, region, message):
+        cloud_path = tmp_path / "c.xyzl"
+        write_cloud(random_cloud(np.random.default_rng(76), 20), cloud_path, FORMAT_XYZL)
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps({"regions": [region]}))
+        out_dir = tmp_path / "splits"
+        code = main(["split", "--cloud", str(cloud_path), "--spec", str(spec_path),
+                     "--out-dir", str(out_dir)])
+        assert code == EXIT_CONFIG
+        assert json.loads(capsys.readouterr().err)["error"] == message
         assert not out_dir.exists()
 
     def test_mix_bad_fraction_exit_2(self, tmp_path):

@@ -222,6 +222,17 @@ class TestMix:
         with pytest.raises(ValueError, match="target_count"):
             RatioMix(0.5, 0)
 
+    @pytest.mark.parametrize("args,message", [
+        ((True, 10), "real_fraction: expected a number, got True"),
+        (("0.5", 10), "real_fraction: expected a number, got '0.5'"),
+        ((0.5, 10.5), "target_count: expected an integer, got 10.5"),
+        ((0.5, 10, 1.5), "seed: expected an integer, got 1.5"),
+        ((0.5, 10, -1), "seed: must be >= 0, got -1"),
+    ])
+    def test_bad_field_named(self, args, message):
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            RatioMix(*args)
+
     def test_empty_source_rejected(self):
         with pytest.raises(ValueError, match="empty"):
             mix(LabeledPointCloud.empty(), self.synth, RatioMix(0.5, 10, seed=1))

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import re
 import stat
@@ -13,7 +14,8 @@ from hypothesis import strategies as st
 
 from pcgap import io as pio
 from pcgap.core import LabeledPointCloud, SemanticClass, default_weights
-from pcgap.errors import ConfigError, ParseError, PcgapError
+from pcgap.dataset import RatioMix
+from pcgap.errors import RULES, ConfigError, ParseError, PcgapError
 from pcgap.io import (
     FORMAT_PLY_ASCII,
     FORMAT_PLY_BINARY,
@@ -31,6 +33,7 @@ from pcgap.io import (
     write_report,
 )
 from pcgap.metric import M3c2Params, MetricParams
+from pcgap.simulate import NoiseModel, ScanConfig
 
 from conftest import random_cloud, room_mesh_obj_text
 
@@ -398,6 +401,46 @@ class TestConfig:
     def test_construction_refuses_wrong_types(self, build, message):
         with pytest.raises(ConfigError, match="^" + re.escape(message)):
             build()
+
+
+#: Each parameter record: its key prefix, and the other arguments a valid
+#: construction needs.
+_RECORDS = [
+    (M3c2Params, "m3c2.", {}),
+    (MetricParams, "", {"lambda_validation": "relaxed"}),
+    (ScanConfig, "", {}),
+    (NoiseModel, "", {}),
+    (RatioMix, "", {"real_fraction": 0.5, "target_count": 10}),
+]
+#: For each rule and field type: the values just outside the rule's bounds,
+#: and those on or just inside them.
+_RULE_EDGES = {
+    ("> 0", "float"): ([0.0], [5e-324]),
+    (">= 0", "float"): ([-5e-324], [0.0]),
+    (">= 0", "int"): ([-1], [0]),
+    (">= 1", "int"): ([0], [1]),
+    ("< 0", "float"): ([0.0], [-5e-324]),
+    ("in [0, 1]", "float"): ([-5e-324, math.nextafter(1.0, 2.0)], [0.0, 1.0]),
+}
+_RULED_FIELDS = [(record, prefix, base, f) for record, prefix, base in _RECORDS
+                 for f in fields(record) if "rule" in f.metadata]
+
+
+def test_rule_edges_cover_every_rule():
+    assert {rule for rule, _ in _RULE_EDGES} == set(RULES)
+
+
+@pytest.mark.parametrize("record,prefix,base,f", _RULED_FIELDS,
+                         ids=[f"{r.__name__}.{f.name}" for r, _, _, f in _RULED_FIELDS])
+def test_every_declared_rule_refuses_its_bound(record, prefix, base, f):
+    rule = f.metadata["rule"]
+    refused, accepted = _RULE_EDGES[rule, f.type]
+    for value in refused:
+        message = f"{prefix}{f.name}: must be {rule}, got {value!r}"
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            record(**{**base, f.name: value})
+    for value in accepted:
+        assert getattr(record(**{**base, f.name: value}), f.name) == value
 
 
 def _pinned_gap_report():

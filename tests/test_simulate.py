@@ -1,7 +1,9 @@
+import re
+
 import numpy as np
 import pytest
 
-from pcgap.errors import DegenerateDataError
+from pcgap.errors import ConfigError, DegenerateDataError
 from pcgap.io import ClassedMesh
 from pcgap.simulate import (
     NoiseModel,
@@ -83,6 +85,17 @@ class TestConfigChecks:
     def test_scan_config_unknown_key(self):
         with pytest.raises(ValueError, match="^chanels: unknown config key$"):
             ScanConfig.from_json_dict({"chanels": 4})
+
+    @pytest.mark.parametrize("kwargs,message", [
+        ({"sigma": True}, "sigma: expected a number, got True"),
+        ({"sigma": "0.02"}, "sigma: expected a number, got '0.02'"),
+        ({"seed": True}, "seed: expected an integer, got True"),
+        ({"seed": 1.5}, "seed: expected an integer, got 1.5"),
+        ({"seed": -1}, "seed: must be >= 0, got -1"),
+    ])
+    def test_noise_model(self, kwargs, message):
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            NoiseModel(**kwargs)
 
     def test_trajectory_integer_too_large_for_a_float(self):
         samples = [{"t": 0, "x": 0, "y": 0, "z": 0}, {"t": 1, "x": 0, "y": 0, "z": 10**400}]
