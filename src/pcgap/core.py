@@ -8,14 +8,13 @@ All types are immutable after construction and all operations are pure.
 from __future__ import annotations
 
 import logging
-import math
 from dataclasses import dataclass, fields
 from enum import IntEnum
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, config_number
+from .errors import ConfigError, check_number
 
 logger = logging.getLogger(__name__)
 
@@ -238,11 +237,7 @@ class ClassWeights:
         cleaned: dict[SemanticClass, float] = {}
         for cls, w in self.weights.items():
             cls = SemanticClass(cls)
-            w = float(config_number(w, f"class_weights.{cls.canonical_name}"))
-            if not (math.isfinite(w) and w >= 0):
-                raise ConfigError(f"class_weights: weight for {cls.canonical_name} must be finite "
-                                  f"and non-negative: {w}")
-            cleaned[cls] = w
+            cleaned[cls] = float(check_number(w, f"class_weights.{cls.canonical_name}", ">= 0"))
         total = sum(cleaned.values())
         if abs(total - 1.0) > WEIGHT_SUM_TOL:
             raise ConfigError(f"class_weights: class weights must sum to 1 (got {total!r})")

@@ -21,6 +21,7 @@ _RANK_RATIO = 1e-12
 _SIGN_EPS = 1e-12  # normal components this small are rounding noise
 _CANDIDATE_BUDGET = 1_000_000  # (query, point) candidate rows held by one gather pass
 _BOUND_BLOCK = 65_536  # items whose pair bounds are computed at once
+_QUERY_BLOCK = 4_096  # nearest-point queries a lane takes at once
 _MAX_SLABS = 9
 _LEAF_SIZE = 32  # most triangles in a BVH leaf
 # ray-triangle tests per leaf-pass tile: each float64 temporary stays within 128 KiB,
@@ -69,10 +70,17 @@ class NnIndex:
 
     def nearest_distances(self, points: np.ndarray, upper_bound: float = np.inf, lanes: int = 0) -> np.ndarray:
         """Distance from each query point to its nearest indexed point, inf where none lies
-        within ``upper_bound``, on ``lanes`` threads (0: one per CPU the process may use)."""
-        d, _ = self._tree.query(np.asarray(points, dtype=np.float64), distance_upper_bound=upper_bound,
-                                workers=lanes or _lane_count())
-        return np.atleast_1d(d)
+        within ``upper_bound``. Blocks of ``_QUERY_BLOCK`` queries run on ``lanes`` lanes
+        (0: one per CPU the process may use; see :func:`_on_lanes`), one query thread each."""
+        points = np.asarray(points, dtype=np.float64).reshape(-1, 3)
+        d = np.empty(len(points))
+
+        def query(lo):
+            d[lo:lo + _QUERY_BLOCK] = self._tree.query(points[lo:lo + _QUERY_BLOCK],
+                                                       distance_upper_bound=upper_bound, workers=1)[0]
+
+        _on_lanes(lanes or _lane_count(), range(0, len(points), _QUERY_BLOCK), query)
+        return d
 
     def within_radius_many(self, points: np.ndarray, radius: float) -> tuple[np.ndarray, np.ndarray]:
         """Every (query row, point index) pair with distance <= radius, as two
@@ -155,24 +163,53 @@ def _ball_count_bound(points: np.ndarray, radius: float):
 
 
 def _lane_count() -> int:
-    """Lanes a gather runs on: the CPUs this process may run on."""
+    """Lanes the gathers and queries run on: the CPUs this process may run on."""
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+
+
+def _on_lanes(lanes: int, tasks, run) -> None:
+    """Call ``run(task)`` for each of the sequence ``tasks``: the calling
+    thread and a worker thread per further lane, up to one lane per task,
+    each take the next task (the work releases the GIL). The first error
+    stops the lanes and is raised again on the calling thread."""
+    import threading
+
+    pending, lock, failed = iter(tasks), threading.Lock(), []
+
+    def lane():
+        try:
+            while not failed:
+                with lock:
+                    task = next(pending, None)
+                if task is None:
+                    return
+                run(task)
+        except BaseException as exc:  # raised again on the calling thread
+            failed.append(exc)
+
+    workers = [threading.Thread(target=lane) for _ in range(min(lanes, len(tasks)) - 1)]
+    for worker in workers:
+        worker.start()
+    lane()
+    for worker in workers:
+        worker.join()
+    if failed:
+        raise failed[0]
 
 
 def _gather(index: NnIndex, n: int, queries_of, radius: float, kernel) -> None:
     """Call ``kernel(lo, hi, query, point)`` on blocks ``[lo, hi)`` of ``n``
     balls and their pairs within ``radius``; ``query`` indexes the rows of
-    ``queries_of(lo, hi)``, the blocks' ball centers. The calling
-    thread and one worker per further CPU each take the next block (the
-    join releases the GIL). A block provably holds at most a share of
-    ``_CANDIDATE_BUDGET`` pairs by :func:`_ball_count_bound`: one share for
-    the main lane and two per worker, whose own malloc arena keeps what it freed."""
-    import threading
-
+    ``queries_of(lo, hi)``, the blocks' ball centers. The blocks run on one
+    lane per CPU (see :func:`_on_lanes`). A block provably holds at most a
+    share of ``_CANDIDATE_BUDGET`` pairs by :func:`_ball_count_bound`: two
+    shares for the main lane and four per worker, whose own malloc arena
+    keeps what its last block freed. At twice these shares, a street
+    compare and its series on 2 CPUs peaked at 101 MB, not 93, in no less time."""
     if n == 0:
         return
     lanes = _lane_count()
-    share = max(_CANDIDATE_BUDGET // (2 * lanes - 1), 1)
+    share = max(_CANDIDATE_BUDGET // (4 * lanes - 2), 1)
     bound = _ball_count_bound(index.points, radius)
     load = np.empty(n, dtype=np.int64)
     for lo in range(0, n, _BOUND_BLOCK):
@@ -182,27 +219,8 @@ def _gather(index: NnIndex, n: int, queries_of, radius: float, kernel) -> None:
     starts = [0]
     while (lo := starts[-1]) < n:
         starts.append(max(int(np.searchsorted(held, held[lo] + share, side="right")) - 1, lo + 1))
-    blocks, lock, failed = zip(starts, starts[1:]), threading.Lock(), []
-
-    def lane():
-        try:
-            while not failed:
-                with lock:
-                    block = next(blocks, None)
-                if block is None:
-                    return
-                kernel(*block, *index.within_radius_many(queries_of(*block), radius))
-        except BaseException as exc:  # raised again on the calling thread
-            failed.append(exc)
-
-    workers = [threading.Thread(target=lane) for _ in range(min(lanes, len(starts) - 1) - 1)]
-    for worker in workers:
-        worker.start()
-    lane()
-    for worker in workers:
-        worker.join()
-    if failed:
-        raise failed[0]
+    _on_lanes(lanes, list(zip(starts, starts[1:])),
+              lambda block: kernel(*block, *index.within_radius_many(queries_of(*block), radius)))
 
 
 def _slab_count(radius: float, half_depth: float) -> int:

@@ -515,8 +515,8 @@ class TestCompare:
             ('{"m3c2": {"max_depth_m": NaN}}', "max_depth"),
             ('{"m3c2": {"projection_radius_m": Infinity}}', "projection_radius"),
             ('{"voxel_size_m": Infinity}', "voxel_size_m"),
-            ('{"class_weights": {"WallSurface": NaN}}', "class_weights: weight for WallSurface must be finite"),
-            ('{"class_weights": {"WallSurface": Infinity}}', "class_weights: weight for WallSurface must be finite"),
+            ('{"class_weights": {"WallSurface": NaN}}', "class_weights.WallSurface: must be finite, got nan"),
+            ('{"class_weights": {"WallSurface": Infinity}}', "class_weights.WallSurface: must be finite, got inf"),
             # integers a float cannot hold
             ('{"alpha": -1%s}' % ("0" * 400), "alpha: number too large for a float"),
             ('{"m3c2": {"max_depth_m": 1%s}}' % ("0" * 400), "m3c2.max_depth_m: number too large"),

@@ -222,7 +222,7 @@ class TestClassWeights:
             assert w.get(cls) == 0.0
 
     def test_rejects_negative(self):
-        with pytest.raises(ValueError, match="negative"):
+        with pytest.raises(ConfigError, match=r"^class_weights\.Door: must be >= 0, got -0\.5$"):
             ClassWeights({SemanticClass.DOOR: -0.5, SemanticClass.WINDOW: 1.5})
 
     @pytest.mark.parametrize("weight", [True, "1", None, [1.0]])

@@ -253,8 +253,8 @@ class TestCylinderPairs:
 
         monkeypatch.setattr(spatial, "_CANDIDATE_BUDGET", 2000)
         monkeypatch.setattr(NnIndex, "within_radius_many", spy)
-        # a block holds one lane's share: one for the main lane, two per worker
-        cap = 2000 // (2 * spatial._lane_count() - 1)
+        # a block holds one lane's share: two for the main lane, four per worker
+        cap = 2000 // (4 * spatial._lane_count() - 2)
         blocked = gathered_members(index, centers, normals, 0.25, 1.0)
         reaches = {radius for radius, _ in held}
         assert len(reaches) == 2  # the center balls' pass and the side balls'

@@ -1,6 +1,7 @@
-"""Million-element and ground-mesh build-time checks and raycast, XYZL,
-M3C2 and voxel IoU throughput floors; long-running, so opt in with
-PCGAP_PERF=1 (e.g. ``PCGAP_PERF=1 pytest tests/test_perf.py -m perf``)."""
+"""Million-element and ground-mesh build-time checks, raycast, XYZL, M3C2
+and voxel IoU throughput floors and a street compare's peak memory;
+long-running, so opt in with PCGAP_PERF=1
+(e.g. ``PCGAP_PERF=1 pytest tests/test_perf.py -m perf``)."""
 
 import json
 import os
@@ -15,8 +16,8 @@ import pytest
 import pcgap
 from pcgap.core import partition_by_class
 from pcgap.cli import main
-from pcgap.io import (FORMAT_XYZL, ClassedMesh, read_cloud, read_ray_origins, write_cloud,
-                      write_ray_origins)
+from pcgap.io import (FORMAT_PLY_BINARY, FORMAT_XYZL, ClassedMesh, read_cloud, read_ray_origins,
+                      write_cloud, write_ray_origins)
 from pcgap.metric import voxel_miou
 from pcgap.simulate import ScanConfig, Trajectory, simulate_scan
 from pcgap.spatial import Bvh, NnIndex, cylinder_means, estimate_normals
@@ -145,6 +146,31 @@ def test_street_normals_and_cylinders_under_2_1s(street_scene_pair):
 
     assert len(pairs) == 9
     assert best_time(3, m3c2_passes) <= 2.1
+
+
+_COMPARE_RSS = """
+import resource, sys
+from pcgap.cli import main
+real, synth, out = sys.argv[1:]
+for name, extra in (("gap", []), ("series", ["--offset", "0,0.1,0.3"])):
+    argv = ["compare", "--real", real, "--synthetic", synth, "--out", f"{out}/{name}.json"]
+    if main(argv + extra) != 0:
+        sys.exit(f"{name}: compare failed")
+print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+"""
+
+
+def test_street_compare_and_series_peak_rss_at_most_105mb(tmp_path, street_scene_pair):
+    """A fresh process that runs ``compare`` and the 3-offset series on the
+    1x street pair, as binary PLY, peaks at no more than 105 MB: the pair
+    blocks of the gathers and the kd-tree queries are held by the lanes alone."""
+    paths = [tmp_path / "real.ply", tmp_path / "synth.ply"]
+    for cloud, path in zip(street_scene_pair, paths):
+        write_cloud(cloud, path, FORMAT_PLY_BINARY)
+    env = dict(os.environ, PYTHONPATH=str(Path(pcgap.__file__).resolve().parents[1]))
+    run = subprocess.run([sys.executable, "-c", _COMPARE_RSS, *map(str, paths), str(tmp_path)],
+                         env=env, check=True, timeout=300, capture_output=True, text=True)
+    assert int(run.stdout) / 1024 <= 105.0  # ru_maxrss is in KiB on Linux
 
 
 def test_room_scan_72k_rays_with_sidecar_under_0_45s(tmp_path):
