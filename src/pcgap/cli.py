@@ -106,6 +106,9 @@ def cmd_compare(args) -> int:
     digests = {}
     real = io.read_cloud(args.real, digests)
     synth = io.read_cloud(args.synthetic, digests)
+    for flag, path, cloud in (("--real", args.real, real), ("--synthetic", args.synthetic, synth)):
+        if not len(cloud):
+            raise ConfigError(f"{flag} {path}: the cloud has no points to compare")
 
     config = {**params.to_json_dict(), "seed": seed}
     if magnitudes is not None:
@@ -259,14 +262,13 @@ _GAP_COLUMNS = ("m_dogss_pcl", "d", "d_mm3c2", "d_c2c", "miou", "f_miou")
 
 def _gap_rows(path: str, doc: dict) -> list[tuple[str, float, list]]:
     """Name, offset magnitude and column values of a gap report, or of
-    each report of a gap series."""
-    kind = doc.get("report_type")
-    if kind == "gap":
+    each report of a gap series, which must hold at least one."""
+    if doc["report_type"] == "gap":
         subs = [(path, doc)]
-    elif kind == "gap_series":
-        subs = [(f"{path}[{i}]", sub) for i, sub in enumerate(doc.get("reports", []))]
+    elif isinstance(reports := doc.get("reports"), list) and reports:
+        subs = [(f"{path}[{i}]", sub) for i, sub in enumerate(reports)]
     else:
-        raise ConfigError(f"{path}: expected a gap report, found {kind!r}")
+        raise ParseError(path, f"reports: expected a non-empty list of gap reports, found {reports!r}")
     return [
         (name, _offset_magnitude(sub.get("offset", [0.0, 0.0, 0.0])),
          [float(sub[c]) for c in _GAP_COLUMNS])
@@ -300,8 +302,10 @@ def _parse_report(path: str, parse, doc: dict):
 def cmd_report(args) -> int:
     _distinct_outputs({"--out": args.out, "--plot-data": args.plot_data})
     docs = [(str(p), io.read_report(p)) for p in args.reports]
-    kinds = {d.get("report_type", "gap") for _, d in docs}
-    kinds = {"gap" if k == "gap_series" else k for k in kinds}
+    for path, doc in docs:
+        if (kind := doc.get("report_type")) not in ("gap", "gap_series", "eval"):
+            raise ParseError(path, f"report_type: expected gap, gap_series or eval, found {kind!r}")
+    kinds = {"gap" if d["report_type"] == "gap_series" else d["report_type"] for _, d in docs}
     if len(kinds) > 1:
         offenders = ", ".join(f"{p} ({d.get('report_type')})" for p, d in docs)
         raise ConfigError(f"mixed report schemas: {offenders}")

@@ -7,7 +7,8 @@ Formats:
     ``class_id`` uint8 property (``scalar_Classification`` accepted on read).
   * Wavefront-style OBJ for meshes: group/object names carry the class.
 
-All coordinates are meters. Write/read pairs round-trip losslessly.
+All coordinates are meters. Text holds each float as ``'%.17g'`` (17 correctly rounded
+digits in ``%g``'s layout; ``-0``, ``nan``, ``inf``), so write/read pairs round-trip losslessly.
 
 Each input is read once. Text is ASCII: a non-ASCII byte decodes to U+FFFD,
 so it is never a digit or a separator. Lines end at ``\\n``, ``\\r\\n`` or
@@ -18,6 +19,7 @@ so it is never a digit or a separator. Lines end at ``\\n``, ``\\r\\n`` or
 from __future__ import annotations
 
 import contextlib
+import functools
 import json
 import logging
 import math
@@ -79,7 +81,7 @@ def write_cloud(cloud: LabeledPointCloud, path, fmt: str = "auto") -> None:
     if fmt == "auto":
         fmt = FORMAT_PLY_BINARY if path.suffix.lower() == ".ply" else FORMAT_XYZL
     if fmt == FORMAT_XYZL:
-        _write_rows(path, "cloud", _XYZL_ROW, *cloud.xyz.T, cloud.labels)
+        _write_rows(path, "cloud", *cloud.xyz.T, cloud.labels)
     elif fmt in (FORMAT_PLY_ASCII, FORMAT_PLY_BINARY):
         _write_ply(cloud, path, binary=fmt == FORMAT_PLY_BINARY)
     else:
@@ -113,9 +115,6 @@ _ORIGINS = _TextTable(
     "expected 3 fields, got {n}", "bad coordinate: {exc}", finite=True,
 )
 _LABELS = _TextTable(np.dtype([("label", "i8")]), "bad label: {body!r}", "bad label: {body!r}")
-
-_CHUNK_ROWS = 8192  # rows formatted per write; bounds the text held at once
-_XYZL_ROW = f"{_FLOAT_FMT} {_FLOAT_FMT} {_FLOAT_FMT} %d\n"
 
 
 def _scan_table(path, spec: _TextTable, lines, first_line: int = 1, max_rows: int | None = None) -> np.ndarray:
@@ -213,11 +212,82 @@ def output_file(path, what: str, mode: str = "wb", **open_kwargs):
         raise OSError(f"cannot write {what} to {path}: {exc.strerror or exc}") from exc
 
 
-def _write_rows(path, what: str, row_fmt: str, *columns, header: str = "") -> None:
-    """Write ``header``, then ``row_fmt % row`` for every row of the
-    equal-length columns, ``_CHUNK_ROWS`` rows at a time. Within a chunk
-    each run of bit-identical rows (a scan's shared ray origins) is
-    formatted once and its text repeated."""
+_CHUNK_ROWS = 8192  # rows formatted per write; bounds the text held at once
+# A float's text fills 40 byte slots, five little-endian uint64 words: its sign, the "0.000"
+# before the digits of |v| < 1, then each of 17 digits followed by a point slot. A fixed-notation
+# '%.17g' is these bytes (0xFF outside the digits) ANDed with the mask of its sign, exponent X and
+# count of significant digits; the NUL slots are dropped when a chunk is written.
+_POW5 = 5 ** np.arange(22, dtype=np.uint64)  # 10**k = 5**k * 2**k for k = 16 - E in 0..21
+
+
+@functools.cache
+def _float_tables() -> tuple[np.ndarray, np.ndarray]:
+    """The words of 0..9999 (each digit followed by 0xFF) and the mask words at row
+    ``(sign * 21 + X + 4) * 18 + digits``, X in -4..16: a kept digit's slot 0xFF, a kept
+    sign, prefix or point its character, else 0. Built on first use, off the import path."""
+    words = (np.arange(10_000)[:, None] // [1000, 100, 10, 1] % 10 + 0xFF30).astype("<u2").view("<u8")
+    slot = np.arange(40)
+    sign, X, sig = (a[..., None] for a in np.ix_(range(2), range(-4, 17), range(18)))
+    digit, chars = (slot - 6) // 2, np.frombuffer(b"-0.000", dtype=np.uint8)[np.minimum(slot, 5)]
+    masks = np.select([slot == 0, slot < 6, slot % 2 == 0], [
+        chars * sign, chars * (slot < np.where(X < 0, 2 - X, 0)),  # "0.", then -X - 1 zeros
+        255 * (digit < np.maximum(sig, X + 1))],  # the fraction's trailing zeros go
+        46 * ((digit == X) & (sig > X + 1)))  # a point only before a fraction
+    return words[:, 0], masks.astype(np.uint8).reshape(-1, 40).view("<u8")
+
+
+def _round_digits(m: np.ndarray, e: np.ndarray, E: np.ndarray) -> np.ndarray:
+    """``m * 2**e * 10**k`` rounded half-even, ``k = 16 - E``, for ``m < 2**56`` and ``e + k < 0``
+    (a mantissa with 3 spare low bits; it has ``e + k <= 2`` below 1e16): ``m * 5**k`` exactly in
+    128 bits from 32-bit halves, shifted right by ``-(e + k)``, which stays below 64."""
+    k, low = 16 - E, np.uint64(2**32 - 1)
+    m1, m0, f1, f0 = m >> 32, m & low, _POW5[k] >> 32, _POW5[k] & low
+    mid = m1 * f0 + m0 * f1 + (m0 * f0 >> 32)  # < 2**58: m1 < 2**24, f1 < 2**17
+    hi, lo = m1 * f1 + (mid >> 32), (m0 * f0 & low) | (mid << 32)
+    r = (-(e + k)).astype(np.uint64)
+    q, rest, half = (hi << (64 - r)) | (lo >> r), lo & ((np.uint64(1) << r) - 1), np.uint64(1) << (r - 1)
+    return q + ((rest > half) | ((rest == half) & (q & 1).astype(bool)))
+
+
+def _float_text(v: np.ndarray) -> np.ndarray:
+    """``'%.17g' % x`` of each float64 ``x`` of ``v``, NUL-padded to 40 bytes. A value outside
+    ``1e-4 <= |x| < 1e16`` (0, NaN, infinite or with an exponent) takes Python's text."""
+    a = np.abs(v)
+    fast = (a >= 1e-4) & (a < 1e16)  # 1e16 is exact, and no float lies in [10**-4, 1e-4)
+    a = np.where(fast, a, 1.0)
+    bits = a.view(np.uint64)
+    m, e = (bits & np.uint64(2**52 - 1) | np.uint64(2**52)) << 3, (bits >> 52).astype(np.int64) - 1078
+    E = np.floor(np.log10(a)).astype(np.int64)  # off by one beside a power of ten
+    D = _round_digits(m, e, E)
+    # E a decade too high gives 16 digits (here never rounded up to 10**16); too low, or
+    # 17 digits rounded up into the next decade, 18 digits or 10**17
+    if (off := (D < 10**16) | (D >= 10**17)).any():
+        E[off] += np.where(D[off] < 10**16, -1, 1)
+        D[off] = _round_digits(m[off], e[off], E[off])
+    digit_words, masks = _float_tables()
+    words = np.empty(v.shape + (5,), dtype="<u8")
+    words[:, 0] = (D // 10**16 + 48) << 48 | 0xFF00FFFFFFFFFFFF  # the lead digit in slot 6
+    for i in range(4):  # x % d takes no fast path in numpy, x - x // d * d does
+        q = D // 10 ** (12 - 4 * i)
+        words[:, i + 1] = digit_words[q - q // 10**4 * 10**4]
+    text = words.view(np.uint8)
+    sig = 17 - np.argmax(text[:, 38:5:-2] != 48, axis=1)
+    words &= masks[(np.signbit(v) * 21 + E + 4) * 18 + sig]
+    text[~fast] = _value_text(v[~fast], _FLOAT_FMT, "S40")
+    return text
+
+
+def _value_text(c: np.ndarray, fmt: str = "%s", dtype: str = "S") -> np.ndarray:
+    """``fmt % x`` of each value of ``c`` as a NUL-padded uint8 row, once per distinct value (or float bits)."""
+    keys, inverse = np.unique(c.view(f"i{c.itemsize}") if c.dtype.kind == "f" else c, return_inverse=True)
+    table = np.array([fmt % x for x in keys.view(c.dtype).tolist()], dtype=dtype)
+    return table.view(np.uint8).reshape(len(table), table.itemsize)[inverse]
+
+
+def _write_rows(path, what: str, *columns, header: str = "") -> None:
+    """Write ``header``, then a line per row of the equal-length columns, its values' texts (a
+    float's ``'%.17g'``, else ``str``) single-space-joined, ``_CHUNK_ROWS`` rows at a time. Within a
+    chunk each run of bit-identical rows (a scan's ray origins) is formatted once, its text repeated."""
     with output_file(path, what) as fh:
         fh.write(header.encode("ascii"))
         for start in range(0, len(columns[0]), _CHUNK_ROWS):
@@ -229,10 +299,16 @@ def _write_rows(path, what: str, row_fmt: str, *columns, header: str = "") -> No
                 c = c.view(f"i{c.itemsize}") if c.dtype.kind == "f" else c
                 starts[1:] |= c[1:] != c[:-1]
             first = np.flatnonzero(starts)
-            rows = map(row_fmt.__mod__, zip(*(c[first].tolist() for c in chunk)))
-            if first.size < starts.size:
-                rows = map(str.__mul__, rows, np.diff(first, append=starts.size).tolist())
-            fh.write("".join(rows).encode("ascii"))
+            sep = np.full((first.size, 1), ord(" "), dtype=np.uint8)
+            rows = np.hstack([text for c in chunk for text in (
+                (_float_text if c.dtype.kind == "f" else _value_text)(c[first]), sep)])
+            rows[:, -1] = ord("\n")
+            # in blocks: np.compress holds an 8-byte index per byte it keeps
+            text = b"".join(np.compress(b.ravel() != 0, b).tobytes() for b in np.array_split(rows, 8))
+            if first.size < starts.size:  # no text holds a "\r"
+                runs = np.diff(first, append=starts.size).tolist()
+                text = b"".join(map(bytes.__mul__, text.splitlines(keepends=True), runs))
+            fh.write(text)
 
 
 _PLY_TYPES = {
@@ -364,7 +440,7 @@ def _write_ply(cloud: LabeledPointCloud, path: Path, binary: bool) -> None:
         "end_header\n"
     )
     if not binary:
-        _write_rows(path, "cloud", _XYZL_ROW, *cloud.xyz.T, cloud.labels, header=header)
+        _write_rows(path, "cloud", *cloud.xyz.T, cloud.labels, header=header)
         return
     rec = np.dtype([("x", "<f8"), ("y", "<f8"), ("z", "<f8"), ("c", "u1")])
     table = np.empty(len(cloud), dtype=rec)
@@ -378,7 +454,7 @@ def _write_ply(cloud: LabeledPointCloud, path: Path, binary: bool) -> None:
 def write_ray_origins(origins: np.ndarray, path) -> None:
     """Sidecar for simulated scans: one ``x y z`` ray origin per point."""
     origins = np.asarray(origins, dtype=np.float64).reshape(-1, 3)
-    _write_rows(path, "ray origins", f"{_FLOAT_FMT} {_FLOAT_FMT} {_FLOAT_FMT}\n", *origins.T)
+    _write_rows(path, "ray origins", *origins.T)
 
 
 def read_ray_origins(path, digests: dict | None = None) -> np.ndarray:
@@ -409,7 +485,7 @@ def read_label_file(path, digests: dict | None = None) -> np.ndarray:
 def write_provenance(provenance: np.ndarray, path) -> None:
     """Mix sidecar: ``real`` or ``synthetic`` per point, in cloud order."""
     names = np.where(np.asarray(provenance, dtype=bool), "real", "synthetic")
-    _write_rows(path, "provenance", "%s\n", names)
+    _write_rows(path, "provenance", names)
 
 
 # ---------------------------------------------------------------------------

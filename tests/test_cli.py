@@ -498,6 +498,22 @@ class TestCompare:
         record = json.loads(err)  # one machine-parsable line
         assert record["exit_code"] == EXIT_IO
 
+    @pytest.mark.parametrize("side", ["--real", "--synthetic"])
+    def test_empty_cloud_is_named_exit_2(self, tmp_path, scene_files, capsys, side):
+        """A cloud of comments only has no points to compare: the error names
+        its flag and file, and nothing is written."""
+        real_path, synth_path, *_ = scene_files
+        empty = tmp_path / "empty.xyzl"
+        empty.write_text("# no points\n")
+        paths = {"--real": real_path, "--synthetic": synth_path, side: empty}
+        out = tmp_path / "gap.json"
+        code = main(["compare", "--real", str(paths["--real"]), "--synthetic",
+                     str(paths["--synthetic"]), "--out", str(out)])
+        assert code == EXIT_CONFIG
+        assert json.loads(capsys.readouterr().err)["error"] == (
+            f"{side} {empty}: the cloud has no points to compare")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["empty.xyzl", "real.xyzl", "synth.xyzl"]
+
     def test_bad_config_exit_2(self, tmp_path, scene_files, capsys):
         real_path, synth_path, *_ = scene_files
         cfg = tmp_path / "cfg.json"
@@ -1136,11 +1152,19 @@ class TestEvalAndReport:
         assert f"{gap}: non-finite number {constant}" in json.loads(capsys.readouterr().err)["error"]
         assert not out_csv.exists() and not plot.exists()
 
+    #: documents whose report_type or series reports are missing or unusable, and the key named
+    _REPORT_TYPE_CASES = {
+        "no-report-type": ({}, "report_type"),
+        "unknown-report-type": ({"report_type": "bogus"}, "report_type"),
+        "series-without-reports": ({"report_type": "gap_series"}, "reports"),
+        "series-with-empty-reports": ({"report_type": "gap_series", "reports": []}, "reports"),
+    }
+
     @pytest.mark.parametrize(
         "case",
         ["gap-without-fields", "gap-column-not-a-number", "gap-column-huge-int", "list-root",
          "series-entry-not-object", "class-without-tp", "class-missing", "ratio-above-1",
-         "ratio-bool", "not-utf8"],
+         "ratio-bool", "not-utf8", *_REPORT_TYPE_CASES],
     )
     def test_report_refuses_malformed_input_exit_3(self, tmp_path, capsys, case):
         truth, pred = self._write_eval_fixture(tmp_path, "m", 82)
@@ -1163,13 +1187,18 @@ class TestEvalAndReport:
             del doc["per_class"]["Door"]["tp"]
         elif case == "class-missing":
             del doc["per_class"]["Door"]
+        elif case in self._REPORT_TYPE_CASES:
+            doc = self._REPORT_TYPE_CASES[case][0]
         elif case != "not-utf8":
             doc["synthetic_ratio"] = 1.5 if case == "ratio-above-1" else True
         path.write_bytes(b"\xff\xfe{}" if case == "not-utf8" else json.dumps(doc).encode())
         out_csv = tmp_path / "summary.csv"
         code = main(["report", str(path), "--out", str(out_csv)])
         assert code == EXIT_IO
-        assert json.loads(capsys.readouterr().err)["error"].startswith(f"{path}: ")
+        error = json.loads(capsys.readouterr().err)["error"]
+        assert error.startswith(f"{path}: ")
+        if case in self._REPORT_TYPE_CASES:
+            assert error.startswith(f"{path}: {self._REPORT_TYPE_CASES[case][1]}: expected ")
         assert not out_csv.exists()
 
     @pytest.mark.parametrize("component,code", [(1e200, EXIT_OK), (1.5e308, EXIT_IO)])

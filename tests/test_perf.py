@@ -103,6 +103,15 @@ def test_xyzl_204k_read_under_045s_round_trip_under_12s(tmp_path):
     assert min(trips) <= 1.2
 
 
+def test_xyzl_204k_write_under_0_1s(tmp_path):
+    """The column formatter: 613,200 floats and 204,400 labels as XYZL text
+    (0.16 s when every row was formatted by Python's ``%``)."""
+    cloud = build_street_scene(10, scale=4.0)  # 204,400 points
+    path = tmp_path / "street.xyzl"
+    assert best_time(3, lambda: write_cloud(cloud, path, FORMAT_XYZL)) <= 0.1
+    assert read_cloud(path) == cloud
+
+
 def test_fresh_cli_import_under_0_35s():
     """Every CLI call pays this before its command runs."""
     env = dict(os.environ, PYTHONPATH=str(Path(pcgap.__file__).resolve().parents[1]))
