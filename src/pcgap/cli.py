@@ -16,12 +16,14 @@ import math
 import sys
 from dataclasses import fields
 from functools import partial
+from io import StringIO
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__, dataset, io, metric, simulate
-from .errors import ConfigError, DegenerateDataError, FormatError, ParseError, check_number
+from .core import NON_NOISE_CLASSES
+from .errors import ConfigError, DegenerateDataError, FormatError, ParseError, check_number, config_object
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -50,13 +52,17 @@ def _distinct_outputs(outputs: dict) -> None:
             raise ConfigError(f"{flag} {path} names the same file as {other}")
 
 
-def _read_json(path, digests: dict | None = None):
-    """The parsed JSON of an input file (``digests``: see :func:`io.read_input`);
-    bytes that are not UTF-8 JSON text are a ConfigError naming the file."""
+def _read_json(path, digests: dict, parse):
+    """``parse`` of the JSON of an input file (``digests``: see :func:`io.read_input`);
+    bytes that are not UTF-8 JSON text, or a ValueError of ``parse``, are a ConfigError naming the file."""
     try:
-        return json.loads(io.read_input(path, digests).decode("utf-8"))
+        raw = json.loads(io.read_input(path, digests).decode("utf-8"))
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
+    try:
+        return parse(raw)
+    except ValueError as exc:  # a ConfigError is one too
+        raise ConfigError(f"{path}: {exc}") from exc
 
 
 #: The compare flag of each number and mode key of MetricParams, as (key,
@@ -64,24 +70,6 @@ def _read_json(path, digests: dict | None = None):
 #: is ``--voxel-size``, and the key's modes as choices.
 _PARAM_FLAGS = [(f.name, f.name.removesuffix("_m"), f.metadata.get("modes"))
                 for f in fields(metric.MetricParams) if f.type == "float" or "modes" in f.metadata]
-
-
-def _metric_params(args) -> tuple[metric.MetricParams, int]:
-    """Parameters and seed from the config file, then flags; an error of the file's own keys names it."""
-    raw = _read_json(args.config) if args.config else {}
-    if not isinstance(raw, dict):
-        raise ConfigError(f"{args.config}: config root must be a JSON object")
-    flags = {key: getattr(args, dest) for key, dest, _ in _PARAM_FLAGS} | {"seed": args.seed}
-    flags = {key: value for key, value in flags.items() if value is not None}
-    try:
-        return metric.MetricParams.from_json_dict(raw | flags)
-    except ConfigError as exc:
-        try:
-            metric.MetricParams.from_json_dict({k: v for k, v in raw.items() if k not in flags})
-        except ConfigError as own:
-            if str(own) == str(exc):
-                raise ConfigError(f"{args.config}: {exc}") from exc
-        raise
 
 
 # ---------------------------------------------------------------------------
@@ -101,9 +89,21 @@ def _offset_magnitudes(text: str) -> list[float]:
 
 
 def cmd_compare(args) -> int:
-    params, seed = _metric_params(args)
-    magnitudes = _offset_magnitudes(args.offset) if args.offset is not None else None
+    # parameters and seed from the config file, then flags; an error of the file's own keys names it
     digests = {}
+    raw = _read_json(args.config, digests, partial(config_object, key="config root")) if args.config else {}
+    flags = {key: getattr(args, dest) for key, dest, _ in _PARAM_FLAGS} | {"seed": args.seed}
+    flags = {key: value for key, value in flags.items() if value is not None}
+    try:
+        params, seed = metric.MetricParams.from_json_dict(raw | flags)
+    except ConfigError as exc:
+        try:
+            metric.MetricParams.from_json_dict({k: v for k, v in raw.items() if k not in flags})
+        except ConfigError as own:
+            if str(own) == str(exc):
+                raise ConfigError(f"{args.config}: {exc}") from exc
+        raise
+    magnitudes = _offset_magnitudes(args.offset) if args.offset is not None else None
     real = io.read_cloud(args.real, digests)
     synth = io.read_cloud(args.synthetic, digests)
     for flag, path, cloud in (("--real", args.real, real), ("--synthetic", args.synthetic, synth)):
@@ -143,19 +143,10 @@ def cmd_simulate(args) -> int:
                        "--origins": origins_path})
     digests = {}
     mesh = io.read_mesh(args.mesh, digests)
-    samples = _read_json(args.trajectory, digests)
-    try:
-        trajectory = simulate.Trajectory.from_samples(samples)
-    except ValueError as exc:
-        raise ConfigError(f"{args.trajectory}: {exc}") from exc
-
+    trajectory = _read_json(args.trajectory, digests, simulate.Trajectory.from_samples)
     scan_cfg = simulate.ScanConfig()
     if args.scan_config:
-        raw = _read_json(args.scan_config, digests)
-        try:
-            scan_cfg = simulate.ScanConfig.from_json_dict(raw)
-        except ValueError as exc:
-            raise ConfigError(f"{args.scan_config}: {exc}") from exc
+        scan_cfg = _read_json(args.scan_config, digests, simulate.ScanConfig.from_json_dict)
 
     if args.sigma is not None and args.sigma > 0 and args.seed is None:
         raise ConfigError("--seed is required when applying noise (--sigma > 0)")
@@ -231,7 +222,8 @@ def cmd_mix(args) -> int:
 def cmd_split(args) -> int:
     digests = {}
     cloud = io.read_cloud(args.cloud, digests)
-    spec = dataset.SplitSpec.from_json_dict(_read_json(args.spec, digests))
+    # read as is: the spec's errors name its keys, not the file
+    spec = dataset.SplitSpec.from_json_dict(_read_json(args.spec, digests, lambda raw: raw))
     parts = dataset.split(cloud, spec)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -316,11 +308,7 @@ def cmd_report(args) -> int:
         rows = []
         for path, doc in docs:
             rows += _parse_report(path, partial(_gap_rows, path), doc)
-        with io.output_file(args.out, "summary", "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(("report", "offset_m") + _GAP_COLUMNS)
-            for name, magnitude, values in rows:
-                writer.writerow([name, magnitude] + values)
+        table = [("report", "offset_m") + _GAP_COLUMNS] + [[name, m] + values for name, m, values in rows]
         plot_series = {
             col: [[magnitude, values[k]] for _, magnitude, values in rows]
             for k, col in enumerate(_GAP_COLUMNS)
@@ -335,25 +323,24 @@ def cmd_report(args) -> int:
         names = [docs[i][0] for i in order]
 
         with_corr = have_ratios and len(set(ratios)) >= 2
-        header = ["class"] + [
+        table = [["class"] + [
             f"iou@{r}" if have_ratios else name for r, name in zip(ratios, names)
-        ] + ["avg"] + (["corr"] if with_corr else [])
-        from .core import NON_NOISE_CLASSES
-
+        ] + ["avg"] + (["corr"] if with_corr else [])]
         rows = [(cls.canonical_name, [r.per_class[cls].iou for r in reports])
                 for cls in NON_NOISE_CLASSES] + [("mIoU", [r.miou for r in reports])]
         xs = ratios if have_ratios else range(len(reports))
-        with io.output_file(args.out, "summary", "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(header)
-            for name, ious in rows:
-                row = [name] + ious + [float(np.mean(ious))]
-                if with_corr:
-                    corr = dataset.ratio_correlation(list(zip(ratios, ious)))
-                    row.append("-" if corr is None else corr)
-                writer.writerow(row)
-                plot_series[name] = [[x, iou] for x, iou in zip(xs, ious)]
+        for name, ious in rows:
+            row = [name] + ious + [float(np.mean(ious))]
+            if with_corr:
+                corr = dataset.ratio_correlation(list(zip(ratios, ious)))
+                row.append("-" if corr is None else corr)
+            table.append(row)
+            plot_series[name] = [[x, iou] for x, iou in zip(xs, ious)]
 
+    text = StringIO()
+    csv.writer(text).writerows(table)
+    with io.output_file(args.out, "summary") as fh:
+        fh.write(text.getvalue().encode("utf-8"))
     if args.plot_data:
         io.dump_json({"series": plot_series}, args.plot_data)
     return EXIT_OK

@@ -39,7 +39,8 @@ class SemanticClass(IntEnum):
 
     @property
     def canonical_name(self) -> str:
-        return _CANONICAL_NAMES[self.value]
+        """The member name in CamelCase (``WALL_SURFACE``: ``WallSurface``)."""
+        return self.name.title().replace("_", "")
 
     @classmethod
     def from_name(cls, name: str) -> "SemanticClass":
@@ -47,22 +48,7 @@ class SemanticClass(IntEnum):
         return _NAME_TO_CLASS[name.strip().lower()]
 
 
-_CANONICAL_NAMES = {
-    1: "RoadSurface",
-    2: "GroundSurface",
-    3: "CityFurniture",
-    4: "Vehicle",
-    5: "Pedestrian",
-    6: "WallSurface",
-    7: "RoofSurface",
-    8: "Door",
-    9: "Window",
-    10: "BuildingInstallation",
-    11: "SolitaryVegetationObject",
-    12: "Noise",
-}
-
-_NAME_TO_CLASS = {name.lower(): SemanticClass(cid) for cid, name in _CANONICAL_NAMES.items()}
+_NAME_TO_CLASS = {c.canonical_name.lower(): c for c in SemanticClass}
 
 #: Classes averaged by the unweighted segmentation mIoU (Noise excluded).
 NON_NOISE_CLASSES: tuple[SemanticClass, ...] = tuple(

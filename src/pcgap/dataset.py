@@ -15,9 +15,9 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .core import NON_NOISE_CLASSES, LabeledPointCloud, SemanticClass, record_fields
-from .errors import ConfigError, check_fields, config_fields, config_number, config_tuple
+from .errors import ConfigError, check_fields, check_number, config_fields, config_tuple
 
-N_CLASSES = 12
+N_CLASSES = len(SemanticClass)
 
 
 # ---------------------------------------------------------------------------
@@ -131,7 +131,7 @@ class SplitSpec:
             rect = None
             if "rect" in entry:
                 items = config_tuple(entry["rect"], f"{key}.rect", 4)
-                rect = tuple(float(config_number(v, f"{key}.rect[{k}]")) for k, v in enumerate(items))
+                rect = tuple(float(check_number(v, f"{key}.rect[{k}]")) for k, v in enumerate(items))
             try:
                 polygon = np.asarray(entry["polygon"], dtype=np.float64) if "polygon" in entry else None
                 regions.append(Region(entry["name"], rect, polygon))  # it refuses both shapes, or neither

@@ -43,21 +43,6 @@ class DegenerateDataError(PcgapError):
     """Inputs admit no meaningful result (e.g. no comparable semantic content)."""
 
 
-def config_number(value, key: str, integer: bool = False):
-    """``value`` when it is a number (an integer if asked; a bool is
-    neither) and, unless an integer, one a float can hold, else a
-    ConfigError naming ``key``."""
-    kind = numbers.Integral if integer else numbers.Real
-    if isinstance(value, bool) or not isinstance(value, kind):
-        raise ConfigError(f"{key}: expected {'an integer' if integer else 'a number'}, got {value!r}")
-    if not integer:
-        try:
-            float(value)
-        except OverflowError as exc:  # an integer beyond the float range
-            raise ConfigError(f"{key}: number too large for a float") from exc
-    return value
-
-
 def config_object(value, key: str) -> Mapping:
     """``value`` when it is a JSON object, else a ConfigError naming ``key``."""
     if not isinstance(value, Mapping):
@@ -82,11 +67,17 @@ RULES = {"> 0": lambda v: v > 0, ">= 0": lambda v: v >= 0, ">= 1": lambda v: v >
 
 
 def check_number(value, key: str, rule: str | None = None, integer: bool = False):
-    """``value`` when :func:`config_number` takes it, it is finite and it keeps
+    """``value`` when it is a number (an integer if asked; a bool is neither)
+    and, unless an integer, a finite one a float can hold, and it keeps
     ``rule`` (a key of :data:`RULES`), else a ConfigError naming ``key``."""
-    config_number(value, key, integer)
-    if not integer and not math.isfinite(value):
-        raise ConfigError(f"{key}: must be finite, got {value!r}")
+    kind = numbers.Integral if integer else numbers.Real
+    if isinstance(value, bool) or not isinstance(value, kind):
+        raise ConfigError(f"{key}: expected {'an integer' if integer else 'a number'}, got {value!r}")
+    try:
+        if not integer and not math.isfinite(value):
+            raise ConfigError(f"{key}: must be finite, got {value!r}")
+    except OverflowError as exc:  # an integer beyond the float range
+        raise ConfigError(f"{key}: number too large for a float") from exc
     if rule is not None and not RULES[rule](value):
         raise ConfigError(f"{key}: must be {rule}, got {value!r}")
     return value

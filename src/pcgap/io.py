@@ -180,8 +180,8 @@ def _read_text_table(path, spec: _TextTable, data: bytes, first_line: int = 1,
 
 
 @contextlib.contextmanager
-def output_file(path, what: str, mode: str = "wb", **open_kwargs):
-    """``open(path, mode)`` for an output. A regular file is replaced whole by a temp file
+def output_file(path, what: str):
+    """``open(path, "wb")`` for an output. A regular file is replaced whole by a temp file
     renamed onto it when the block succeeds, so a failed write leaves it intact; a FIFO,
     device, directory, hard-linked or read-only file, or a read-only dir's, is written in place."""
     try:
@@ -190,11 +190,11 @@ def output_file(path, what: str, mode: str = "wb", **open_kwargs):
         old = os.stat(target) if os.path.exists(target) else None
         if not os.access(head or os.curdir, os.W_OK) or old is not None and not (
                 stat.S_ISREG(old.st_mode) and old.st_nlink == 1 and os.access(target, os.W_OK)):
-            with open(target, mode, **open_kwargs) as fh:
+            with open(target, "wb") as fh:
                 yield fh
             return
         tmp = os.path.join(head, f".{name}.{os.getpid()}.tmp")
-        fh = open(tmp, mode.replace("w", "x"), **open_kwargs)  # "x": fails on a planted file
+        fh = open(tmp, "xb")  # "x": fails on a planted file
         try:
             with fh:
                 yield fh
@@ -298,6 +298,8 @@ def _write_rows(path, what: str, *columns, header: str = "") -> None:
             for c in chunk:
                 c = c.view(f"i{c.itemsize}") if c.dtype.kind == "f" else c
                 starts[1:] |= c[1:] != c[:-1]
+            if 2 * np.count_nonzero(starts) > starts.size:  # mostly distinct: repeating costs more
+                starts[:] = True
             first = np.flatnonzero(starts)
             sep = np.full((first.size, 1), ord(" "), dtype=np.uint8)
             rows = np.hstack([text for c in chunk for text in (
@@ -332,7 +334,8 @@ def _read_ply(path: Path, data: bytes) -> LabeledPointCloud:
     header_end = data.find(b"\n", end)
     if header_end < 0:
         raise ParseError(path, "unterminated ply header", offset=end)
-    header = data[:header_end].decode("ascii", errors="replace").splitlines()
+    # bytes.splitlines ends lines at \n, \r\n and \r only, as the text reader does
+    header = [line.decode("ascii", errors="replace") for line in data[:header_end].splitlines()]
     body = data[header_end + 1 :]
 
     fmt = None
@@ -406,9 +409,7 @@ def _read_ply(path: Path, data: bytes) -> LabeledPointCloud:
             f"vertex row has {{n}} fields, expected {len(props)}", "bad vertex value: {exc}",
             comments=False,
         )
-        # count "\n"s: str.splitlines would also end a header line at "\x0c"
-        first_line = data.count(b"\n", 0, header_end) + 2
-        table = _read_text_table(path, spec, body, first_line, max_rows=count)
+        table = _read_text_table(path, spec, body, len(header) + 1, max_rows=count)
         if len(table) != count:
             raise ParseError(path, f"vertex data truncated: {len(table)} of {count} rows")
     columns = {lower[i]: table[f"f{i}"] for i in range(len(props))}

@@ -15,7 +15,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .core import LabeledPointCloud, record_fields
-from .errors import ConfigError, DegenerateDataError, check_fields, config_fields, config_number, config_object
+from .errors import ConfigError, DegenerateDataError, check_fields, check_number, config_fields, config_object
 from .spatial import Bvh
 
 _TWO_PI = 2.0 * math.pi
@@ -89,8 +89,8 @@ class Trajectory:
     def from_samples(cls, samples: Sequence[Mapping]) -> "Trajectory":
         """A trajectory from ``{t, x, y, z, yaw}`` objects (yaw 0 when
         absent); a sample that is not an object, an unknown key, or a value
-        that is missing or not a number, is a ConfigError naming it as
-        ``[i].key``."""
+        that is missing, not a number or not finite, is a ConfigError naming
+        it as ``[i].key``."""
         if not isinstance(samples, (list, tuple)) or not samples:
             raise ConfigError("trajectory needs a non-empty array of samples")
         rows = []
@@ -102,7 +102,7 @@ class Trajectory:
             for key in _SAMPLE_KEYS:
                 if key not in sample:
                     raise ConfigError(f"[{i}].{key}: missing from the trajectory sample")
-            rows.append([config_number(sample[key], f"[{i}].{key}") for key in _SAMPLE_KEYS])
+            rows.append([check_number(sample[key], f"[{i}].{key}") for key in _SAMPLE_KEYS])
         t, x, y, z, yaw = np.array(rows, dtype=np.float64).T
         return cls(t, np.column_stack([x, y, z]), yaw)
 

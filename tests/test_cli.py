@@ -698,6 +698,15 @@ class TestCompare:
         assert manifest["config"]["alpha"] == -0.2  # defaults echoed
         assert manifest["version"]
 
+    def test_manifest_records_the_config_digest(self, tmp_path, scene_files):
+        real_path, synth_path, *_ = scene_files
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"alpha": -0.5}')
+        assert main(["compare", "--real", str(real_path), "--synthetic", str(synth_path),
+                     "--config", str(cfg), "--out", str(tmp_path / "r.json")]) == EXIT_OK
+        manifest = json.loads((tmp_path / "r.json.manifest.json").read_text())
+        assert manifest["inputs"] == {str(p): _sha256(p) for p in (real_path, synth_path, cfg)}
+
 
 # The manifest ``config`` of a simulate run with every scan key set, byte for
 # byte: numbers are echoed as the scan config file gave them.
@@ -956,14 +965,18 @@ class TestMixSplit:
         assert "regions[1].name" in capsys.readouterr().err
         assert sorted(tmp_path.rglob("*")) == before  # nothing written, in or out of --out-dir
 
-    @pytest.mark.parametrize("region", [
-        {"polygon": [[0, 0], [4, 0], [4, math.nan], [0, 4]]},
-        {"polygon": [[0, 0], [4, 0], [4, math.inf], [0, 4]]},
-        {"rect": [0, 0, math.inf, 4]},
-        {"rect": [-math.inf, 0, 4, 4]},
-        {"rect": [0, 0, 4, 4], "polygon": [[0, 0], [4, 0], [0, 4]]},  # two shapes
+    @pytest.mark.parametrize("region,message", [
+        pytest.param({"polygon": [[0, 0], [4, 0], [4, math.nan], [0, 4]]}, None, id="region0"),
+        pytest.param({"polygon": [[0, 0], [4, 0], [4, math.inf], [0, 4]]}, None, id="region1"),
+        # a rect coordinate is refused where it is read, by the one number rule
+        pytest.param({"rect": [0, 0, math.inf, 4]}, "regions[1].rect[2]: must be finite, got inf",
+                     id="region2"),
+        pytest.param({"rect": [-math.inf, 0, 4, 4]}, "regions[1].rect[0]: must be finite, got -inf",
+                     id="region3"),
+        pytest.param({"rect": [0, 0, 4, 4], "polygon": [[0, 0], [4, 0], [0, 4]]}, None,
+                     id="region4"),  # two shapes
     ])
-    def test_split_non_finite_region_exit_2(self, tmp_path, region, capsys):
+    def test_split_non_finite_region_exit_2(self, tmp_path, region, message, capsys):
         cloud_path = tmp_path / "c.xyzl"
         write_cloud(LabeledPointCloud(np.array([[1.0, 1, 0], [2.0, 1, 0], [9.0, 9, 0]]),
                                       np.array([1, 2, 6])), cloud_path, FORMAT_XYZL)
@@ -975,7 +988,8 @@ class TestMixSplit:
         code = main(["split", "--cloud", str(cloud_path), "--spec", str(spec_path),
                      "--out-dir", str(out_dir)])
         assert code == EXIT_CONFIG
-        assert "regions[1]: " in capsys.readouterr().err
+        error = json.loads(capsys.readouterr().err)["error"]
+        assert error == message if message else "regions[1]: " in error
         assert not out_dir.exists()
 
     def test_split_regions_not_an_array_exit_2(self, tmp_path, capsys):

@@ -136,6 +136,29 @@ class TestPly:
         assert cloud.xyz.tolist() == [[1.0, 2.0, 3.0]]
         assert cloud.labels.tolist() == [9]
 
+    def test_header_lines_end_at_line_ends_only(self, tmp_path):
+        """A form feed inside a header comment is not a line end, so the
+        text after it stays part of the comment."""
+        p = tmp_path / "f.ply"
+        p.write_bytes(
+            b"ply\nformat ascii 1.0\ncomment made by x\x0cproperty double w\nelement vertex 1\n"
+            b"property double x\nproperty double y\nproperty double z\n"
+            b"property uchar class_id\nend_header\n1 2 3 6\n"
+        )
+        cloud = read_cloud(p)
+        assert cloud.xyz.tolist() == [[1.0, 2.0, 3.0]] and cloud.labels.tolist() == [6]
+
+    def test_body_lines_numbered_after_a_cr_header_line(self, tmp_path):
+        """A header line ended by a lone ``\\r`` counts, so the bad row is line 10."""
+        p = tmp_path / "f.ply"
+        p.write_bytes(
+            b"ply\rformat ascii 1.0\nelement vertex 2\n"
+            b"property double x\nproperty double y\nproperty double z\n"
+            b"property uchar class_id\nend_header\n0 0 0 1\n1 x 1 2\n"
+        )
+        with pytest.raises(ParseError, match=r"f\.ply:10: bad vertex value"):
+            read_cloud(p)
+
     def test_truncated_binary(self, tmp_path):
         p = tmp_path / "c.ply"
         header = (
