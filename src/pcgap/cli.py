@@ -222,8 +222,7 @@ def cmd_mix(args) -> int:
 def cmd_split(args) -> int:
     digests = {}
     cloud = io.read_cloud(args.cloud, digests)
-    # read as is: the spec's errors name its keys, not the file
-    spec = dataset.SplitSpec.from_json_dict(_read_json(args.spec, digests, lambda raw: raw))
+    spec = _read_json(args.spec, digests, dataset.SplitSpec.from_json_dict)
     parts = dataset.split(cloud, spec)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)

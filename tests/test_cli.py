@@ -989,7 +989,7 @@ class TestMixSplit:
                      "--out-dir", str(out_dir)])
         assert code == EXIT_CONFIG
         error = json.loads(capsys.readouterr().err)["error"]
-        assert error == message if message else "regions[1]: " in error
+        assert error == f"{spec_path}: {message}" if message else f"{spec_path}: regions[1]: " in error
         assert not out_dir.exists()
 
     def test_split_regions_not_an_array_exit_2(self, tmp_path, capsys):
@@ -1001,7 +1001,7 @@ class TestMixSplit:
         code = main(["split", "--cloud", str(cloud_path), "--spec", str(spec_path),
                      "--out-dir", str(out_dir)])
         assert code == EXIT_CONFIG
-        assert json.loads(capsys.readouterr().err)["error"].startswith("regions: ")
+        assert json.loads(capsys.readouterr().err)["error"].startswith(f"{spec_path}: regions: ")
         assert not out_dir.exists()
 
     def test_split_unknown_key_exit_2(self, tmp_path, capsys):
@@ -1015,7 +1015,8 @@ class TestMixSplit:
         code = main(["split", "--cloud", str(cloud_path), "--spec", str(spec_path),
                      "--out-dir", str(out_dir)])
         assert code == EXIT_CONFIG
-        assert json.loads(capsys.readouterr().err)["error"] == "regions[0].polgon: unknown config key"
+        assert (json.loads(capsys.readouterr().err)["error"]
+                == f"{spec_path}: regions[0].polgon: unknown config key")
         assert not out_dir.exists()
 
     @pytest.mark.parametrize("region,message", [
@@ -1033,7 +1034,7 @@ class TestMixSplit:
         code = main(["split", "--cloud", str(cloud_path), "--spec", str(spec_path),
                      "--out-dir", str(out_dir)])
         assert code == EXIT_CONFIG
-        assert json.loads(capsys.readouterr().err)["error"] == message
+        assert json.loads(capsys.readouterr().err)["error"] == f"{spec_path}: {message}"
         assert not out_dir.exists()
 
     def test_mix_bad_fraction_exit_2(self, tmp_path):

@@ -153,6 +153,89 @@ def test_leaf_tiles_give_the_untiled_result(monkeypatch, name, tile):
         assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
+def firing_steps(rng, mesh, centres):
+    """16 rays from each centre, as one firing step's channels: the six axis
+    directions, then rays aimed at mesh vertices and at midpoints of triangle
+    edges, which neighbouring triangles share."""
+    corners = mesh.vertices[mesh.triangles]
+    targets = np.vstack([mesh.vertices, (corners + np.roll(corners, 1, axis=1)).reshape(-1, 3) / 2])
+    axes = np.vstack([np.eye(3), -np.eye(3)])
+    dirs = [np.vstack([axes, unit(targets[rng.choice(len(targets), 10, replace=False)] - c)])
+            for c in centres]
+    return np.repeat(centres, 16, axis=0), np.vstack(dirs)
+
+
+def room_steps(rng, n_random=40):
+    """Firing steps of the room: centres (10a, 8a, 4a) sit on the diagonal
+    edge of every wall, floor and ceiling quad along each axis, so axis rays
+    land on edges that two triangles share; the rest are random, the last
+    one an ulp from the one before it, so that only bits tell them apart."""
+    mesh = build_room_mesh()
+    diagonal = np.array([10.0, 8.0, 4.0]) * (np.arange(1, 8) / 8.0)[:, None]
+    centres = np.vstack([diagonal, rng.uniform((0.5, 0.5, 0.5), (9.5, 7.5, 3.5), size=(n_random, 3))])
+    centres = np.vstack([centres, np.nextafter(centres[-1], np.inf)])
+    return mesh, *firing_steps(rng, mesh, centres)
+
+
+def assert_matches_ray_triangles(mesh, origins, dirs):
+    """Cast the rays and check them against the brute-force scan of
+    ``ray_triangles`` bit for bit. Returns each ray's count of triangles tied
+    at its nearest t, and the set of rays per origin half computed (a spy on
+    the kernel's direction half): 16 where a firing step's 16 channels share one."""
+    shares = set()
+    direction_half = spatial._mt_direction
+
+    def spy(d, e1, e2, s, q, e2q):
+        t = direction_half(d, e1, e2, s, q, e2q)
+        shares.add(t.size // np.broadcast(*s).size)
+        return t
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(spatial, "_mt_direction", spy)
+        t, tid, cls = Bvh(mesh).raycast_many(origins, dirs)
+    every = ray_triangles(origins[:, None], dirs[:, None], *(mesh.vertices[mesh.triangles[:, k]] for k in range(3)))
+    want_t = every.min(axis=1)
+    want_id = np.where(want_t < np.inf, np.argmin(every, axis=1), -1)  # the first minimum: the lowest id
+    want_cls = np.where(want_id >= 0, mesh.triangle_classes[np.maximum(want_id, 0)], 0).astype(np.uint8)
+    for got, want in ((t, want_t), (tid, want_id), (cls, want_cls)):
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    return ((every == want_t[:, None]) & (every < np.inf)).sum(axis=1), shares
+
+
+class TestSharedOrigins:
+    @pytest.mark.parametrize("tile", [spatial._LEAF_TILE, 1000, 100])  # 100: below one run's 384 tests
+    def test_runs_of_one_origin_match_ray_triangles(self, monkeypatch, tile):
+        monkeypatch.setattr(spatial, "_LEAF_TILE", tile)
+        tied, shares = assert_matches_ray_triangles(*room_steps(np.random.default_rng(18)))
+        assert shares == {16}
+        assert (tied >= 2).sum() >= 20  # ties that the lowest id must win
+
+    def test_uneven_runs_take_the_per_ray_form(self):
+        mesh, origins, dirs = room_steps(np.random.default_rng(19))
+        keep = np.arange(len(origins)) != 37  # the third step fires 15 rays
+        tied, shares = assert_matches_ray_triangles(mesh, origins[keep], dirs[keep])
+        assert shares == {1} and (tied >= 2).any()
+
+    def test_multi_leaf_mesh(self):
+        """Two rooms 100 m apart, a leaf each: rays fired away from the other
+        room meet their own room's leaf alone, in the shared form; the rays
+        of both rooms together meet both leaves, in the per-ray form."""
+        room = build_room_mesh()
+        mesh = ClassedMesh(np.vstack([room.vertices, room.vertices + [100.0, 0, 0]]),
+                           np.vstack([room.triangles, room.triangles + len(room.vertices)]),
+                           np.concatenate([room.triangle_classes, room.triangle_classes]))
+        assert Bvh(mesh)._leaf_ids.shape[0] == 2
+        rng = np.random.default_rng(20)
+        west, west_dirs = firing_steps(rng, room, rng.uniform((0.5, 0.5, 0.5), (9.5, 7.5, 3.5), size=(30, 3)))
+        west_dirs[:, 0] = -np.abs(west_dirs[:, 0]) - 0.01
+        west_dirs = unit(west_dirs)
+        east, east_dirs = west + [100.0, 0, 0], -west_dirs
+        for origins, dirs, share in ((west, west_dirs, 16), (east, east_dirs, 16),
+                                     (np.vstack([west, east]), np.vstack([west_dirs, east_dirs]), 1)):
+            tied, shares = assert_matches_ray_triangles(mesh, origins, dirs)
+            assert shares == {share} and (tied >= 1).sum() > len(tied) // 2
+
+
 class TestBatchEdgeCases:
     @pytest.mark.parametrize("n_tris,seed", [(600, 7), (1500, 8), (3000, 9)])
     def test_random_soup_matches_brute_force(self, n_tris, seed):
