@@ -408,31 +408,26 @@ def _moller_trumbore(o, d, v0, e1, e2) -> np.ndarray:
     together: ray origins ``o`` and directions ``d``, triangle corners
     ``v0`` and edges ``e1 = v1 - v0``, ``e2 = v2 - v0``. Every product and
     sum follows ``np.cross`` and ``.sum(axis=-1)`` term by term, so the
-    result is bit-identical to the row-vector form of the test, and so is an
-    origin half computed once and broadcast over the rays that share its origin.
+    result is bit-identical to the row-vector form of the test. The terms
+    that no direction enters (s = o - v0, q = s x e1, e2 . q) take the shape
+    of ``o`` and ``v0`` alone, so an origin broadcast over several
+    directions has them computed once.
     """
-    return _mt_direction(d, e1, e2, *_mt_origin(o, v0, e1, e2))
-
-
-def _mt_origin(o, v0, e1, e2):
-    """The terms that no ray direction enters: s = o - v0, q = s x e1 and e2 . q."""
-    (ox, oy, oz), (ax, ay, az), (e1x, e1y, e1z), (e2x, e2y, e2z) = o, v0, e1, e2
-    with np.errstate(invalid="ignore"):
-        tx, ty, tz = ox - ax, oy - ay, oz - az
-        qx, qy, qz = ty * e1z - tz * e1y, tz * e1x - tx * e1z, tx * e1y - ty * e1x
-        return (tx, ty, tz), (qx, qy, qz), e2x * qx + e2y * qy + e2z * qz
-
-
-def _mt_direction(d, e1, e2, s, q, e2q) -> np.ndarray:
-    """The rest of :func:`_moller_trumbore`, given the origin half ``s``, ``q``, ``e2q``."""
-    (dx, dy, dz), (e1x, e1y, e1z), (e2x, e2y, e2z), (tx, ty, tz), (qx, qy, qz) = d, e1, e2, s, q
-    px, py, pz = dy * e2z - dz * e2y, dz * e2x - dx * e2z, dx * e2y - dy * e2x
+    (ox, oy, oz), (dx, dy, dz) = o, d
+    (ax, ay, az), (e1x, e1y, e1z), (e2x, e2y, e2z) = v0, e1, e2
+    px = dy * e2z - dz * e2y
+    py = dz * e2x - dx * e2z
+    pz = dx * e2y - dy * e2x
     det = e1x * px + e1y * py + e1z * pz
     with np.errstate(divide="ignore", invalid="ignore"):
         inv_det = 1.0 / det
+        tx, ty, tz = ox - ax, oy - ay, oz - az
         u = (tx * px + ty * py + tz * pz) * inv_det
+        qx = ty * e1z - tz * e1y
+        qy = tz * e1x - tx * e1z
+        qz = tx * e1y - ty * e1x
         v = (dx * qx + dy * qy + dz * qz) * inv_det
-        t = e2q * inv_det
+        t = (e2x * qx + e2y * qy + e2z * qz) * inv_det
         hit = (
             (np.abs(det) > _PARALLEL_EPS)
             & (u >= 0.0)
@@ -551,10 +546,8 @@ class Bvh:
                 o, inv = origins[ray], inv_dir[ray]
                 t1 = (self._node_min[node] - o) * inv
                 t2 = (self._node_max[node] - o) * inv
-                del o, inv  # batch arrays are freed once used, not held through the leaf pass
                 entry = np.maximum(np.nanmax(np.minimum(t1, t2), axis=1), 0.0)
                 leave = np.nanmin(np.maximum(t1, t2), axis=1)
-                del t1, t2
                 # strict: a box entered exactly at the best t may hold a tied lower id
                 live = (leave >= entry) & ~(entry > best_t[ray])
                 ray, node = ray[live], node[live]
@@ -570,29 +563,32 @@ class Bvh:
         """Test (ray, leaf row) pairs against their leaves' triangles, a tile
         of at most ``_LEAF_TILE`` tests (one ray at least) at a time, and
         merge each ray's nearest hit into ``best_t`` / ``best_id``, ties to
-        the lowest triangle id, so the tiling never changes a result. A pass
-        of one leaf whose rays come in equal runs of one origin (a firing
-        step's channels) takes the origin half once per run, in tiles of whole runs."""
-        run = 0
+        the lowest triangle id, so the tiling never changes a result. In a
+        pass of one leaf, a tile whose rays come in equal runs of one origin
+        (a firing step's channels) computes each run's origin terms once."""
+        width = self._leaf_ids.shape[1]
+        run = 1
         if (row == row[0]).all():
-            o = origins[ray]
-            bits = o.view(np.uint64)  # as bits: 0.0 and -0.0 may give s different zeros
-            starts = np.flatnonzero(np.r_[True, (bits[1:] != bits[:-1]).any(axis=1)])
-            run = ray.size // starts.size
-            if not np.array_equal(starts, np.arange(0, ray.size, run)):
-                run = 0
-        step = max(1, run) * max(1, _LEAF_TILE // (max(1, run) * self._leaf_ids.shape[1]))
+            # the run is the rays that repeat the first ray's origin, compared as
+            # bits (0.0 and -0.0 may give s different zeros); one longer than a
+            # tile, as of a parked sensor, is tested ray by ray
+            head = origins[ray[: _LEAF_TILE // width + 1]].view(np.uint64)
+            run = int(np.argmax(np.r_[(head[1:] != head[0]).any(axis=1), True])) + 1
+            if run * width > _LEAF_TILE:
+                run = 1
+        step = run * max(1, _LEAF_TILE // (run * width))
         for lo in range(0, ray.size, step):
             r, w = ray[lo : lo + step], row[lo : lo + step]
+            o = origins[r]
+            bits = o.view(np.uint64)
+            even = run > 1 and r.size % run == 0 and (bits.reshape(-1, run, 3) == bits[::run, None]).all()
+            share = run if even else 1
             # one leaf for the whole pass is broadcast rather than gathered
             ids = self._leaf_ids[w[:1] if (w == w[0]).all() else w]
-            tri = self._v0[:, ids], self._e1[:, ids], self._e2[:, ids]
-            if run:  # (runs, rays per run, triangles)
-                half = _mt_origin(o[lo : lo + step : run].T[:, :, None, None], *tri)
-                d = directions[r].T.reshape(3, -1, run, 1)
-                t = _mt_direction(d, *tri[1:], *half).reshape(r.size, -1)
-            else:
-                t = _moller_trumbore(origins[r].T[:, :, None], directions[r].T[:, :, None], *tri)
+            # (runs, rays per run, triangles): share rays per origin, 1 in the per-ray form
+            tri = ids[:, None]
+            t = _moller_trumbore(o[::share].T[:, :, None, None], directions[r].T.reshape(3, -1, share, 1),
+                                 self._v0[:, tri], self._e1[:, tri], self._e2[:, tri]).reshape(r.size, -1)
             # ids ascend along a row, so the first minimum is the lowest id
             k = np.argmin(t, axis=1)[:, None]
             t = np.take_along_axis(t, k, axis=1)[:, 0]

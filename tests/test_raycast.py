@@ -180,18 +180,20 @@ def room_steps(rng, n_random=40):
 def assert_matches_ray_triangles(mesh, origins, dirs):
     """Cast the rays and check them against the brute-force scan of
     ``ray_triangles`` bit for bit. Returns each ray's count of triangles tied
-    at its nearest t, and the set of rays per origin half computed (a spy on
-    the kernel's direction half): 16 where a firing step's 16 channels share one."""
-    shares = set()
-    direction_half = spatial._mt_direction
+    at its nearest t, the set of rays per origin that the kernel was given (a
+    spy on it: 16 where a firing step's 16 channels share one) and the most
+    ray-triangle tests that one kernel call made."""
+    shares, tests = set(), [0]
+    kernel = spatial._moller_trumbore
 
-    def spy(d, e1, e2, s, q, e2q):
-        t = direction_half(d, e1, e2, s, q, e2q)
-        shares.add(t.size // np.broadcast(*s).size)
+    def spy(o, d, v0, e1, e2):
+        t = kernel(o, d, v0, e1, e2)
+        shares.add(np.broadcast(*d).size // np.broadcast(*o).size)
+        tests[0] = max(tests[0], t.size)
         return t
 
     with pytest.MonkeyPatch.context() as m:
-        m.setattr(spatial, "_mt_direction", spy)
+        m.setattr(spatial, "_moller_trumbore", spy)
         t, tid, cls = Bvh(mesh).raycast_many(origins, dirs)
     every = ray_triangles(origins[:, None], dirs[:, None], *(mesh.vertices[mesh.triangles[:, k]] for k in range(3)))
     want_t = every.min(axis=1)
@@ -199,22 +201,40 @@ def assert_matches_ray_triangles(mesh, origins, dirs):
     want_cls = np.where(want_id >= 0, mesh.triangle_classes[np.maximum(want_id, 0)], 0).astype(np.uint8)
     for got, want in ((t, want_t), (tid, want_id), (cls, want_cls)):
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
-    return ((every == want_t[:, None]) & (every < np.inf)).sum(axis=1), shares
+    return ((every == want_t[:, None]) & (every < np.inf)).sum(axis=1), shares, tests[0]
 
 
 class TestSharedOrigins:
-    @pytest.mark.parametrize("tile", [spatial._LEAF_TILE, 1000, 100])  # 100: below one run's 384 tests
-    def test_runs_of_one_origin_match_ray_triangles(self, monkeypatch, tile):
+    # 1000: tiles of two whole runs (768 tests); 100: below one run's 384 tests,
+    # so each run is split across tiles and tested ray by ray
+    @pytest.mark.parametrize("tile,share", [(spatial._LEAF_TILE, 16), (1000, 16), (100, 1)])
+    def test_runs_of_one_origin_match_ray_triangles(self, monkeypatch, tile, share):
         monkeypatch.setattr(spatial, "_LEAF_TILE", tile)
-        tied, shares = assert_matches_ray_triangles(*room_steps(np.random.default_rng(18)))
-        assert shares == {16}
+        tied, shares, tests = assert_matches_ray_triangles(*room_steps(np.random.default_rng(18)))
+        assert shares == {share} and tests <= tile
         assert (tied >= 2).sum() >= 20  # ties that the lowest id must win
 
-    def test_uneven_runs_take_the_per_ray_form(self):
+    @pytest.mark.parametrize("tile,want", [(spatial._LEAF_TILE, {1}), (2 * 16 * 24, {16, 1})])
+    def test_uneven_runs_take_the_per_ray_form(self, monkeypatch, tile, want):
+        """A tile of two runs ahead of the short step still shares; the
+        tile that holds it, and every later one, is tested ray by ray."""
+        monkeypatch.setattr(spatial, "_LEAF_TILE", tile)
         mesh, origins, dirs = room_steps(np.random.default_rng(19))
         keep = np.arange(len(origins)) != 37  # the third step fires 15 rays
-        tied, shares = assert_matches_ray_triangles(mesh, origins[keep], dirs[keep])
-        assert shares == {1} and (tied >= 2).any()
+        tied, shares, _ = assert_matches_ray_triangles(mesh, origins[keep], dirs[keep])
+        assert shares == want and (tied >= 2).any()
+
+    @pytest.mark.parametrize("n", [100, 5000])
+    def test_one_origin_keeps_tiles_within_leaf_tile(self, n):
+        """A parked sensor: every ray has one origin. A run that fits a tile
+        shares it; a longer one is tested ray by ray, in tiles of at most
+        ``_LEAF_TILE`` tests."""
+        mesh = build_room_mesh()
+        origins = np.repeat([[3.0, 2.0, 1.5]], n, axis=0)
+        dirs = unit(np.random.default_rng(21).normal(size=(n, 3)))
+        _, shares, tests = assert_matches_ray_triangles(mesh, origins, dirs)
+        assert shares == ({n} if n * 24 <= spatial._LEAF_TILE else {1})
+        assert tests <= spatial._LEAF_TILE
 
     def test_multi_leaf_mesh(self):
         """Two rooms 100 m apart, a leaf each: rays fired away from the other
@@ -232,7 +252,7 @@ class TestSharedOrigins:
         east, east_dirs = west + [100.0, 0, 0], -west_dirs
         for origins, dirs, share in ((west, west_dirs, 16), (east, east_dirs, 16),
                                      (np.vstack([west, east]), np.vstack([west_dirs, east_dirs]), 1)):
-            tied, shares = assert_matches_ray_triangles(mesh, origins, dirs)
+            tied, shares, _ = assert_matches_ray_triangles(mesh, origins, dirs)
             assert shares == {share} and (tied >= 1).sum() > len(tied) // 2
 
 
