@@ -138,18 +138,18 @@ def _range_noise(scan, sigma: float, seed: int):
 
 
 def cmd_simulate(args) -> int:
+    if args.sigma is not None and args.sigma > 0 and args.seed is None:
+        raise ConfigError("--seed is required when applying noise (--sigma > 0)")
     origins_path = args.origins or (str(args.out) + ".origins")
     _distinct_outputs({"--out": args.out, "--out's manifest": str(args.out) + ".manifest.json",
                        "--origins": origins_path})
     digests = {}
-    mesh = io.read_mesh(args.mesh, digests)
     trajectory = _read_json(args.trajectory, digests, simulate.Trajectory.from_samples)
     scan_cfg = simulate.ScanConfig()
     if args.scan_config:
         scan_cfg = _read_json(args.scan_config, digests, simulate.ScanConfig.from_json_dict)
+    mesh = io.read_mesh(args.mesh, digests)
 
-    if args.sigma is not None and args.sigma > 0 and args.seed is None:
-        raise ConfigError("--seed is required when applying noise (--sigma > 0)")
     seed = 0 if args.seed is None else args.seed
     try:
         scan = simulate.simulate_scan(mesh, trajectory, scan_cfg)

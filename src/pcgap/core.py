@@ -128,6 +128,14 @@ def coerce_labels(labels: np.ndarray, context: str = "") -> np.ndarray:
     return labels.astype(np.uint8)
 
 
+def frozen_copy(values, dtype) -> np.ndarray:
+    """A read-only, C-ordered ``dtype`` copy of ``values``: a record built
+    from it neither freezes nor follows its caller's array."""
+    copy = np.array(values, dtype=dtype, order="C")
+    copy.setflags(write=False)
+    return copy
+
+
 @dataclass(frozen=True)
 class LabeledPointCloud:
     """Points with per-point semantic class ids, stored as numpy arrays.
@@ -140,7 +148,7 @@ class LabeledPointCloud:
     labels: np.ndarray
 
     def __post_init__(self):
-        xyz = np.ascontiguousarray(self.xyz, dtype=np.float64)
+        xyz = frozen_copy(self.xyz, np.float64)
         if xyz.ndim != 2 or xyz.shape[1] != 3:
             raise ValueError(f"xyz must be (N, 3), got {xyz.shape}")
         if not np.isfinite(xyz).all():
@@ -150,11 +158,8 @@ class LabeledPointCloud:
             raise ValueError(f"labels shape {labels.shape} does not match {xyz.shape[0]} points")
         if labels.size and ((labels < 1) | (labels > 12)).any():
             raise ValueError("class ids must be in 1..12 (coerce out-of-range labels on read)")
-        labels = labels.astype(np.uint8)
-        xyz.setflags(write=False)
-        labels.setflags(write=False)
         object.__setattr__(self, "xyz", xyz)
-        object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "labels", frozen_copy(labels, np.uint8))
 
     # -- construction helpers -------------------------------------------------
 

@@ -14,7 +14,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .core import NON_NOISE_CLASSES, LabeledPointCloud, SemanticClass, record_fields
+from .core import NON_NOISE_CLASSES, LabeledPointCloud, SemanticClass, frozen_copy, record_fields
 from .errors import ConfigError, check_fields, check_number, config_fields, config_tuple
 
 N_CLASSES = len(SemanticClass)
@@ -47,7 +47,7 @@ class Region:
             if not (xmin < xmax and ymin < ymax):
                 raise ValueError(f"region {self.name!r}: zero-area rectangle")
         else:
-            poly = np.asarray(self.polygon, dtype=np.float64).reshape(-1, 2)
+            poly = frozen_copy(self.polygon, np.float64).reshape(-1, 2)
             if len(poly) < 3:
                 raise ValueError(f"region {self.name!r}: polygon needs >= 3 vertices")
             if not np.isfinite(poly).all():
@@ -56,7 +56,6 @@ class Region:
             area2 = np.dot(x, np.roll(y, -1)) - np.dot(y, np.roll(x, -1))
             if area2 == 0:
                 raise ValueError(f"region {self.name!r}: zero-area polygon")
-            poly.setflags(write=False)
             object.__setattr__(self, "polygon", poly)
 
     def contains(self, xy: np.ndarray) -> np.ndarray:

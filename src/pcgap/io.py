@@ -34,7 +34,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .core import LabeledPointCloud, SemanticClass, coerce_labels, map_class
+from .core import LabeledPointCloud, SemanticClass, coerce_labels, frozen_copy, map_class
 from .errors import FormatError, ParseError
 
 logger = logging.getLogger(__name__)
@@ -505,15 +505,13 @@ class ClassedMesh:
     dropped_degenerate: int = 0
 
     def __post_init__(self):
-        vertices = np.ascontiguousarray(self.vertices, dtype=np.float64)
-        triangles = np.ascontiguousarray(self.triangles, dtype=np.int64).reshape(-1, 3)
-        classes = np.asarray(self.triangle_classes, dtype=np.uint8)
+        vertices = frozen_copy(self.vertices, np.float64)
+        triangles = frozen_copy(self.triangles, np.int64).reshape(-1, 3)
+        classes = frozen_copy(self.triangle_classes, np.uint8)
         if triangles.size and (triangles.min() < 0 or triangles.max() >= len(vertices)):
             raise ValueError("triangle vertex index out of range")
         if classes.shape != (triangles.shape[0],):
             raise ValueError("one class per triangle required")
-        for arr in (vertices, triangles, classes):
-            arr.setflags(write=False)
         object.__setattr__(self, "vertices", vertices)
         object.__setattr__(self, "triangles", triangles)
         object.__setattr__(self, "triangle_classes", classes)

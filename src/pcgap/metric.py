@@ -88,6 +88,9 @@ class MetricParams:
                 raise ConfigError(f"lambda1+lambda2+lambda3: must sum to 1, got {sum(lams)!r}")
             if not (self.lambda1 > self.lambda2 > self.lambda3):
                 raise ConfigError("lambda1 > lambda2 > lambda3 is required in strict mode")
+        if self.eq3_weight_mode == "renormalized" and not self.lambda1 + self.lambda2 > 0:
+            raise ConfigError(f"lambda1+lambda2: must be positive for eq3_weight_mode 'renormalized', "
+                              f"got {self.lambda1 + self.lambda2!r}")
 
     @classmethod
     def from_json_dict(cls, raw) -> tuple["MetricParams", int]:
@@ -297,8 +300,6 @@ def blend_distance(d_mm3c2: float, d_c2c: float, params: MetricParams) -> float:
     l1, l2 = params.lambda1, params.lambda2
     if params.eq3_weight_mode == "renormalized":
         total = l1 + l2
-        if total <= 0:
-            raise ValueError("lambda1 + lambda2 must be positive to renormalize")
         l1, l2 = l1 / total, l2 / total
     return l1 * abs(d_mm3c2) + l2 * abs(d_c2c)
 

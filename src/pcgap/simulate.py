@@ -14,7 +14,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .core import LabeledPointCloud, record_fields
+from .core import LabeledPointCloud, frozen_copy, record_fields
 from .errors import ConfigError, DegenerateDataError, check_fields, check_number, config_fields, config_object
 from .spatial import Bvh
 
@@ -38,6 +38,9 @@ class ScanConfig:
         lo, hi = self.vertical_fov_deg
         if self.channels > 1 and not lo < hi:
             raise ConfigError("vertical_fov_deg: min must be below max")
+        if self.points_per_second / (self.rotation_rate_hz * self.channels) < 1:
+            raise ConfigError(f"points_per_second: must be >= rotation_rate_hz * channels "
+                              f"({self.rotation_rate_hz * self.channels!r}), got {self.points_per_second!r}")
 
     @classmethod
     def from_json_dict(cls, raw) -> "ScanConfig":
@@ -139,10 +142,9 @@ class SimulatedScan:
     ray_origins: np.ndarray
 
     def __post_init__(self):
-        origins = np.ascontiguousarray(self.ray_origins, dtype=np.float64)
+        origins = frozen_copy(self.ray_origins, np.float64)
         if origins.shape != (len(self.cloud), 3):
             raise ValueError("one ray origin per point required")
-        origins.setflags(write=False)
         object.__setattr__(self, "ray_origins", origins)
 
 
@@ -173,8 +175,6 @@ def simulate_scan(
             f"shorter than one rotation period ({period:.3f}s)"
         )
     steps_per_rotation = int(config.points_per_second / (config.rotation_rate_hz * config.channels))
-    if steps_per_rotation < 1:
-        raise ValueError("points_per_second too low for the channel count and rotation rate")
 
     # firing times cover [t0, t_end); the end point is excluded so the ray
     # budget never exceeds points_per_second * duration

@@ -13,6 +13,7 @@ import os
 
 import numpy as np
 
+from .core import frozen_copy
 from .errors import DegenerateDataError
 
 MIN_RAY_T = 1e-6  # meters; avoids self-intersection at the emitter origin
@@ -38,14 +39,15 @@ class NnIndex:
     """
 
     def __init__(self, xyz: np.ndarray):
-        xyz = np.ascontiguousarray(xyz, dtype=np.float64)
+        # a frozen array that owns its data, as a cloud's is, is kept as it is
+        if not (isinstance(xyz, np.ndarray) and xyz.dtype == np.float64 and xyz.flags.c_contiguous
+                and xyz.flags.owndata and not xyz.flags.writeable):
+            xyz = frozen_copy(xyz, np.float64)
         if xyz.ndim != 2 or xyz.shape[1] != 3 or xyz.shape[0] == 0:
             raise ValueError("index requires a non-empty (N, 3) point array")
-        xyz.setflags(write=False)
         self.points = xyz
         # x, y and z as contiguous rows, for the per-component pair gathers
-        self.columns = xyz.T.copy()
-        self.columns.setflags(write=False)
+        self.columns = frozen_copy(xyz.T, np.float64)
         # scipy is imported where a tree is built: only ``compare`` needs
         # one, and every other command starts faster without it
         from scipy.spatial import cKDTree
@@ -68,10 +70,10 @@ class NnIndex:
         pick = int(np.argmin(d2))
         return int(cand[pick]), float(np.sqrt(d2[pick]))
 
-    def nearest_distances(self, points: np.ndarray, upper_bound: float = np.inf, lanes: int = 0) -> np.ndarray:
+    def nearest_distances(self, points: np.ndarray, upper_bound: float = np.inf) -> np.ndarray:
         """Distance from each query point to its nearest indexed point, inf where none lies
-        within ``upper_bound``. Blocks of ``_QUERY_BLOCK`` queries run on ``lanes`` lanes
-        (0: one per CPU the process may use; see :func:`_on_lanes`), one query thread each."""
+        within ``upper_bound``. Blocks of ``_QUERY_BLOCK`` queries run on the lanes
+        (see :func:`_on_lanes`), one query thread each."""
         points = np.asarray(points, dtype=np.float64).reshape(-1, 3)
         d = np.empty(len(points))
 
@@ -79,7 +81,7 @@ class NnIndex:
             d[lo:lo + _QUERY_BLOCK] = self._tree.query(points[lo:lo + _QUERY_BLOCK],
                                                        distance_upper_bound=upper_bound, workers=1)[0]
 
-        _on_lanes(lanes or _lane_count(), range(0, len(points), _QUERY_BLOCK), query)
+        _on_lanes(_lane_count(), range(0, len(points), _QUERY_BLOCK), query)
         return d
 
     def within_radius_many(self, points: np.ndarray, radius: float) -> tuple[np.ndarray, np.ndarray]:
@@ -197,15 +199,16 @@ def _on_lanes(lanes: int, tasks, run) -> None:
         raise failed[0]
 
 
-def _gather(index: NnIndex, n: int, queries_of, radius: float, kernel) -> None:
-    """Call ``kernel(lo, hi, query, point)`` on blocks ``[lo, hi)`` of ``n``
-    balls and their pairs within ``radius``; ``query`` indexes the rows of
-    ``queries_of(lo, hi)``, the blocks' ball centers. The blocks run on one
-    lane per CPU (see :func:`_on_lanes`). A block provably holds at most a
+def _gather(index: NnIndex, balls: np.ndarray, radius: float, kernel) -> None:
+    """Call ``kernel(lo, hi, query, point)`` on blocks ``[lo, hi)`` of the
+    balls of ``radius`` centered at the rows of ``balls`` and their pairs;
+    ``query`` indexes the rows ``balls[lo:hi]``. The blocks run on one lane
+    per CPU (see :func:`_on_lanes`). A block provably holds at most a
     share of ``_CANDIDATE_BUDGET`` pairs by :func:`_ball_count_bound`: two
     shares for the main lane and four per worker, whose own malloc arena
     keeps what its last block freed. At twice these shares, a street
     compare and its series on 2 CPUs peaked at 101 MB, not 93, in no less time."""
+    n = len(balls)
     if n == 0:
         return
     lanes = _lane_count()
@@ -213,14 +216,13 @@ def _gather(index: NnIndex, n: int, queries_of, radius: float, kernel) -> None:
     bound = _ball_count_bound(index.points, radius)
     load = np.empty(n, dtype=np.int64)
     for lo in range(0, n, _BOUND_BLOCK):
-        hi = min(lo + _BOUND_BLOCK, n)
-        load[lo:hi] = bound(queries_of(lo, hi))
+        load[lo:lo + _BOUND_BLOCK] = bound(balls[lo:lo + _BOUND_BLOCK])
     held = np.append(0, np.cumsum(load))  # held[i]: the bound on items [0, i)
     starts = [0]
     while (lo := starts[-1]) < n:
         starts.append(max(int(np.searchsorted(held, held[lo] + share, side="right")) - 1, lo + 1))
     _on_lanes(lanes, list(zip(starts, starts[1:])),
-              lambda block: kernel(*block, *index.within_radius_many(queries_of(*block), radius)))
+              lambda block: kernel(*block, *index.within_radius_many(balls[slice(*block)], radius)))
 
 
 def _slab_count(radius: float, half_depth: float) -> int:
@@ -274,24 +276,18 @@ def cylinder_pairs(index: NnIndex, centers: np.ndarray, axes: np.ndarray,
         keep &= np.sign(np.subtract(home, k // 2, out=radial2), out=radial2) == side
         kernel(core[keep], home[keep].astype(np.int64), p[keep])
 
+    reach = float(np.hypot(radius, thick / 2)) * (1.0 + 1e-9) + slack
+    _gather(index, centers, reach, lambda lo, hi, q, p: members(lo + q, p, 0))
+    if k == 1:
+        return
+    # side balls 2 * core (toward -axis) and 2 * core + 1, each gathered only
+    # where a nearest-point query finds a point within its reach
     along = (half_depth + thick / 2) / 2
     side_reach = float(np.hypot(radius, (half_depth - thick / 2) / 2)) * (1.0 + 1e-9) + slack
-    held = np.zeros(2 * len(centers), dtype=bool)  # side balls 2 * core (toward -axis) and 2 * core + 1
-
-    def sides(balls):
-        return centers[balls // 2] + ((balls % 2 * 2 - 1) * along)[:, None] * axes[balls // 2]
-
-    def center(lo, hi, q, p):
-        members(lo + q, p, 0)
-        if k > 1:  # screened on this lane: query threads would each keep a malloc arena
-            near = index.nearest_distances(sides(np.arange(2 * lo, 2 * hi)), side_reach * (1.0 + 1e-6), 1)
-            held[2 * lo:2 * hi] = np.isfinite(near)
-
-    reach = float(np.hypot(radius, thick / 2)) * (1.0 + 1e-9) + slack
-    _gather(index, len(centers), lambda lo, hi: centers[lo:hi], reach, center)
-    cast = np.flatnonzero(held)
-    _gather(index, cast.size, lambda lo, hi: sides(cast[lo:hi]), side_reach,
-            lambda lo, hi, q, p: members(cast[lo:hi][q] // 2, p, cast[lo:hi][q] % 2 * 2 - 1))
+    sides = (centers[:, None] + np.array([[-along], [along]]) * axes[:, None]).reshape(-1, 3)
+    cast = np.flatnonzero(np.isfinite(index.nearest_distances(sides, side_reach * (1.0 + 1e-6))))
+    _gather(index, sides[cast], side_reach,
+            lambda lo, hi, q, p: members(cast[lo + q] // 2, p, cast[lo + q] % 2 * 2 - 1))
 
 
 def cylinder_means(index: NnIndex, centers: np.ndarray, axes: np.ndarray,
@@ -365,7 +361,7 @@ def estimate_normals(index: NnIndex, at: np.ndarray, scale: float) -> tuple[np.n
         normals[rows] = _orient_normals(eigvecs[rank_ok, :, 0])
         valid[rows] = True
 
-    _gather(index, at.shape[0], lambda lo, hi: at[lo:hi], scale, kernel)
+    _gather(index, at, scale, kernel)
     return normals, valid
 
 

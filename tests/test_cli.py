@@ -188,6 +188,43 @@ def test_simulate_bad_scan_config_or_trajectory_exit_2(tmp_path, small_inputs, c
     assert list((tmp_path / "out").iterdir()) == []
 
 
+def _record_reads(monkeypatch) -> list:
+    """The paths that the CLI's cloud and mesh readers are called on, from now."""
+    reads = []
+    for name in ("read_cloud", "read_mesh"):
+        read = getattr(pcgap.io, name)
+        monkeypatch.setattr(pcgap.io, name, lambda path, *args, read=read: reads.append(path) or read(path, *args))
+    return reads
+
+
+@pytest.mark.parametrize("command,flag,doc,key", [
+    ("compare", "--config",
+     {"lambda_validation": "relaxed", "eq3_weight_mode": "renormalized", "lambda1": 0, "lambda2": 0},
+     "lambda1+lambda2"),
+    # 64 channels at 10 Hz need 640 points a second for one firing step per turn
+    ("simulate", "--scan-config", {"points_per_second": 639}, "points_per_second"),
+])
+def test_config_only_error_exit_2_before_any_input_is_read(monkeypatch, tmp_path, small_inputs, capsys,
+                                                            command, flag, doc, key):
+    (tmp_path / "out").mkdir()
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    reads = _record_reads(monkeypatch)
+    assert main(small_inputs[command] + [flag, str(path)]) == EXIT_CONFIG
+    assert json.loads(capsys.readouterr().err)["error"].startswith(f"{path}: {key}: ")
+    assert reads == [] and list((tmp_path / "out").iterdir()) == []
+
+
+def test_simulate_noise_without_seed_exit_2_before_any_input_is_read(monkeypatch, tmp_path, small_inputs,
+                                                                     capsys):
+    argv = small_inputs["simulate"]
+    del argv[argv.index("--seed"):argv.index("--seed") + 2]
+    reads = _record_reads(monkeypatch)
+    assert main(argv + ["--sigma", "0.05"]) == EXIT_CONFIG
+    assert json.loads(capsys.readouterr().err)["error"].startswith("--seed is required")
+    assert reads == [] and not (tmp_path / "out").exists()
+
+
 def _run_fresh(argvs) -> list[str]:
     """Run CLI calls in a fresh interpreter that imports pcgap from this
     source tree; return the scipy modules loaded when they are done."""

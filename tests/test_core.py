@@ -14,7 +14,11 @@ from pcgap.core import (
     map_class,
     partition_by_class,
 )
+from pcgap.dataset import Region
 from pcgap.errors import ConfigError
+from pcgap.io import ClassedMesh
+from pcgap.simulate import SimulatedScan
+from pcgap.spatial import NnIndex
 
 
 def test_every_public_name_resolves():
@@ -161,6 +165,53 @@ class TestLabeledPointCloud:
         moved = cloud.translate((1, -1, 0.5))
         assert np.allclose(moved.xyz, [[2.0, 1.0, 3.5]])
         assert moved.labels.tolist() == [4]
+
+
+def _record_of_cloud():
+    xyz, labels = np.arange(9.0).reshape(3, 3), np.array([1, 2, 3], dtype=np.uint8)
+    cloud = LabeledPointCloud(xyz, labels)
+    return [xyz, labels], [cloud.xyz, cloud.labels]
+
+
+def _record_of_scan():
+    origins = np.zeros((3, 3))
+    scan = SimulatedScan(LabeledPointCloud(np.ones((3, 3)), np.ones(3)), origins)
+    return [origins], [scan.ray_origins]
+
+
+def _record_of_mesh():
+    vertices, triangles = np.eye(3), np.array([[0, 1, 2]], dtype=np.int64)
+    classes = np.array([6], dtype=np.uint8)
+    mesh = ClassedMesh(vertices, triangles, classes)
+    return [vertices, triangles, classes], [mesh.vertices, mesh.triangles, mesh.triangle_classes]
+
+
+def _record_of_index():
+    xyz = np.arange(9.0).reshape(3, 3)
+    index = NnIndex(xyz)
+    return [xyz], [index.points, index.columns]
+
+
+def _record_of_region():
+    polygon = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+    return [polygon], [Region("r", polygon=polygon).polygon]
+
+
+@pytest.mark.parametrize("build", [_record_of_cloud, _record_of_scan, _record_of_mesh, _record_of_index,
+                                   _record_of_region])
+def test_records_neither_freeze_nor_alias_their_callers_arrays(build):
+    theirs, kept = build()
+    want = [array.copy() for array in kept]
+    for array in theirs:
+        assert array.flags.writeable
+        array += 1
+    for array, values in zip(kept, want):
+        assert not array.flags.writeable and np.array_equal(array, values)
+
+
+def test_an_index_keeps_a_clouds_frozen_points():
+    cloud = LabeledPointCloud(np.arange(9.0).reshape(3, 3), np.ones(3))
+    assert NnIndex(cloud.xyz).points is cloud.xyz
 
 
 class TestPartition:

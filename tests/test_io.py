@@ -339,6 +339,12 @@ class TestConfig:
         with pytest.raises(ConfigError, match="lambda1 > lambda2 > lambda3"):
             MetricParams.from_json_dict({"lambda1": 0.3, "lambda2": 0.6, "lambda3": 0.1})
 
+    def test_renormalizing_needs_a_positive_lambda1_plus_lambda2(self):
+        message = "lambda1+lambda2: must be positive for eq3_weight_mode 'renormalized', got 0.0"
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            MetricParams(lambda1=0, lambda2=0, lambda_validation="relaxed", eq3_weight_mode="renormalized")
+        assert MetricParams(lambda1=0, lambda2=0, lambda_validation="relaxed").lambda1 == 0.0
+
     def test_relaxed_mode_allows_table_weights(self):
         params, _ = MetricParams.from_json_dict(
             {"lambda1": 0.6, "lambda2": 0.4, "lambda3": 0.1, "lambda_validation": "relaxed"}
@@ -427,11 +433,11 @@ class TestConfig:
 
 
 #: Each parameter record: its key prefix, and the other arguments a valid
-#: construction needs.
+#: construction needs (a scan's points_per_second of 1 fires one channel at 1 Hz).
 _RECORDS = [
     (M3c2Params, "m3c2.", {}),
     (MetricParams, "", {"lambda_validation": "relaxed"}),
-    (ScanConfig, "", {}),
+    (ScanConfig, "", {"channels": 1, "rotation_rate_hz": 1.0}),
     (NoiseModel, "", {}),
     (RatioMix, "", {"real_fraction": 0.5, "target_count": 10}),
 ]

@@ -290,15 +290,15 @@ class TestCylinderPairs:
         want = m3c2_gathers()
         calls, gather = [], spatial._gather
 
-        def recorded(index, n, queries_of, radius, kernel):
+        def recorded(index, balls, radius, kernel):
             ran = []
-            calls.append((n, ran))
+            calls.append((len(balls), ran))
 
             def once(lo, hi, query, point):
                 ran.append((lo, hi))
                 kernel(lo, hi, query, point)
 
-            gather(index, n, queries_of, radius, once)
+            gather(index, balls, radius, once)
 
         monkeypatch.setattr(spatial, "_gather", recorded)
         monkeypatch.setattr(spatial, "_lane_count", lambda: 8)
@@ -435,10 +435,10 @@ def row_ball_count_bound(points, radius):
     return bound
 
 
-def pair_blocks(index, n, queries_of, radius):
+def pair_blocks(index, balls, radius):
     """The gathers' blocks and their joined pairs, in order."""
     blocks = []
-    spatial._gather(index, n, queries_of, radius, lambda *block: blocks.append(block))
+    spatial._gather(index, balls, radius, lambda *block: blocks.append(block))
     return sorted(blocks, key=lambda block: block[0])
 
 
@@ -446,7 +446,7 @@ def row_estimate_normals(index, at, scale):
     at = np.asarray(at, dtype=np.float64).reshape(-1, 3)
     normals = np.zeros((at.shape[0], 3))
     valid = np.zeros(at.shape[0], dtype=bool)
-    for lo, hi, q, p in pair_blocks(index, at.shape[0], lambda lo, hi: at[lo:hi], scale):
+    for lo, hi, q, p in pair_blocks(index, at, scale):
         m = hi - lo
         counts = np.bincount(q, minlength=m)
         pts = index.points[p]
@@ -479,7 +479,7 @@ def row_cylinder_pairs(index, centers, axes, radius, half_depth):
     reach = float(np.hypot(radius, thick / 2)) * (1.0 + 1e-9) + slack
     balls = (centers[:, None] + offsets[:, None] * axes[:, None]).reshape(-1, 3)
 
-    for lo, hi, q, p in pair_blocks(index, len(balls), lambda lo, hi: balls[lo:hi], reach):
+    for lo, hi, q, p in pair_blocks(index, balls, reach):
         core, slab = np.divmod(lo + q, k)
         rel = index.points[p] - centers[core]
         axial = np.einsum("ij,ij->i", rel, axes[core])

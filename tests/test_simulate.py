@@ -77,6 +77,9 @@ class TestConfigChecks:
         ({"max_range_m": -1.0}, "max_range_m"),
         ({"max_range_m": 10**400}, "max_range_m"),
         ({"sensor_offset": (0, 0, -10**400)}, r"sensor_offset\[2\]"),
+        # one firing step per turn of 64 channels at 10 Hz takes 640 points a second
+        ({"points_per_second": 639}, "points_per_second"),
+        ({"points_per_second": 2, "channels": 2, "rotation_rate_hz": 1.5}, "points_per_second"),
     ])
     def test_scan_config(self, kwargs, key):
         with pytest.raises(ValueError, match=f"^{key}: "):
