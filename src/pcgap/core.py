@@ -129,8 +129,11 @@ def coerce_labels(labels: np.ndarray, context: str = "") -> np.ndarray:
 
 
 def frozen_copy(values, dtype) -> np.ndarray:
-    """A read-only, C-ordered ``dtype`` copy of ``values``: a record built
-    from it neither freezes nor follows its caller's array."""
+    """``values`` itself when it is a read-only, C-ordered ``dtype`` array that owns its data, as a
+    record's own array is, else such a copy: a record neither freezes nor follows its caller's array."""
+    if (isinstance(values, np.ndarray) and values.dtype == dtype and values.flags.c_contiguous
+            and values.flags.owndata and not values.flags.writeable):
+        return values
     copy = np.array(values, dtype=dtype, order="C")
     copy.setflags(write=False)
     return copy
@@ -141,7 +144,7 @@ class LabeledPointCloud:
     """Points with per-point semantic class ids, stored as numpy arrays.
 
     ``xyz`` is (N, 3) float64 in meters, ``labels`` is (N,) uint8 in 1..12.
-    Arrays are copied on construction and frozen read-only.
+    Arrays are taken through :func:`frozen_copy`, so another record's are shared.
     """
 
     xyz: np.ndarray

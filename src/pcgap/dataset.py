@@ -53,7 +53,11 @@ class Region:
             if not np.isfinite(poly).all():
                 raise ValueError(f"region {self.name!r}: polygon coordinates must be finite")
             x, y = poly[:, 0], poly[:, 1]
-            area2 = np.dot(x, np.roll(y, -1)) - np.dot(y, np.roll(x, -1))
+            with np.errstate(over="ignore", invalid="ignore"):  # refused below
+                area2 = np.dot(x, np.roll(y, -1)) - np.dot(y, np.roll(x, -1))
+                cross_bound = 2 * np.prod(np.ptp(poly, axis=0))  # on an edge's cross product in the box
+            if not np.isfinite([area2, cross_bound]).all():
+                raise ValueError(f"region {self.name!r}: polygon area and edge products must be finite")
             if area2 == 0:
                 raise ValueError(f"region {self.name!r}: zero-area polygon")
             object.__setattr__(self, "polygon", poly)
@@ -76,10 +80,12 @@ def _is_file_name(name) -> bool:
 
 
 def _points_in_polygon(xy: np.ndarray, poly: np.ndarray) -> np.ndarray:
-    """Even-odd membership; points exactly on an edge count as inside."""
-    x, y = xy[:, 0], xy[:, 1]
-    inside = np.zeros(len(xy), dtype=bool)
-    on_edge = np.zeros(len(xy), dtype=bool)
+    """Even-odd membership; points exactly on an edge count as inside. Only points
+    in the polygon's bounding box are tested: no product there exceeds :class:`Region`'s bound."""
+    box = ((xy >= poly.min(axis=0)) & (xy <= poly.max(axis=0))).all(axis=1)
+    x, y = xy[box, 0], xy[box, 1]
+    inside = np.zeros(len(x), dtype=bool)
+    on_edge = np.zeros(len(x), dtype=bool)
     n = len(poly)
     for i in range(n):
         x1, y1 = poly[i]
@@ -97,7 +103,8 @@ def _points_in_polygon(xy: np.ndarray, poly: np.ndarray) -> np.ndarray:
             with np.errstate(divide="ignore", invalid="ignore"):
                 x_at = x1 + (y - y1) * (x2 - x1) / (y2 - y1)
             inside ^= crosses & (x < x_at)
-    return inside | on_edge
+    box[box] = inside | on_edge  # the box's points, in order
+    return box
 
 
 @dataclass(frozen=True)

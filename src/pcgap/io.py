@@ -423,7 +423,7 @@ def _read_ply(path: Path, data: bytes) -> LabeledPointCloud:
     raw_labels = np.asarray(columns[label_prop])
     if raw_labels.size and not np.isfinite(raw_labels.astype(np.float64)).all():
         raise ParseError(path, "non-finite class value in vertex data")
-    labels = np.rint(raw_labels.astype(np.float64)).astype(np.int64)
+    labels = np.rint(np.clip(raw_labels.astype(np.float64), 0, 13)).astype(np.int64)  # 0, 13: out of range
     return LabeledPointCloud(xyz, coerce_labels(labels, str(path)))
 
 
@@ -569,7 +569,7 @@ def read_mesh(path, digests: dict | None = None) -> ClassedMesh:
     dropped = int((~keep).sum())
     if dropped:
         logger.warning("%s: dropped %d degenerate triangle(s)", path, dropped)
-        mesh = ClassedMesh(verts, tri_arr[keep], cls_arr[keep], dropped_degenerate=dropped)
+        mesh = ClassedMesh(mesh.vertices, tri_arr[keep], cls_arr[keep], dropped_degenerate=dropped)
     return mesh
 
 

@@ -54,6 +54,13 @@ class M3c2Params:
 
     def __post_init__(self):
         _check_floats(self, "m3c2.")
+        # the lengths the gathers derive: the axis span, the slab ratio and bounds on a ball's cell width
+        r, depth = self.projection_radius_m, self.max_depth_m
+        check_number(2 * depth, "m3c2.max_depth_m: 2 * max_depth_m")
+        check_number(depth / r, "m3c2.projection_radius_m: max_depth_m / projection_radius_m")
+        check_number(4 * math.hypot(r, depth),
+                     "m3c2.projection_radius_m: 4 * hypot(projection_radius_m, max_depth_m)")
+        check_number(4 * self.normal_scale_m, "m3c2.normal_scale_m: 4 * normal_scale_m")
 
 
 @dataclass(frozen=True)

@@ -66,9 +66,9 @@ class Trajectory:
     """
 
     def __init__(self, times: Sequence[float], positions, yaws: Sequence[float]):
-        t = np.asarray(times, dtype=np.float64)
-        p = np.asarray(positions, dtype=np.float64).reshape(-1, 3)
-        y = np.asarray(yaws, dtype=np.float64)
+        t = frozen_copy(times, np.float64)
+        p = frozen_copy(positions, np.float64).reshape(-1, 3)
+        y = frozen_copy(yaws, np.float64)
         if t.ndim != 1 or len(t) == 0:
             raise ValueError("trajectory needs at least one sample")
         if len(t) != len(p) or len(t) != len(y):
@@ -80,13 +80,10 @@ class Trajectory:
             raise ConfigError(f"[{i}].{_SAMPLE_KEYS[k]}: must be finite, got {float(table[i, k])!r}")
         if len(t) > 1 and not (np.diff(t) > 0).all():
             raise ValueError("trajectory times must be strictly increasing")
-        self.times = t
-        self.positions = p
+        self.times, self.positions = t, p
         # continuous yaw: each step wrapped to the shortest arc
-        if len(y) > 1:
-            steps = _wrap_pi(np.diff(y))
-            y = np.concatenate(([y[0]], y[0] + np.cumsum(steps)))
-        self.yaws = y
+        steps = _wrap_pi(np.diff(y))
+        self.yaws = frozen_copy(np.concatenate((y[:1], y[0] + np.cumsum(steps))), np.float64)
 
     @classmethod
     def from_samples(cls, samples: Sequence[Mapping]) -> "Trajectory":

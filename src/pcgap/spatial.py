@@ -21,7 +21,6 @@ _PARALLEL_EPS = 1e-12
 _RANK_RATIO = 1e-12
 _SIGN_EPS = 1e-12  # normal components this small are rounding noise
 _CANDIDATE_BUDGET = 1_000_000  # (query, point) candidate rows held by one gather pass
-_BOUND_BLOCK = 65_536  # items whose pair bounds are computed at once
 _QUERY_BLOCK = 4_096  # nearest-point queries a lane takes at once
 _MAX_SLABS = 9
 _LEAF_SIZE = 32  # most triangles in a BVH leaf
@@ -39,10 +38,7 @@ class NnIndex:
     """
 
     def __init__(self, xyz: np.ndarray):
-        # a frozen array that owns its data, as a cloud's is, is kept as it is
-        if not (isinstance(xyz, np.ndarray) and xyz.dtype == np.float64 and xyz.flags.c_contiguous
-                and xyz.flags.owndata and not xyz.flags.writeable):
-            xyz = frozen_copy(xyz, np.float64)
+        xyz = frozen_copy(xyz, np.float64)
         if xyz.ndim != 2 or xyz.shape[1] != 3 or xyz.shape[0] == 0:
             raise ValueError("index requires a non-empty (N, 3) point array")
         self.points = xyz
@@ -214,10 +210,7 @@ def _gather(index: NnIndex, balls: np.ndarray, radius: float, kernel) -> None:
     lanes = _lane_count()
     share = max(_CANDIDATE_BUDGET // (4 * lanes - 2), 1)
     bound = _ball_count_bound(index.points, radius)
-    load = np.empty(n, dtype=np.int64)
-    for lo in range(0, n, _BOUND_BLOCK):
-        load[lo:lo + _BOUND_BLOCK] = bound(balls[lo:lo + _BOUND_BLOCK])
-    held = np.append(0, np.cumsum(load))  # held[i]: the bound on items [0, i)
+    held = np.append(0, np.cumsum(bound(balls)))  # held[i]: the bound on balls [0, i)
     starts = [0]
     while (lo := starts[-1]) < n:
         starts.append(max(int(np.searchsorted(held, held[lo] + share, side="right")) - 1, lo + 1))

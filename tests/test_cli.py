@@ -203,6 +203,16 @@ def _record_reads(monkeypatch) -> list:
      "lambda1+lambda2"),
     # 64 channels at 10 Hz need 640 points a second for one firing step per turn
     ("simulate", "--scan-config", {"points_per_second": 639}, "points_per_second"),
+    # each length the M3C2 gathers derive must be finite; the key is followed by its rule
+    pytest.param("compare", "--config", {"m3c2": {"max_depth_m": 1.7e308}},
+                 "m3c2.max_depth_m: 2 * max_depth_m", id="m3c2-axis-span"),
+    pytest.param("compare", "--config", {"m3c2": {"projection_radius_m": 1e-320}},
+                 "m3c2.projection_radius_m: max_depth_m / projection_radius_m", id="m3c2-slab-ratio"),
+    pytest.param("compare", "--config", {"m3c2": {"projection_radius_m": 1.7e308}},
+                 "m3c2.projection_radius_m: 4 * hypot(projection_radius_m, max_depth_m)",
+                 id="m3c2-cylinder-ball"),
+    pytest.param("compare", "--config", {"m3c2": {"normal_scale_m": 1.7e308}},
+                 "m3c2.normal_scale_m: 4 * normal_scale_m", id="m3c2-normal-ball"),
 ])
 def test_config_only_error_exit_2_before_any_input_is_read(monkeypatch, tmp_path, small_inputs, capsys,
                                                             command, flag, doc, key):
@@ -223,6 +233,13 @@ def test_simulate_noise_without_seed_exit_2_before_any_input_is_read(monkeypatch
     assert main(argv + ["--sigma", "0.05"]) == EXIT_CONFIG
     assert json.loads(capsys.readouterr().err)["error"].startswith("--seed is required")
     assert reads == [] and not (tmp_path / "out").exists()
+
+
+def test_m3c2_depth_of_1e300_m_still_runs(tmp_path, small_inputs):
+    (tmp_path / "out").mkdir()
+    path = tmp_path / "deep.json"
+    path.write_text(json.dumps({"m3c2": {"max_depth_m": 1e300}}))
+    assert main(small_inputs["compare"] + ["--config", str(path)]) == EXIT_OK
 
 
 def _run_fresh(argvs) -> list[str]:
@@ -1012,6 +1029,10 @@ class TestMixSplit:
                      id="region3"),
         pytest.param({"rect": [0, 0, 4, 4], "polygon": [[0, 0], [4, 0], [0, 4]]}, None,
                      id="region4"),  # two shapes
+        # every point lies inside, but the edge products leave the float range
+        *(pytest.param({"polygon": [[-c, -c], [c, -c], [0, c]]},
+                       "regions[1]: region 'a': polygon area and edge products must be finite",
+                       id=f"region-{c:g}") for c in (1e300, 1e160)),
     ])
     def test_split_non_finite_region_exit_2(self, tmp_path, region, message, capsys):
         cloud_path = tmp_path / "c.xyzl"

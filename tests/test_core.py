@@ -11,13 +11,14 @@ from pcgap.core import (
     SemanticClass,
     coerce_labels,
     default_weights,
+    frozen_copy,
     map_class,
     partition_by_class,
 )
 from pcgap.dataset import Region
 from pcgap.errors import ConfigError
 from pcgap.io import ClassedMesh
-from pcgap.simulate import SimulatedScan
+from pcgap.simulate import NoiseModel, SimulatedScan, apply_range_noise
 from pcgap.spatial import NnIndex
 
 
@@ -212,6 +213,24 @@ def test_records_neither_freeze_nor_alias_their_callers_arrays(build):
 def test_an_index_keeps_a_clouds_frozen_points():
     cloud = LabeledPointCloud(np.arange(9.0).reshape(3, 3), np.ones(3))
     assert NnIndex(cloud.xyz).points is cloud.xyz
+
+
+def test_a_record_built_from_a_records_arrays_shares_them():
+    cloud = LabeledPointCloud(np.arange(9.0).reshape(3, 3), np.ones(3))
+    assert cloud.translate([1.0, 0.0, 0.0]).labels is cloud.labels
+    scan = SimulatedScan(cloud, np.zeros((3, 3)))
+    noisy = apply_range_noise(scan, NoiseModel(sigma=0.01, seed=1))
+    assert noisy.ray_origins is scan.ray_origins and noisy.cloud.labels is cloud.labels
+
+
+@pytest.mark.parametrize("view", [lambda xyz: xyz[::2], lambda xyz: xyz.T], ids=["strided", "transposed"])
+def test_a_frozen_view_is_copied(view):
+    xyz = LabeledPointCloud(np.arange(12.0).reshape(4, 3), np.ones(4)).xyz
+    frozen = view(xyz)
+    assert not frozen.flags.writeable and not frozen.flags.owndata
+    copy = frozen_copy(frozen, np.float64)
+    assert copy is not frozen and copy.flags.owndata and copy.flags.c_contiguous
+    assert not copy.flags.writeable and np.array_equal(copy, frozen)
 
 
 class TestPartition:

@@ -1,4 +1,5 @@
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -29,6 +30,18 @@ class TestRegions:
     def test_zero_area_polygon_rejected(self):
         with pytest.raises(ValueError, match="zero-area"):
             Region("p", polygon=[[0, 0], [1, 1], [2, 2]])
+
+    @pytest.mark.parametrize("corner", [1e300, 1e160])
+    def test_polygon_whose_products_overflow_rejected(self, corner):
+        with pytest.raises(ValueError, match="polygon area and edge products must be finite"):
+            Region("p", polygon=[[-corner, -corner], [corner, -corner], [0, corner]])
+
+    def test_far_points_are_outside_without_a_warning(self):
+        region = Region("p", polygon=[[-10, -10], [10, -10], [0, 10]])
+        xy = np.array([[0, 0], [1.5e308, 1.5e308], [-1.5e308, 0], [0, -1.7e308], [1, 1]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert region.contains(xy).tolist() == [True, False, False, False, True]
 
     def test_rect_inclusive_bounds(self):
         region = Region("r", rect=(0, 0, 1, 1))

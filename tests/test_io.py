@@ -5,6 +5,7 @@ import re
 import stat
 import sys
 import threading
+import warnings
 from dataclasses import fields
 
 import numpy as np
@@ -123,6 +124,20 @@ class TestPly:
         )
         cloud = read_cloud(p)
         assert cloud.labels.tolist() == [6, 2]
+
+    def test_class_value_beyond_int64_coerced_without_a_warning(self, tmp_path, caplog):
+        p = tmp_path / "c.ply"
+        p.write_text(
+            "ply\nformat ascii 1.0\nelement vertex 3\n"
+            "property double x\nproperty double y\nproperty double z\n"
+            "property double class_id\nend_header\n"
+            "0 0 0 1e300\n1 1 1 6\n2 2 2 -1e300\n"
+        )
+        with warnings.catch_warnings(), caplog.at_level("WARNING"):
+            warnings.simplefilter("error")
+            cloud = read_cloud(p)
+        assert cloud.labels.tolist() == [12, 6, 12]
+        assert "2 label(s) outside 1..12 coerced to Noise" in caplog.text
 
     def test_extra_properties_skipped(self, tmp_path):
         p = tmp_path / "c.ply"
@@ -433,9 +448,10 @@ class TestConfig:
 
 
 #: Each parameter record: its key prefix, and the other arguments a valid
-#: construction needs (a scan's points_per_second of 1 fires one channel at 1 Hz).
+#: construction needs (a scan's points_per_second of 1 fires one channel at 1 Hz,
+#: and the least depth keeps the slab ratio max_depth_m / projection_radius_m finite).
 _RECORDS = [
-    (M3c2Params, "m3c2.", {}),
+    (M3c2Params, "m3c2.", {"max_depth_m": 5e-324}),
     (MetricParams, "", {"lambda_validation": "relaxed"}),
     (ScanConfig, "", {"channels": 1, "rotation_rate_hz": 1.0}),
     (NoiseModel, "", {}),

@@ -45,6 +45,15 @@ class TestTrajectory:
         with pytest.raises(ValueError, match="strictly increasing"):
             Trajectory([0.0, 0.0], [[0, 0, 0], [1, 0, 0]], [0.0, 0.0])
 
+    def test_keeps_frozen_copies_of_its_callers_arrays(self):
+        times, positions, yaws = np.array([0.0, 1.0, 2.0]), np.zeros((3, 3)), np.array([0.0, 3.0, -3.0])
+        traj = Trajectory(times, positions, yaws)
+        want = traj.positions.copy(), traj.yaws.copy()
+        times[:], positions[:], yaws[:] = 5.0, 1.0, 9.0
+        assert traj.duration == 2.0
+        assert np.array_equal(traj.positions, want[0]) and np.array_equal(traj.yaws, want[1])
+        assert not any(a.flags.writeable for a in (traj.times, traj.positions, traj.yaws))
+
     def test_linear_position_interpolation(self):
         traj = straight_line(1.0, 0.0, 10.0)
         pos, yaw = traj.pose(0.25)
