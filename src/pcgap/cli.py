@@ -128,13 +128,16 @@ def cmd_compare(args) -> int:
     return EXIT_OK
 
 
-def _range_noise(scan, sigma: float, seed: int):
+def _range_noise(scan, sigma: float, seed: int, origins_path: str):
     """``scan`` with range noise; a sigma that moves a point beyond the float
-    range is a ConfigError naming ``--sigma``."""
+    range is a ConfigError naming ``--sigma``, a point on its own ray origin
+    a ValueError naming ``origins_path``."""
     try:
         return simulate.apply_range_noise(scan, simulate.NoiseModel(sigma, seed))
     except ConfigError as exc:
         raise ConfigError(f"--{exc}") from exc
+    except ValueError as exc:
+        raise ValueError(f"{origins_path}: {exc}") from exc
 
 
 def cmd_simulate(args) -> int:
@@ -158,7 +161,7 @@ def cmd_simulate(args) -> int:
                           f"{scan_cfg.points_per_second} rays/s over {trajectory.duration:g} s "
                           f"are too many to cast ({exc})") from exc
     if args.sigma is not None and args.sigma > 0:
-        scan = _range_noise(scan, args.sigma, seed)
+        scan = _range_noise(scan, args.sigma, seed, origins_path)
 
     io.write_cloud(scan.cloud, args.out, fmt=args.format)
     io.write_ray_origins(scan.ray_origins, origins_path)
@@ -182,7 +185,7 @@ def cmd_noise(args) -> int:
             f"{origins_path}: {origins.shape[0]} origins for {len(cloud)} points"
         )
     scan = simulate.SimulatedScan(cloud, origins)
-    noisy = _range_noise(scan, args.sigma, args.seed)
+    noisy = _range_noise(scan, args.sigma, args.seed, origins_path)
     io.write_cloud(noisy.cloud, args.out, fmt=args.format)
     _write_manifest(
         args.out, "noise", {"sigma": args.sigma, "format": args.format}, digests, seed=args.seed,
@@ -284,8 +287,6 @@ def _parse_report(path: str, parse, doc: dict):
     type or too large for a float, is a ParseError naming the file."""
     try:
         return parse(doc)
-    except ConfigError:
-        raise
     except (AttributeError, KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ParseError(path, f"malformed report: {type(exc).__name__}: {exc}") from exc
 

@@ -324,28 +324,26 @@ _PLY_TYPES = {
 }
 
 _LABEL_PROPERTIES = ("class_id", "scalar_classification")
+_LINE = re.compile(rb"([^\r\n]*)(\r\n|\r|\n|\Z)")  # a line and its end, by the text readers' rule
 
 
 def _read_ply(path: Path, data: bytes) -> LabeledPointCloud:
-    end = data.find(b"end_header")
-    if not data.startswith(b"ply") or end < 0:
-        raise ParseError(path, "not a ply file (missing header)")
-    header_end = data.find(b"\n", end)
-    if header_end < 0:
-        raise ParseError(path, "unterminated ply header", offset=end)
-    # bytes.splitlines ends lines at \n, \r\n and \r only, as the text reader does
-    header = [line.decode("ascii", errors="replace") for line in data[:header_end].splitlines()]
-    body = data[header_end + 1 :]
-
+    """A cloud from PLY bytes. The header is read one line at a time, up to the first line whose
+    only token is ``end_header``; the body starts at that line's end."""
     fmt = None
-    elements: list[tuple[str, int, list[tuple[str, str]]]] = []
-    for lineno, line in enumerate(header, start=1):
-        tokens = line.strip().split()
+    elements = []
+    for lineno, line in enumerate(_LINE.finditer(data), start=1):
+        text = line[1].decode("ascii", errors="replace")
+        tokens = text.split()
+        if tokens == ["end_header"]:
+            if not line[2]:
+                raise ParseError(path, "unterminated ply header", offset=line.start())
+            break
         if not tokens or tokens[0] in ("ply", "comment", "obj_info"):
             continue
         if tokens[0] == "format":
             if len(tokens) < 2 or tokens[1] not in ("ascii", "binary_little_endian"):
-                raise ParseError(path, f"unsupported ply format: {line.strip()!r}", line=lineno)
+                raise ParseError(path, f"unsupported ply format: {text.strip()!r}", line=lineno)
             fmt = tokens[1]
         elif tokens[0] == "element":
             if len(tokens) != 3:
@@ -360,12 +358,11 @@ def _read_ply(path: Path, data: bytes) -> LabeledPointCloud:
         elif tokens[0] == "property":
             if not elements:
                 raise ParseError(path, "property before any element", line=lineno)
-            if len(tokens) > 1 and tokens[1] == "list":
-                elements[-1][2].append(("__list__", " ".join(tokens[2:])))
-            elif len(tokens) != 3:
+            if len(tokens) != 3 and tokens[1:2] != ["list"]:
                 raise ParseError(path, "malformed property line", line=lineno)
-            else:
-                elements[-1][2].append((tokens[2], tokens[1]))
+            elements[-1][2].append((tokens[-1].lower(), tokens[1]))  # (name, type), type "list" for a list
+    else:
+        raise ParseError(path, "not a ply file (missing header)")
     if fmt is None:
         raise ParseError(path, "ply header has no format line")
     if not elements:
@@ -373,54 +370,44 @@ def _read_ply(path: Path, data: bytes) -> LabeledPointCloud:
     name, count, props = elements[0]
     if name != "vertex":
         raise ParseError(path, f"first ply element must be vertex, got {name!r}")
-    if any(p == "__list__" for p, _ in props):
+    if any(t == "list" for _, t in props):
         raise ParseError(path, "list properties on the vertex element are unsupported")
 
-    prop_names = [p for p, _ in props]
-    lower = [p.lower() for p in prop_names]
+    columns = {p: f"f{i}" for i, (p, _) in enumerate(props)}  # a repeated name: its last column
     for coord in ("x", "y", "z"):
-        if coord not in lower:
+        if coord not in columns:
             raise ParseError(path, f"vertex element lacks property {coord!r}")
-    label_prop = next((p for p in lower if p in _LABEL_PROPERTIES), None)
+    label_prop = next((p for p in columns if p in _LABEL_PROPERTIES), None)
     if label_prop is None:
         raise ParseError(
             path, "vertex element lacks a class property (class_id or scalar_Classification)"
         )
 
     try:
-        np_types = [_PLY_TYPES[t] for _, t in props]
+        dtype = np.dtype([(f"f{i}", "<" + _PLY_TYPES[t]) for i, (_, t) in enumerate(props)])
     except KeyError as exc:
         raise ParseError(path, f"unsupported ply property type {exc}") from exc
 
     if fmt == "binary_little_endian":
-        dtype = np.dtype([(f"f{i}", "<" + t) for i, t in enumerate(np_types)])
         need = dtype.itemsize * count
-        if len(body) < need:
-            raise ParseError(
-                path,
-                f"vertex data truncated: need {need} bytes, have {len(body)}",
-                offset=header_end + 1 + len(body),
-            )
-        table = np.frombuffer(body[:need], dtype=dtype)
+        have = len(data) - line.end()
+        if have < need:
+            raise ParseError(path, f"vertex data truncated: need {need} bytes, have {have}", offset=len(data))
+        table = np.frombuffer(data, dtype, count=count, offset=line.end())
     else:
         spec = _TextTable(
             np.dtype([(f"f{i}", "f8") for i in range(len(props))]),
             f"vertex row has {{n}} fields, expected {len(props)}", "bad vertex value: {exc}",
             comments=False,
         )
-        table = _read_text_table(path, spec, body, len(header) + 1, max_rows=count)
+        table = _read_text_table(path, spec, data[line.end():], lineno + 1, max_rows=count)
         if len(table) != count:
             raise ParseError(path, f"vertex data truncated: {len(table)} of {count} rows")
-    columns = {lower[i]: table[f"f{i}"] for i in range(len(props))}
 
-    xyz = np.column_stack([
-        np.asarray(columns["x"], dtype=np.float64),
-        np.asarray(columns["y"], dtype=np.float64),
-        np.asarray(columns["z"], dtype=np.float64),
-    ])
+    xyz = np.column_stack([np.asarray(table[columns[c]], dtype=np.float64) for c in "xyz"])
     if xyz.size and not np.isfinite(xyz).all():
         raise ParseError(path, "non-finite coordinate in vertex data")
-    raw_labels = np.asarray(columns[label_prop])
+    raw_labels = np.asarray(table[columns[label_prop]])
     if raw_labels.size and not np.isfinite(raw_labels.astype(np.float64)).all():
         raise ParseError(path, "non-finite class value in vertex data")
     labels = np.rint(np.clip(raw_labels.astype(np.float64), 0, 13)).astype(np.int64)  # 0, 13: out of range

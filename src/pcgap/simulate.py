@@ -225,8 +225,8 @@ def apply_range_noise(scan: SimulatedScan, noise: NoiseModel) -> SimulatedScan:
         return scan
     rays = scan.cloud.xyz - scan.ray_origins
     norms = np.linalg.norm(rays, axis=1, keepdims=True)
-    if (norms == 0).any():
-        raise ValueError("zero-length ray encountered; origins do not match points")
+    if (zero := np.flatnonzero(norms == 0)).size:
+        raise ValueError(f"zero-length ray at point {zero[0]} (counting from 0); origins do not match points")
     units = rays / norms
     rng = np.random.default_rng(noise.seed)
     displacement = rng.normal(0.0, noise.sigma, size=len(scan.cloud))

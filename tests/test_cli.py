@@ -284,6 +284,41 @@ def test_compare_in_a_fresh_interpreter_matches_in_process(tmp_path, small_input
         assert Path(f"{fresh}{suffix}").read_bytes() == Path(f"{here}{suffix}").read_bytes()
 
 
+def _refused_ply(tmp_path) -> Path:
+    path = tmp_path / "real.ply"
+    path.write_text("ply\nformat ascii 1.0\nelement vertex -1\nproperty double x\nproperty double y\n"
+                    "property double z\nproperty uchar class_id\nend_header\n")
+    return path
+
+
+def test_compare_on_a_refused_ply_header_exit_3_naming_its_line(tmp_path, small_inputs, capsys):
+    (tmp_path / "out").mkdir()
+    path = _refused_ply(tmp_path)
+    argv = small_inputs["compare"]
+    argv[argv.index("--real") + 1] = str(path)
+    assert main(argv) == EXIT_IO
+    assert json.loads(capsys.readouterr().err) == {"error": f"{path}:3: negative element count",
+                                                   "exit_code": EXIT_IO}
+    assert list((tmp_path / "out").iterdir()) == []
+
+
+def test_module_entry_point_passes_the_exit_code_on(tmp_path):
+    """``python -m pcgap.cli`` exits with what ``main`` returns."""
+    src = str(Path(pcgap.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p))
+
+    def run(*argv):
+        return subprocess.run([sys.executable, "-m", "pcgap.cli", *argv], capture_output=True, text=True,
+                              timeout=120, env=env)
+
+    done = run("--version")
+    assert done.returncode == 0 and done.stdout == f"pcgap {pcgap.__version__}\n"
+    path = _refused_ply(tmp_path)
+    done = run("compare", "--real", str(path), "--synthetic", str(path), "--out", str(tmp_path / "gap.json"))
+    assert done.returncode == EXIT_IO and len(done.stderr.splitlines()) == 1
+    assert json.loads(done.stderr) == {"error": f"{path}:3: negative element count", "exit_code": EXIT_IO}
+
+
 def _sha256(path) -> str:
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
@@ -897,6 +932,37 @@ class TestSimulateNoise:
         err = json.loads(capsys.readouterr().err)["error"]
         assert f"{origins}:2: non-finite coordinate" in err
         assert not (tmp_path / "n.xyzl").exists()
+
+    @pytest.mark.parametrize("rows,error", [
+        ("0 0 0\n", "1 origins for 2 points"),
+        ("0 0 0\n1 2 3\n", "zero-length ray at point 0 (counting from 0); origins do not match points"),
+    ], ids=["count", "point-on-its-origin"])
+    def test_noise_origins_that_do_not_match_the_points_exit_2(self, tmp_path, capsys, rows, error):
+        cloud_path = tmp_path / "c.xyzl"
+        cloud_path.write_text("0 0 0 1\n1 1 1 2\n")
+        origins = tmp_path / "c.xyzl.origins"
+        origins.write_text(rows)
+        code = main(["noise", "--cloud", str(cloud_path), "--sigma", "0.02",
+                     "--seed", "1", "--out", str(tmp_path / "n.xyzl")])
+        assert code == EXIT_CONFIG
+        assert json.loads(capsys.readouterr().err)["error"] == f"{origins}: {error}"
+        assert not (tmp_path / "n.xyzl").exists()
+
+    @pytest.mark.parametrize("channels,fov,code", [(8, [15, -25], EXIT_CONFIG), (8, [0, 0], EXIT_CONFIG),
+                                                   (1, [0, 0], EXIT_OK)],
+                             ids=["reversed", "equal", "one-channel-equal"])
+    def test_simulate_field_of_view_order(self, tmp_path, sim_inputs, capsys, channels, fov, code):
+        mesh_path, traj_path, scan_path = sim_inputs
+        scan_path.write_text(json.dumps({**json.loads(scan_path.read_text()), "channels": channels,
+                                         "vertical_fov_deg": fov}))
+        out = tmp_path / "scan.xyzl"
+        assert main(["simulate", "--mesh", str(mesh_path), "--trajectory", str(traj_path),
+                     "--scan-config", str(scan_path), "--out", str(out)]) == code
+        if code == EXIT_CONFIG:
+            assert json.loads(capsys.readouterr().err)["error"] == (
+                f"{scan_path}: vertical_fov_deg: min must be below max")
+        else:
+            assert len(read_cloud(out)) > 0
 
     @pytest.mark.parametrize("origins", ["scan.xyzl", "sub/../scan.xyzl", "scan.xyzl.manifest.json"])
     def test_simulate_origins_onto_out_exit_2(self, tmp_path, sim_inputs, capsys, origins):

@@ -215,6 +215,161 @@ class TestPly:
             pass
 
 
+# ---------------------------------------------------------------------------
+# PLY headers: one pass over their lines, up to the first ``end_header`` line
+# ---------------------------------------------------------------------------
+
+_PLY_PROPS = "property double x\nproperty double y\nproperty double z\nproperty uchar class_id\n"
+_PLY_HEAD = "ply\nformat ascii 1.0\nelement vertex 0\n" + _PLY_PROPS
+
+
+@pytest.mark.parametrize("text,error", [
+    pytest.param(_PLY_HEAD.replace("ascii", "binary_big_endian") + "end_header\n",
+                 ":2: unsupported ply format: 'format binary_big_endian 1.0'", id="format"),
+    pytest.param(_PLY_HEAD.replace("vertex 0", "vertex") + "end_header\n", ":3: malformed element line",
+                 id="element-line"),
+    pytest.param(_PLY_HEAD.replace("vertex 0", "vertex two") + "end_header\n", ":3: bad element count",
+                 id="element-count"),
+    pytest.param(_PLY_HEAD.replace("vertex 0", "vertex -1") + "end_header\n", ":3: negative element count",
+                 id="negative-count"),
+    pytest.param(_PLY_HEAD.replace("element", "property double w\nelement") + "end_header\n",
+                 ":3: property before any element", id="property-first"),
+    pytest.param(_PLY_HEAD.replace("format ascii 1.0\n", "") + "end_header\n",
+                 ": ply header has no format line", id="no-format"),
+    pytest.param("ply\nformat ascii 1.0\ncomment no elements\nend_header\n",
+                 ": ply header declares no elements", id="no-elements"),
+    pytest.param(_PLY_HEAD.replace("element vertex", "element face 0\nelement vertex") + "end_header\n",
+                 ": first ply element must be vertex, got 'face'", id="face-first"),
+    pytest.param(_PLY_HEAD + "property list uchar int vertex_indices\nend_header\n",
+                 ": list properties on the vertex element are unsupported", id="vertex-list"),
+    *(pytest.param(_PLY_HEAD.replace(f"double {c}", "double w") + "end_header\n",
+                   f": vertex element lacks property '{c}'", id=f"no-{c}") for c in "xyz"),
+    pytest.param(_PLY_HEAD.replace("double z", "float128 z") + "end_header\n",
+                 ": unsupported ply property type 'float128'", id="property-type"),
+    pytest.param(_PLY_HEAD.replace("vertex 0", "vertex 1") + "end_header_extra\n0 0 0 1\n",
+                 ": not a ply file (missing header)", id="end-header-extra"),
+    pytest.param(_PLY_HEAD + "end_header", f" @byte {len(_PLY_HEAD)}: unterminated ply header",
+                 id="unterminated"),
+])
+def test_ply_header_refusal_names_its_file_and_line(text, error, tmp_path):
+    p = tmp_path / "f.ply"
+    p.write_text(text, newline="")
+    with pytest.raises(ParseError) as info:
+        read_cloud(p)
+    assert str(info.value) == f"{p}{error}"
+
+
+@pytest.mark.parametrize("fmt", [FORMAT_PLY_ASCII, FORMAT_PLY_BINARY])
+def test_ply_list_property_on_a_later_element_is_skipped(fmt, tmp_path):
+    cloud = random_cloud(np.random.default_rng(3), 4)
+    p = tmp_path / "c.ply"
+    write_cloud(cloud, p, fmt)
+    head, body = p.read_bytes().split(b"end_header\n", 1)
+    face = b"3 0 1 2\n" if fmt == FORMAT_PLY_ASCII else b"\x03" + np.arange(3, dtype="<i4").tobytes()
+    p.write_bytes(head + b"element face 1\nproperty list uchar int vertex_indices\nend_header\n" + body + face)
+    assert read_cloud(p) == cloud
+
+
+@pytest.mark.parametrize("line", ["comment written after end_header was fixed", "obj_info end_header"],
+                         ids=["comment", "obj_info"])
+def test_ply_header_line_that_mentions_end_header_does_not_end_it(line, tmp_path):
+    p = tmp_path / "c.ply"
+    p.write_text(f"ply\nformat ascii 1.0\n{line}\nelement vertex 2\n{_PLY_PROPS}end_header\n0 0 0 1\n1 1 1 2\n")
+    cloud = read_cloud(p)
+    assert cloud.xyz.tolist() == [[0, 0, 0], [1, 1, 1]] and cloud.labels.tolist() == [1, 2]
+
+
+@pytest.mark.parametrize("text", [
+    pytest.param(f"ply\nformat ascii 1.0\nelement vertex 2\n{_PLY_PROPS}end_header\n0 0 0 1\n1 1 1 2\n"
+                 .replace("\n", "\r"), id="every-line"),
+    pytest.param(f"ply\nformat ascii 1.0\nelement vertex 2\n{_PLY_PROPS}end_header\r0 0 0 1\n1 1 1 2\n",
+                 id="end-header-line"),
+])
+def test_ply_header_line_ended_by_a_lone_cr(text, tmp_path):
+    p = tmp_path / "c.ply"
+    p.write_text(text, newline="")
+    cloud = read_cloud(p)
+    assert cloud.xyz.tolist() == [[0, 0, 0], [1, 1, 1]] and cloud.labels.tolist() == [1, 2]
+
+
+# each breaks one line of a well-formed header, so that the reader must refuse the file
+_PLY_BREAKS = {
+    "format": lambda lines: lines.__setitem__(1, "format binary_big_endian 1.0"),
+    "no-format": lambda lines: lines.pop(1),
+    "element-count": lambda lines: lines.__setitem__(2, "element vertex two"),
+    "negative-count": lambda lines: lines.__setitem__(2, "element vertex -1"),
+    "element-line": lambda lines: lines.__setitem__(2, "element vertex"),
+    "property-first": lambda lines: lines.insert(1, "property double w"),
+    "no-elements": lambda lines: lines.__delitem__(slice(2, None)),
+    "face-first": lambda lines: lines.insert(2, "element face 0"),
+    "vertex-list": lambda lines: lines.insert(3, "property list uchar int vertex_indices"),
+    "property-line": lambda lines: lines.insert(3, "property double"),
+    "no-z": lambda lines: lines.pop(5),
+    "property-type": lambda lines: lines.__setitem__(5, "property float128 z"),
+}
+_PLY_NOISE = st.one_of(
+    st.sampled_from(["", "comment", "comment written after end_header was fixed", "obj_info end_header",
+                     "comment end_header", "end_header end_header", "end_headers", "end_header_extra"]),
+    st.text(alphabet="ab_=0- \t\x0c", max_size=12),  # no keyword can be spelled from these
+)
+
+
+@st.composite
+def _ply_files(draw):
+    """The bytes of a PLY file and the cloud it holds, or None for the
+    cloud where one header line is broken and the file must be refused."""
+    binary, n = draw(st.booleans()), draw(st.integers(0, 3))
+    types = [draw(st.sampled_from(["double", "float", "int", "short", "char", "uchar"])) for _ in "xyz"]
+    names = [draw(st.sampled_from([c, c.upper()])) for c in "xyz"]
+    props = list(zip(types, names)) + [(draw(st.sampled_from(["uchar", "int", "float", "double"])),
+                                        draw(st.sampled_from(["class_id", "Class_ID", "scalar_Classification"])))]
+    if draw(st.booleans()):
+        props.append(("float", "intensity"))
+    xyz = np.array(draw(st.lists(st.integers(0, 100), min_size=3 * n, max_size=3 * n))).reshape(n, 3)
+    labels = np.array(draw(st.lists(st.integers(1, 12), min_size=n, max_size=n)), dtype=np.int64)
+    table = np.zeros(n, dtype=[(f"f{i}", "<" + pio._PLY_TYPES[t]) for i, (t, _) in enumerate(props)])
+    for i, column in enumerate([*xyz.T, labels, np.full(n, 0.5)][:len(props)]):
+        table[f"f{i}"] = column
+    face = draw(st.booleans())
+    if binary:
+        body = table.tobytes() + (b"\x03" + np.arange(3, dtype="<i4").tobytes() if face else b"")
+    else:
+        rows = [" ".join(map(str, row)) for row in table.tolist()] + (["3 0 1 2"] if face else [])
+        body = "".join(row + draw(st.sampled_from(["\n", "\r\n", "\r"])) for row in rows).encode()
+    lines = ["ply", f"format {'binary_little_endian' if binary else 'ascii'} 1.0", f"element vertex {n}"]
+    lines += [f"property {t} {name}" for t, name in props]
+    lines += ["element face 1", "property list uchar int vertex_indices"] if face else []
+    broken = draw(st.one_of(st.none(), st.sampled_from(sorted(_PLY_BREAKS) + ["no-end", "unterminated"])))
+    if broken in _PLY_BREAKS:
+        _PLY_BREAKS[broken](lines)
+    for line in draw(st.lists(_PLY_NOISE, max_size=4)):
+        lines.insert(draw(st.integers(1, len(lines))), line)
+    lines = [lines[0]] + [draw(st.sampled_from(["", " ", "\t", "\x0c"])) + line for line in lines[1:]]
+    ends = [draw(st.sampled_from(["\n", "\r\n", "\r"])) for _ in lines]
+    head = "".join(map(str.__add__, lines, ends))
+    if broken == "unterminated":
+        return (head + "end_header").encode(), None
+    # "\r" then a body that starts with "\n" would read as one "\r\n" line end
+    end = draw(st.sampled_from(["\n", "\r\n"] if body.startswith(b"\n") else ["\n", "\r\n", "\r"]))
+    header = head + ("end_header_extra" if broken == "no-end" else "end_header") + end
+    return header.encode() + body, None if broken else LabeledPointCloud(xyz.astype(np.float64), labels)
+
+
+@given(ply=_ply_files())
+@settings(max_examples=200, deadline=None)
+def test_ply_header_gives_its_cloud_or_a_parse_error(ply, tmp_path_factory):
+    data, cloud = ply
+    p = tmp_path_factory.mktemp("ply") / "f.ply"
+    p.write_bytes(data)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        if cloud is None:
+            with pytest.raises(ParseError):
+                read_cloud(p)
+        else:
+            assert read_cloud(p) == cloud
+
+
 class TestObjMesh:
     def test_quad_fan_triangulation(self, tmp_path):
         p = tmp_path / "m.obj"
