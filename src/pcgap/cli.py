@@ -31,6 +31,10 @@ EXIT_IO = 3
 EXIT_DEGENERATE = 4
 
 
+def _manifest(out_path) -> str:
+    return str(out_path) + ".manifest.json"
+
+
 def _write_manifest(out_path, command: str, config: dict, digests: dict, seed=None) -> None:
     """``digests``: each input's SHA-256, taken by its reader from the bytes it parsed."""
     manifest = {
@@ -40,13 +44,13 @@ def _write_manifest(out_path, command: str, config: dict, digests: dict, seed=No
         "seed": seed,
         "version": __version__,
     }
-    io.dump_json(manifest, str(out_path) + ".manifest.json")
+    io.dump_json(manifest, _manifest(out_path))
 
 
-def _distinct_outputs(outputs: dict) -> None:
-    """Refuse, before anything is read or written, a command whose outputs
-    ``{flag: path}`` (path None: not written) name one file twice."""
-    seen = {}
+def _distinct_outputs(outputs: dict, inputs: dict) -> None:
+    """Refuse, before anything is written, a command whose outputs ``{flag: path}``
+    name one file twice or name one of its ``inputs`` ``{flag: path}`` (path None: no file)."""
+    seen = {Path(path).resolve(): flag for flag, path in reversed(inputs.items()) if path is not None}
     for flag, path in outputs.items():
         if path is not None and (other := seen.setdefault(Path(path).resolve(), flag)) != flag:
             raise ConfigError(f"{flag} {path} names the same file as {other}")
@@ -57,7 +61,7 @@ def _read_json(path, digests: dict, parse):
     bytes that are not UTF-8 JSON text, or a ValueError of ``parse``, are a ConfigError naming the file."""
     try:
         raw = json.loads(io.read_input(path, digests).decode("utf-8"))
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:  # too deeply nested
         raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
     try:
         return parse(raw)
@@ -89,6 +93,8 @@ def _offset_magnitudes(text: str) -> list[float]:
 
 
 def cmd_compare(args) -> int:
+    _distinct_outputs({"--out": args.out, "--out's manifest": _manifest(args.out)},
+                      {"--real": args.real, "--synthetic": args.synthetic, "--config": args.config})
     # parameters and seed from the config file, then flags; an error of the file's own keys names it
     digests = {}
     raw = _read_json(args.config, digests, partial(config_object, key="config root")) if args.config else {}
@@ -144,8 +150,9 @@ def cmd_simulate(args) -> int:
     if args.sigma is not None and args.sigma > 0 and args.seed is None:
         raise ConfigError("--seed is required when applying noise (--sigma > 0)")
     origins_path = args.origins or (str(args.out) + ".origins")
-    _distinct_outputs({"--out": args.out, "--out's manifest": str(args.out) + ".manifest.json",
-                       "--origins": origins_path})
+    _distinct_outputs({"--out": args.out, "--out's manifest": _manifest(args.out), "--origins": origins_path},
+                      {"--mesh": args.mesh, "--trajectory": args.trajectory,
+                       "--scan-config": args.scan_config})
     digests = {}
     trajectory = _read_json(args.trajectory, digests, simulate.Trajectory.from_samples)
     scan_cfg = simulate.ScanConfig()
@@ -176,9 +183,11 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_noise(args) -> int:
+    origins_path = args.origins or (str(args.cloud) + ".origins")
+    _distinct_outputs({"--out": args.out, "--out's manifest": _manifest(args.out)},
+                      {"--cloud": args.cloud, "--origins": origins_path})
     digests = {}
     cloud = io.read_cloud(args.cloud, digests)
-    origins_path = args.origins or (str(args.cloud) + ".origins")
     origins = io.read_ray_origins(origins_path, digests)
     if origins.shape[0] != len(cloud):
         raise ConfigError(
@@ -194,6 +203,10 @@ def cmd_noise(args) -> int:
 
 
 def cmd_mix(args) -> int:
+    provenance_path = str(args.out) + ".provenance.txt"
+    _distinct_outputs({"--out": args.out, "--out's manifest": _manifest(args.out),
+                       "--out's provenance": provenance_path},
+                      {"--real": args.real, "--synthetic": args.synthetic})
     digests = {}
     real = io.read_cloud(args.real, digests)
     synth = io.read_cloud(args.synthetic, digests)
@@ -202,7 +215,7 @@ def cmd_mix(args) -> int:
     except MemoryError as exc:
         raise ConfigError(f"--count {args.count}: too many points to draw ({exc})") from exc
     io.write_cloud(result.cloud, args.out, fmt=args.format)
-    io.write_provenance(result.provenance, str(args.out) + ".provenance.txt")
+    io.write_provenance(result.provenance, provenance_path)
     n_real, n_synth = result.counts()
     _write_manifest(
         args.out,
@@ -224,20 +237,24 @@ def cmd_mix(args) -> int:
 
 def cmd_split(args) -> int:
     digests = {}
-    cloud = io.read_cloud(args.cloud, digests)
-    spec = _read_json(args.spec, digests, dataset.SplitSpec.from_json_dict)
-    parts = dataset.split(cloud, spec)
+    spec = _read_json(args.spec, digests, dataset.SplitSpec.from_json_dict)  # it names the outputs
     out_dir = Path(args.out_dir)
+    paths = {f"region {r.name!r}": out_dir / f"{r.name}.xyzl" for r in spec.regions}
+    _distinct_outputs({**paths, "--out-dir's manifest": _manifest(out_dir / "split")},
+                      {"--cloud": args.cloud, "--spec": args.spec})
+    cloud = io.read_cloud(args.cloud, digests)
     out_dir.mkdir(parents=True, exist_ok=True)
     counts = {}
-    for name, part in parts.items():
-        io.write_cloud(part, out_dir / f"{name}.xyzl", fmt=io.FORMAT_XYZL)
+    for (name, part), path in zip(dataset.split(cloud, spec).items(), paths.values()):
+        io.write_cloud(part, path, fmt=io.FORMAT_XYZL)
         counts[name] = len(part)
     _write_manifest(out_dir / "split", "split", {"regions": counts}, digests)
     return EXIT_OK
 
 
 def cmd_eval_seg(args) -> int:
+    _distinct_outputs({"--out": args.out, "--out's manifest": _manifest(args.out)},
+                      {"--truth": args.truth, "--pred": args.pred})
     digests = {}
     truth = io.read_cloud(args.truth, digests)
     pred = io.read_label_file(args.pred, digests)
@@ -292,7 +309,8 @@ def _parse_report(path: str, parse, doc: dict):
 
 
 def cmd_report(args) -> int:
-    _distinct_outputs({"--out": args.out, "--plot-data": args.plot_data})
+    _distinct_outputs({"--out": args.out, "--plot-data": args.plot_data},
+                      {f"report input {p}": p for p in args.reports})
     docs = [(str(p), io.read_report(p)) for p in args.reports]
     for path, doc in docs:
         if (kind := doc.get("report_type")) not in ("gap", "gap_series", "eval"):

@@ -114,18 +114,25 @@ def map_class(descriptor: str, attributes: Mapping[str, str] | None = None) -> S
 
 
 def coerce_labels(labels: np.ndarray, context: str = "") -> np.ndarray:
-    """Replace labels outside 1..12 with Noise, logging how many were touched."""
+    """Class ids of class values read from a file: each rounded to an integer (half to even),
+    and each outside 1..12 replaced by Noise, with a warning that counts them."""
     labels = np.asarray(labels)
-    bad = (labels < 1) | (labels > 12)
-    n_bad = int(bad.sum())
-    if n_bad:
-        logger.warning(
-            "%s%d label(s) outside 1..12 coerced to Noise (12)",
-            f"{context}: " if context else "",
-            n_bad,
-        )
-        labels = np.where(bad, np.uint8(SemanticClass.NOISE), labels)
-    return labels.astype(np.uint8)
+    labels = np.rint(labels) if labels.dtype.kind == "f" else labels
+    bad = ~((labels >= 1) & (labels <= 12))  # NaN included
+    if n_bad := int(bad.sum()):
+        logger.warning("%s%d label(s) outside 1..12 coerced to Noise (12)", context and f"{context}: ", n_bad)
+    return np.where(bad, SemanticClass.NOISE, labels).astype(np.uint8)
+
+
+def class_ids(values, field: str) -> np.ndarray:
+    """``values`` as a record's class ids, a read-only uint8 array (see :func:`frozen_copy`),
+    when each is a whole number in 1..12 and none is a bool; else a ValueError naming ``field``."""
+    ids = np.asarray(values)
+    whole = ids.dtype.kind in "iu" or (ids.dtype.kind == "f" and bool((ids == np.rint(ids)).all()))
+    if not (whole and (not ids.size or 1 <= ids.min() <= ids.max() <= 12)) or (  # a listed bool reads as 1
+            isinstance(values, (list, tuple)) and any(isinstance(v, (bool, np.bool_)) for v in values)):
+        raise ValueError(f"{field}: class ids must be whole numbers in 1..12, not bools")
+    return frozen_copy(ids, np.uint8)
 
 
 def frozen_copy(values, dtype) -> np.ndarray:
@@ -156,13 +163,11 @@ class LabeledPointCloud:
             raise ValueError(f"xyz must be (N, 3), got {xyz.shape}")
         if not np.isfinite(xyz).all():
             raise ValueError("coordinates must be finite")
-        labels = np.asarray(self.labels)
+        labels = class_ids(self.labels, "labels")
         if labels.shape != (xyz.shape[0],):
             raise ValueError(f"labels shape {labels.shape} does not match {xyz.shape[0]} points")
-        if labels.size and ((labels < 1) | (labels > 12)).any():
-            raise ValueError("class ids must be in 1..12 (coerce out-of-range labels on read)")
         object.__setattr__(self, "xyz", xyz)
-        object.__setattr__(self, "labels", frozen_copy(labels, np.uint8))
+        object.__setattr__(self, "labels", labels)
 
     # -- construction helpers -------------------------------------------------
 

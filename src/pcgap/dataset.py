@@ -14,7 +14,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .core import NON_NOISE_CLASSES, LabeledPointCloud, SemanticClass, frozen_copy, record_fields
+from .core import NON_NOISE_CLASSES, LabeledPointCloud, SemanticClass, class_ids, frozen_copy, record_fields
 from .errors import ConfigError, check_fields, check_number, config_fields, config_tuple
 
 N_CLASSES = len(SemanticClass)
@@ -292,13 +292,11 @@ def evaluate_segmentation(
     report IoU 0 and are flagged absent. The mIoU averages the 11 non-Noise
     classes, absent ones included.
     """
-    pred = np.asarray(predictions, dtype=np.int64)
+    pred = class_ids(predictions, "predictions").astype(np.int64)
     if pred.shape != (len(ground_truth),):
         raise ValueError(
             f"prediction length {pred.shape} does not match cloud size {len(ground_truth)}"
         )
-    if pred.size and ((pred < 1) | (pred > N_CLASSES)).any():
-        raise ValueError("predictions must be class ids in 1..12 (coerce on read)")
 
     true = ground_truth.labels.astype(np.int64)
     confusion = np.bincount(

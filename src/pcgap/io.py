@@ -34,7 +34,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .core import LabeledPointCloud, SemanticClass, coerce_labels, frozen_copy, map_class
+from .core import LabeledPointCloud, SemanticClass, class_ids, coerce_labels, frozen_copy, map_class
 from .errors import FormatError, ParseError
 
 logger = logging.getLogger(__name__)
@@ -102,13 +102,12 @@ class _TextTable:
     count_msg: str
     value_msg: str
     finite: bool = False  # x, y, z must be finite
-    byte_labels: bool = False  # label must be in 0..255
     comments: bool = True  # "#" starts a comment
 
 
 _XYZL = _TextTable(
     np.dtype([("x", "f8"), ("y", "f8"), ("z", "f8"), ("label", "i8")]),
-    "expected 4 fields, got {n}", "bad numeric field: {exc}", finite=True, byte_labels=True,
+    "expected 4 fields, got {n}", "bad numeric field: {exc}", finite=True,
 )
 _ORIGINS = _TextTable(
     np.dtype([("x", "f8"), ("y", "f8"), ("z", "f8")]),
@@ -137,8 +136,6 @@ def _scan_table(path, spec: _TextTable, lines, first_line: int = 1, max_rows: in
             raise ParseError(path, spec.value_msg.format(exc=exc, body=body), line=lineno) from exc
         if spec.finite and not all(map(math.isfinite, row[:3])):
             raise ParseError(path, "non-finite coordinate", line=lineno)
-        if spec.byte_labels and not 0 <= row[-1] <= 255:
-            raise ParseError(path, f"label {row[-1]} outside uint8 range", line=lineno)
         if any(isinstance(v, int) and not -(2**63) <= v < 2**63 for v in row):
             raise ParseError(path, spec.value_msg.format(exc="beyond int64", body=body), line=lineno)
         rows.append(row)
@@ -160,8 +157,6 @@ def _bulk_table(spec: _TextTable, source, max_rows: int | None = None) -> np.nda
     except (ValueError, OverflowError, Warning):
         return None
     if spec.finite and not all(np.isfinite(table[c]).all() for c in "xyz"):
-        return None
-    if spec.byte_labels and not ((table["label"] >= 0) & (table["label"] <= 255)).all():
         return None
     return table
 
@@ -407,10 +402,9 @@ def _read_ply(path: Path, data: bytes) -> LabeledPointCloud:
     xyz = np.column_stack([np.asarray(table[columns[c]], dtype=np.float64) for c in "xyz"])
     if xyz.size and not np.isfinite(xyz).all():
         raise ParseError(path, "non-finite coordinate in vertex data")
-    raw_labels = np.asarray(table[columns[label_prop]])
-    if raw_labels.size and not np.isfinite(raw_labels.astype(np.float64)).all():
+    labels = table[columns[label_prop]]
+    if not np.isfinite(labels).all():
         raise ParseError(path, "non-finite class value in vertex data")
-    labels = np.rint(np.clip(raw_labels.astype(np.float64), 0, 13)).astype(np.int64)  # 0, 13: out of range
     return LabeledPointCloud(xyz, coerce_labels(labels, str(path)))
 
 
@@ -494,7 +488,7 @@ class ClassedMesh:
     def __post_init__(self):
         vertices = frozen_copy(self.vertices, np.float64)
         triangles = frozen_copy(self.triangles, np.int64).reshape(-1, 3)
-        classes = frozen_copy(self.triangle_classes, np.uint8)
+        classes = class_ids(self.triangle_classes, "triangle_classes")
         if triangles.size and (triangles.min() < 0 or triangles.max() >= len(vertices)):
             raise ValueError("triangle vertex index out of range")
         if classes.shape != (triangles.shape[0],):
@@ -548,8 +542,6 @@ def read_mesh(path, digests: dict | None = None) -> ClassedMesh:
     lines = text.split("\n")
     parsed = _bulk_obj(path, text, lines) if text.isascii() else None
     verts, tri_arr, cls_arr = parsed or _scan_obj(path, lines)
-    if verts.size and not np.isfinite(verts).all():
-        raise ParseError(path, "non-finite vertex coordinate")
     mesh = ClassedMesh(verts, tri_arr, cls_arr)
     areas = mesh.triangle_areas()
     keep = areas > MIN_TRIANGLE_AREA
@@ -582,6 +574,8 @@ def _scan_obj(path: Path, lines) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
                 vertices.append((float(tokens[1]), float(tokens[2]), float(tokens[3])))
             except ValueError as exc:
                 raise ParseError(path, f"bad vertex coordinate: {exc}", line=lineno) from exc
+            if not all(map(math.isfinite, vertices[-1])):
+                raise ParseError(path, "non-finite vertex coordinate", line=lineno)
         elif tag in ("g", "o"):
             current = _group_class(tokens, path, lineno)
             group_seen = True
@@ -642,8 +636,8 @@ def _obj_tags(text: str, lines: list[str]) -> np.ndarray:
 def _bulk_obj(path: Path, text: str, lines) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
     """The same arrays from bulk parses of the ``v`` and ``f`` lines of
     ASCII text, or None when the loop must decide: a face that is not a
-    triangle of positive refs to vertices defined above it, or any line
-    that does not parse. Nothing is logged before that is settled."""
+    triangle of positive refs to vertices defined above it, a non-finite
+    vertex, or any line that does not parse. Nothing is logged before that is settled."""
     tags = _obj_tags(text, lines)
     v_at, f_at = np.flatnonzero(tags == ord("v")), np.flatnonzero(tags == ord("f"))
     g_at = np.flatnonzero((tags == ord("g")) | (tags == ord("o")))
@@ -655,7 +649,8 @@ def _bulk_obj(path: Path, text: str, lines) -> tuple[np.ndarray, np.ndarray, np.
     except (ValueError, Warning):
         return None
     refs = np.column_stack([faces["f1"], faces["f2"], faces["f3"]])
-    if refs.min() < 1 or (refs.max(axis=1) > np.searchsorted(v_at, f_at)).any():
+    if (refs.min() < 1 or (refs.max(axis=1) > np.searchsorted(v_at, f_at)).any()
+            or not np.isfinite(verts).all()):
         return None
     if not g_at.size or f_at[0] < g_at[0]:
         logger.warning("%s:%d: face outside any group, using Noise", path, f_at[0] + 1)
@@ -702,7 +697,7 @@ def read_report(path) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh, parse_constant=refuse, parse_float=finite)
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:  # too deeply nested
         raise ParseError(path, f"invalid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ParseError(path, "report root must be a JSON object")

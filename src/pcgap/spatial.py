@@ -50,9 +50,6 @@ class NnIndex:
 
         self._tree = cKDTree(xyz)
 
-    def __len__(self) -> int:
-        return self.points.shape[0]
-
     def nearest(self, point) -> tuple[int, float]:
         """Index and distance of the closest point; ties go to the lowest index."""
         p = np.asarray(point, dtype=np.float64).reshape(3)

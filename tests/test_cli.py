@@ -151,6 +151,73 @@ def test_invalid_json_exit_2(tmp_path, small_inputs, capsys, flag, content):
     assert list((tmp_path / "out").iterdir()) == []
 
 
+@pytest.mark.parametrize("flag", ["--config", "--scan-config", "--trajectory", "--spec", "report"])
+def test_json_nested_too_deeply_exits_with_one_error_line(tmp_path, small_inputs, capsys, flag):
+    """JSON nested deeper than the parser recurses is invalid JSON naming its file, not a traceback."""
+    (tmp_path / "out").mkdir()
+    deep, depth = tmp_path / "deep.json", 100_000
+    deep.write_text('{"a": ' * depth + "1" + "}" * depth if flag == "--spec" else "[" * depth + "]" * depth)
+    argv = {
+        "--config": small_inputs["compare"] + ["--config", str(deep)],
+        "--scan-config": small_inputs["simulate"] + ["--scan-config", str(deep)],
+        "--trajectory": small_inputs["simulate"] + ["--trajectory", str(deep)],
+        "--spec": ["split", "--cloud", str(tmp_path / "c.xyzl"), "--spec", str(deep),
+                   "--out-dir", str(tmp_path / "out" / "parts")],
+        "report": ["report", str(deep), "--out", str(tmp_path / "out" / "summary.csv")],
+    }[flag]
+    code = main(argv)
+    err = capsys.readouterr().err
+    assert code == (EXIT_IO if flag == "report" else EXIT_CONFIG)
+    assert len(err.splitlines()) == 1 and "Traceback" not in err
+    assert json.loads(err)["error"].startswith(f"{deep}: invalid JSON: maximum recursion depth exceeded")
+    assert list((tmp_path / "out").iterdir()) == []
+
+
+def test_simulate_trajectory_without_samples_exit_2_naming_the_file(tmp_path, small_inputs, capsys):
+    (tmp_path / "out").mkdir()
+    path = tmp_path / "empty.json"
+    path.write_text("[]")
+    assert main(small_inputs["simulate"] + ["--trajectory", str(path)]) == EXIT_CONFIG
+    assert json.loads(capsys.readouterr().err)["error"] == f"{path}: trajectory needs a non-empty array of samples"
+    assert list((tmp_path / "out").iterdir()) == []
+
+
+@pytest.mark.parametrize("case", ["compare", "compare-manifest", "simulate", "noise", "mix", "mix-provenance",
+                                  "split", "eval-seg", "report"])
+def test_output_naming_an_input_exit_2_before_any_input_is_read(monkeypatch, tmp_path, small_inputs, capsys,
+                                                                 case):
+    """An output (``--out``, its manifest or a sidecar) that names an input's file, by any
+    path, is refused naming both, before any cloud or mesh is read; no file changes."""
+    t = tmp_path
+    (t / "sub").mkdir()
+    (t / "spec.json").write_text(json.dumps({"regions": [{"name": "c", "rect": [-99, -99, 99, 99]}]}))
+    (t / "gap.json").write_text("{}")
+    (t / "cfg.manifest.json").write_text("{}")
+    (t / "m.provenance.txt").write_bytes((t / "c.xyzl").read_bytes())
+    onto = lambda command, path: small_inputs[command][:-1] + [str(path)]  # each argv ends with --out
+    argv, flag, other = {
+        "compare": (onto("compare", t / "sub" / ".." / "street.xyzl"), "--out", "--real"),
+        "compare-manifest": (onto("compare", t / "cfg") + ["--config", str(t / "cfg.manifest.json")],
+                             "--out's manifest", "--config"),
+        "simulate": (onto("simulate", t / "traj.json"), "--out", "--trajectory"),
+        "noise": (onto("noise", t / "c.xyzl.origins") + ["--sigma", "0.5"], "--out", "--origins"),
+        "mix": (onto("mix", t / "c.xyzl"), "--out", "--real"),
+        "mix-provenance": (onto("mix", t / "m") + ["--real", str(t / "m.provenance.txt")],
+                           "--out's provenance", "--real"),
+        "split": (["split", "--cloud", str(t / "c.xyzl"), "--spec", str(t / "spec.json"), "--out-dir", str(t)],
+                  "region 'c'", "--cloud"),
+        "eval-seg": (onto("eval-seg", t / "pred.txt"), "--out", "--pred"),
+        "report": (["report", str(t / "gap.json"), "--out", str(t / "gap.json")], "--out",
+                   f"report input {t / 'gap.json'}"),
+    }[case]
+    before = {p: p.read_bytes() for p in t.rglob("*") if p.is_file()}
+    reads = _record_reads(monkeypatch)
+    assert main(argv) == EXIT_CONFIG
+    error = json.loads(capsys.readouterr().err)["error"]
+    assert error.startswith(f"{flag} ") and error.endswith(f" names the same file as {other}")
+    assert reads == [] and {p: p.read_bytes() for p in t.rglob("*") if p.is_file()} == before
+
+
 def _samples(**second):
     """The two-sample trajectory of ``small_inputs``, with fields of the
     second sample replaced."""
@@ -333,20 +400,26 @@ def _sha256(path) -> str:
 ])
 def test_manifest_records_inputs_as_read(tmp_path, small_inputs, command, alias):
     """An ``--out`` that overwrites an input leaves that input's digest, as
-    read, in the manifest."""
+    read, in the manifest. The output names the input's file by a second
+    name, a hard link, which is written in place: the input's own path is refused."""
     (tmp_path / "spec.json").write_text(json.dumps({"regions": [
         {"name": "c", "rect": [-99, -99, 0, 99]}, {"name": "d", "rect": [0, -99, 99, 99]}]}))
     argvs = dict(small_inputs, noise=["noise", "--sigma", "0.5"] + small_inputs["noise"][1:],
                  split=["split", "--cloud", str(tmp_path / "c.xyzl"), "--spec",
                         str(tmp_path / "spec.json"), "--out-dir", str(tmp_path)])
     argv = argvs[command]
-    if command != "split":
-        argv = argv[:-1] + [str(tmp_path / alias)]  # each argv ends with --out
-    before = _sha256(tmp_path / alias)
+    read, written = tmp_path / alias, tmp_path / f"{alias}.link"
+    os.link(read, written)
+    if command == "split":  # region c writes c.xyzl; --cloud reads it by its link
+        read, written = written, read
+        argv[argv.index("--cloud") + 1] = str(read)
+    else:
+        argv = argv[:-1] + [str(written)]  # each argv ends with --out
+    before = _sha256(read)
     assert main(argv) == EXIT_OK
-    assert _sha256(tmp_path / alias) != before
-    manifest = tmp_path / ("split.manifest.json" if command == "split" else f"{alias}.manifest.json")
-    assert json.loads(manifest.read_text())["inputs"][str(tmp_path / alias)] == before
+    assert _sha256(read) != before
+    manifest = tmp_path / ("split.manifest.json" if command == "split" else f"{written.name}.manifest.json")
+    assert json.loads(manifest.read_text())["inputs"][str(read)] == before
 
 
 _opened = None  # the paths opened while a test records them, resolved

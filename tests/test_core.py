@@ -156,6 +156,41 @@ class TestLabeledPointCloud:
         assert labels.tolist() == [12, 5, 12]
         assert "coerced to Noise" in caplog.text
 
+    def test_coercion_rounds_before_the_range_test(self, caplog):
+        # half to even: 0.5 rounds to 0 and 12.5 to 12; only the values that round outside 1..12 count
+        with caplog.at_level("WARNING"):
+            labels = coerce_labels(np.array([0.4, 0.5, 0.6, 3.5, 12.5, 12.6, 300.0, -1e300]))
+        assert labels.tolist() == [12, 12, 1, 4, 12, 12, 12, 12]
+        assert "5 label(s) outside 1..12 coerced to Noise" in caplog.text
+
+    @pytest.mark.parametrize("labels", [
+        [3.5], [True], [True, 3], (3, np.False_), np.array([True]), [np.nan], [np.inf], ["3"], [300], [-1],
+    ], ids=["fraction", "bool", "bool-among-ints", "numpy-bool-in-tuple", "bool-array", "nan", "inf",
+            "text", "300", "-1"])
+    def test_rejects_class_ids_that_are_not_whole_numbers_in_range(self, labels):
+        with pytest.raises(ValueError, match=r"^labels: class ids must be whole numbers in 1\.\.12"):
+            LabeledPointCloud(np.zeros((len(labels), 3)), labels)
+
+    @pytest.mark.parametrize("labels", [[3.0, 12.0], np.array([1, 12], dtype=np.int64),
+                                        np.array([2, 5], dtype=np.uint16)])
+    def test_keeps_whole_class_ids_of_any_number_type(self, labels):
+        cloud = LabeledPointCloud(np.zeros((2, 3)), labels)
+        assert cloud.labels.dtype == np.uint8 and cloud.labels.tolist() == [int(v) for v in labels]
+
+    @pytest.mark.parametrize("xyz,labels,message", [
+        (np.zeros((2, 2)), [1, 1], r"xyz must be \(N, 3\), got \(2, 2\)"),
+        (np.zeros(3), [1], r"xyz must be \(N, 3\), got \(3,\)"),
+        (np.zeros((2, 3)), [1], r"labels shape \(1,\) does not match 2 points"),
+        (np.zeros((1, 3)), [[1]], r"labels shape \(1, 1\) does not match 1 points"),
+    ])
+    def test_rejects_shapes_that_do_not_fit(self, xyz, labels, message):
+        with pytest.raises(ValueError, match=message):
+            LabeledPointCloud(xyz, labels)
+
+    def test_concat_of_no_clouds_is_the_empty_cloud(self):
+        cloud = LabeledPointCloud.concat([])
+        assert cloud == LabeledPointCloud.empty() and cloud.xyz.shape == (0, 3)
+
     def test_immutable(self):
         cloud = LabeledPointCloud(np.zeros((2, 3)), np.array([1, 2]))
         with pytest.raises(ValueError):

@@ -1,3 +1,4 @@
+import math
 import re
 import warnings
 
@@ -23,6 +24,15 @@ from conftest import random_cloud
 
 
 class TestRegions:
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_rect_rejected(self, value):
+        with pytest.raises(ValueError, match="region 'r': rect coordinates must be finite"):
+            Region("r", rect=(0, 0, value, 5))
+
+    def test_polygon_of_two_vertices_rejected(self):
+        with pytest.raises(ValueError, match=r"region 'p': polygon needs >= 3 vertices"):
+            Region("p", polygon=[[0, 0], [1, 1]])
+
     def test_zero_area_rect_rejected(self):
         with pytest.raises(ValueError, match="zero-area"):
             Region("r", rect=(0, 0, 0, 5))
@@ -159,6 +169,10 @@ class TestSplit:
                 want = cloud.select(np.array(expect[region.name], dtype=np.int64))
                 assert got == want
 
+    def test_spec_without_regions_rejected(self):
+        with pytest.raises(ValueError, match="at least one region"):
+            SplitSpec(())
+
     def test_duplicate_names_rejected(self):
         with pytest.raises(ValueError, match="duplicate"):
             SplitSpec((Region("a", rect=(0, 0, 1, 1)), Region("a", rect=(2, 2, 3, 3))))
@@ -189,6 +203,10 @@ class TestMix:
         rng = np.random.default_rng(63)
         self.real = random_cloud(rng, 5000)
         self.synth = random_cloud(rng, 5000)
+
+    def test_empty_synthetic_cloud_rejected(self):
+        with pytest.raises(ValueError, match="synthetic cloud is empty"):
+            mix(self.real, LabeledPointCloud.empty(), RatioMix(0.5, 10, seed=1))
 
     def test_all_real(self):
         result = mix(self.real, self.synth, RatioMix(1.0, 100, seed=1))
@@ -256,6 +274,18 @@ class TestMix:
 
 
 class TestEvaluateSegmentation:
+    @pytest.mark.parametrize("pred", [[3.7], np.array([3.7]), [True], np.array([True]), [0], [13], [np.nan]],
+                             ids=["fraction", "fraction-array", "bool", "bool-array", "0", "13", "nan"])
+    def test_predictions_that_are_not_class_ids_rejected(self, pred):
+        cloud = LabeledPointCloud(np.zeros((1, 3)), [3])
+        with pytest.raises(ValueError, match=r"^predictions: class ids must be whole numbers in 1\.\.12"):
+            evaluate_segmentation(cloud, pred)
+
+    def test_whole_float_predictions_score_as_their_class(self):
+        cloud = LabeledPointCloud(np.zeros((2, 3)), [3, 4])
+        report = evaluate_segmentation(cloud, [3.0, 4.0])
+        assert report.confusion[2][2] == 1 and report.confusion[3][3] == 1
+
     def test_perfect_predictions(self):
         rng = np.random.default_rng(64)
         cloud = random_cloud(rng, 1000, classes=(1, 2, 6, 9))
@@ -363,6 +393,11 @@ class TestRatioCorrelation:
     def test_all_zero_undefined(self):
         series = [(p, 0.0) for p in (0, 0.25, 0.5, 0.75, 1.0)]
         assert ratio_correlation(series) is None
+
+    @pytest.mark.parametrize("series", [[], [(0.5, 0.1)]])
+    def test_fewer_than_two_pairs_rejected(self, series):
+        with pytest.raises(ValueError, match="at least two"):
+            ratio_correlation(series)
 
     def test_degenerate_ratios_rejected(self):
         with pytest.raises(ValueError, match="distinct"):

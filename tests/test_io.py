@@ -85,6 +85,13 @@ class TestXyzl:
         write_cloud(cloud, tmp, FORMAT_XYZL)
         assert read_cloud(tmp) == cloud
 
+    @pytest.mark.parametrize("label", ["3.0", "1e2", "99999999999999999999"])
+    def test_label_that_is_not_an_int64_integer_refused_with_its_line(self, tmp_path, label):
+        p = tmp_path / "c.xyzl"
+        p.write_text(f"0 0 0 3\n1 1 1 {label}\n")
+        with pytest.raises(ParseError, match=r"c\.xyzl:2: bad numeric field"):
+            read_cloud(p)
+
     def test_unknown_format_rejected(self, tmp_path):
         from pcgap.errors import FormatError
 
@@ -370,6 +377,22 @@ def test_ply_header_gives_its_cloud_or_a_parse_error(ply, tmp_path_factory):
             assert read_cloud(p) == cloud
 
 
+@pytest.mark.parametrize("value", ["-1", "0", "13", "256", "300"])
+def test_every_reader_coerces_a_class_value_by_one_rule(value, tmp_path, caplog):
+    """XYZL, PLY and prediction labels give one answer for a class value outside 1..12."""
+    (tmp_path / "c.xyzl").write_text(f"0 0 0 {value}\n")
+    (tmp_path / "c.ply").write_text(
+        "ply\nformat ascii 1.0\nelement vertex 1\nproperty double x\nproperty double y\n"
+        f"property double z\nproperty int class_id\nend_header\n0 0 0 {value}\n"
+    )
+    (tmp_path / "pred.txt").write_text(f"{value}\n")
+    with caplog.at_level("WARNING"):
+        got = [read_cloud(tmp_path / "c.xyzl").labels, read_cloud(tmp_path / "c.ply").labels,
+               read_label_file(tmp_path / "pred.txt")]
+    assert [labels.tolist() for labels in got] == [[12]] * 3
+    assert caplog.text.count("1 label(s) outside 1..12 coerced to Noise (12)") == 3
+
+
 class TestObjMesh:
     def test_quad_fan_triangulation(self, tmp_path):
         p = tmp_path / "m.obj"
@@ -470,6 +493,32 @@ class TestObjMesh:
         p.write_text(f"g Door\nv 0 0 0\nv 1 0 0\nv 0 1 0\n{line}\n", encoding="utf-8")
         with pytest.raises(ParseError, match=re.escape(f"{p}:5: {error}")):
             read_mesh(p)
+
+    @pytest.mark.parametrize("faces", ["f 1 2 3\n", ""], ids=["bulk-parsed", "line-scanned"])
+    @pytest.mark.parametrize("vertex", ["v nan 0 0", "v 0 inf 0", "v 0 0 -inf"])
+    def test_non_finite_vertex_named_by_its_line(self, tmp_path, vertex, faces):
+        p = tmp_path / "p.obj"
+        p.write_text(f"g WallSurface\n{vertex}\nv 1 0 0\nv 0 1 0\n{faces}")
+        with pytest.raises(ParseError, match=re.escape(f"{p}:2: non-finite vertex coordinate")):
+            read_mesh(p)
+
+    def test_missing_file(self, tmp_path):
+        with pytest.raises(FileNotFoundError, match="no such mesh file"):
+            read_mesh(tmp_path / "absent.obj")
+
+    @pytest.mark.parametrize("classes", [[0], [13], [200], [-1], [2.5], [True], np.array([True])])
+    def test_mesh_refuses_a_class_that_is_not_a_class_id(self, classes):
+        with pytest.raises(ValueError, match=r"^triangle_classes: class ids must be whole numbers in 1\.\.12"):
+            ClassedMesh(np.eye(3), [[0, 1, 2]], classes)
+
+    @pytest.mark.parametrize("triangles", [[[0, 1, 3]], [[-1, 1, 2]]])
+    def test_mesh_refuses_a_vertex_index_out_of_range(self, triangles):
+        with pytest.raises(ValueError, match="triangle vertex index out of range"):
+            ClassedMesh(np.eye(3), triangles, [6])
+
+    def test_mesh_refuses_a_class_count_that_does_not_match(self):
+        with pytest.raises(ValueError, match="one class per triangle required"):
+            ClassedMesh(np.eye(3), [[0, 1, 2]], [6, 6])
 
     @given(blob=st.binary(min_size=0, max_size=300))
     @settings(max_examples=80, deadline=None)

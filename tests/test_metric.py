@@ -71,6 +71,11 @@ class TestC2c:
         cloud = plane_cloud(1, 500, 0.0)
         assert c2c_distance(cloud, cloud) == 0.0
 
+    def test_unknown_mode_rejected(self):
+        cloud = LabeledPointCloud(np.zeros((1, 3)), [6])
+        with pytest.raises(ValueError, match="c2c mode must be one of"):
+            c2c_distance(cloud, cloud, "hausdorff")
+
     def test_labels_ignored(self):
         r = LabeledPointCloud(np.zeros((1, 3)), [6])
         s = LabeledPointCloud(np.zeros((1, 3)), [3])

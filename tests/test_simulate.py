@@ -41,6 +41,14 @@ SMALL_SCAN = ScanConfig(
 
 
 class TestTrajectory:
+    def test_requires_a_sample(self):
+        with pytest.raises(ValueError, match="at least one sample"):
+            Trajectory([], np.empty((0, 3)), [])
+
+    def test_requires_equal_lengths(self):
+        with pytest.raises(ValueError, match="must have equal length"):
+            Trajectory([0.0, 1.0], [[0, 0, 0]], [0.0, 0.0])
+
     def test_requires_increasing_times(self):
         with pytest.raises(ValueError, match="strictly increasing"):
             Trajectory([0.0, 0.0], [[0, 0, 0], [1, 0, 0]], [0.0, 0.0])

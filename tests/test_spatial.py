@@ -60,6 +60,10 @@ class TestNnIndex:
         got = idx.within_cylinder((0, 0, 0), (0, 0, 1), radius=0.5, half_depth=1.0)
         assert got.tolist() == [1, 2, 3]
 
+    def test_within_cylinder_zero_axis_rejected(self):
+        with pytest.raises(ValueError, match="cylinder axis must be non-zero"):
+            NnIndex(np.zeros((1, 3))).within_cylinder((0, 0, 0), (0, 0, 0), radius=0.5, half_depth=1.0)
+
     def test_within_cylinder_axis_any_direction(self):
         rng = np.random.default_rng(12)
         pts = rng.normal(size=(500, 3))
