@@ -23,7 +23,8 @@ import numpy as np
 
 from . import __version__, dataset, io, metric, simulate
 from .core import NON_NOISE_CLASSES
-from .errors import ConfigError, DegenerateDataError, FormatError, ParseError, check_number, config_object
+from .errors import (ConfigError, DegenerateDataError, FormatError, ParseError, check_number, config_object,
+                     config_tuple)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -273,24 +274,23 @@ _GAP_COLUMNS = ("m_dogss_pcl", "d", "d_mm3c2", "d_c2c", "miou", "f_miou")
 
 def _gap_rows(path: str, doc: dict) -> list[tuple[str, float, list]]:
     """Name, offset magnitude and column values of a gap report, or of
-    each report of a gap series, which must hold at least one."""
+    each report of a gap series, which must hold at least one. Each number
+    is checked by the one number rule under its key."""
     if doc["report_type"] == "gap":
-        subs = [(path, doc)]
+        subs = [(path, "", doc)]
     elif isinstance(reports := doc.get("reports"), list) and reports:
-        subs = [(f"{path}[{i}]", sub) for i, sub in enumerate(reports)]
+        subs = [(f"{path}[{i}]", f"reports[{i}].", sub) for i, sub in enumerate(reports)]
     else:
         raise ParseError(path, f"reports: expected a non-empty list of gap reports, found {reports!r}")
-    return [
-        (name, _offset_magnitude(sub.get("offset", [0.0, 0.0, 0.0])),
-         [float(sub[c]) for c in _GAP_COLUMNS])
-        for name, sub in subs
-    ]
+    return [(name, _offset_magnitude(sub.get("offset", [0.0, 0.0, 0.0]), key + "offset"),
+             [float(check_number(sub[c], key + c)) for c in _GAP_COLUMNS]) for name, key, sub in subs]
 
 
-def _offset_magnitude(offset) -> float:
-    """Length of a report's offset vector: numpy's norm, or ``math.hypot``
-    where the norm's sum of squares overflows; a length beyond the float
-    range is a ValueError."""
+def _offset_magnitude(offset, key: str) -> float:
+    """Length of a report's offset vector, 3 numbers named ``key[i]``:
+    numpy's norm, or ``math.hypot`` where the norm's sum of squares
+    overflows; a length beyond the float range is a ValueError."""
+    offset = [check_number(v, f"{key}[{k}]") for k, v in enumerate(config_tuple(offset, key, 3))]
     with np.errstate(over="ignore"):
         magnitude = float(np.linalg.norm(offset))
     magnitude = magnitude if math.isfinite(magnitude) else math.hypot(*offset)

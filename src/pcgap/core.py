@@ -10,11 +10,11 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass, fields
 from enum import IntEnum
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, check_number
+from .errors import ConfigError, DegenerateDataError, check_number
 
 logger = logging.getLogger(__name__)
 
@@ -135,6 +135,17 @@ def class_ids(values, field: str) -> np.ndarray:
     return frozen_copy(ids, np.uint8)
 
 
+def coordinates(values, field: str) -> np.ndarray:
+    """``values`` as a record's (N, 3) points, a read-only float64 array (see :func:`frozen_copy`),
+    when every coordinate is finite; else a ValueError naming ``field``."""
+    xyz = frozen_copy(values, np.float64)
+    if xyz.ndim != 2 or xyz.shape[1] != 3:
+        raise ValueError(f"{field} must be (N, 3), got {xyz.shape}")
+    if not np.isfinite(xyz).all():
+        raise ValueError(f"{field}: coordinates must be finite")
+    return xyz
+
+
 def frozen_copy(values, dtype) -> np.ndarray:
     """``values`` itself when it is a read-only, C-ordered ``dtype`` array that owns its data, as a
     record's own array is, else such a copy: a record neither freezes nor follows its caller's array."""
@@ -158,11 +169,7 @@ class LabeledPointCloud:
     labels: np.ndarray
 
     def __post_init__(self):
-        xyz = frozen_copy(self.xyz, np.float64)
-        if xyz.ndim != 2 or xyz.shape[1] != 3:
-            raise ValueError(f"xyz must be (N, 3), got {xyz.shape}")
-        if not np.isfinite(xyz).all():
-            raise ValueError("coordinates must be finite")
+        xyz = coordinates(self.xyz, "xyz")
         labels = class_ids(self.labels, "labels")
         if labels.shape != (xyz.shape[0],):
             raise ValueError(f"labels shape {labels.shape} does not match {xyz.shape[0]} points")
@@ -198,11 +205,7 @@ class LabeledPointCloud:
     def __eq__(self, other) -> bool:
         if not isinstance(other, LabeledPointCloud):
             return NotImplemented
-        return (
-            self.xyz.shape == other.xyz.shape
-            and bool(np.array_equal(self.xyz, other.xyz))
-            and bool(np.array_equal(self.labels, other.labels))
-        )
+        return np.array_equal(self.xyz, other.xyz) and np.array_equal(self.labels, other.labels)
 
     __hash__ = None
 
@@ -245,14 +248,14 @@ class ClassWeights:
     def get(self, cls: SemanticClass) -> float:
         return self.weights.get(cls, 0.0)
 
-    def restricted_to(self, classes: Iterable[SemanticClass]) -> dict[SemanticClass, float]:
-        """Renormalized weights over a subset; empty dict when the subset carries
-        no weight (callers decide whether that is an error)."""
-        kept = {c: self.get(c) for c in classes if self.get(c) > 0}
+    def mean(self, values: Mapping[SemanticClass, float | None], what: str) -> float:
+        """Mean of ``values`` over the classes whose value is not None and whose weight is positive,
+        their weights renormalized (summed in the mapping's order, products in class order)."""
+        kept = {c: self.get(c) for c, v in values.items() if v is not None and self.get(c) > 0}
+        if not kept:
+            raise DegenerateDataError(f"no comparable semantic content for {what}")
         total = sum(kept.values())
-        if total <= 0:
-            return {}
-        return {c: w / total for c, w in sorted(kept.items())}
+        return float(sum(w / total * values[c] for c, w in sorted(kept.items())))
 
     def to_json_dict(self) -> dict[str, float]:
         return {c.canonical_name: w for c, w in self.weights.items()}

@@ -138,8 +138,13 @@ class SplitSpec:
             if "rect" in entry:
                 items = config_tuple(entry["rect"], f"{key}.rect", 4)
                 rect = tuple(float(check_number(v, f"{key}.rect[{k}]")) for k, v in enumerate(items))
+            polygon = None
+            if "polygon" in entry:
+                polygon = np.asarray(entry["polygon"], dtype=object)
+                for idx in np.ndindex(polygon.shape):
+                    check_number(polygon[idx], f"{key}.polygon" + "".join(f"[{k}]" for k in idx))
+                polygon = polygon.astype(np.float64)
             try:
-                polygon = np.asarray(entry["polygon"], dtype=np.float64) if "polygon" in entry else None
                 regions.append(Region(entry["name"], rect, polygon))  # it refuses both shapes, or neither
             except (TypeError, ValueError) as exc:
                 raise ConfigError(f"{key}: {exc}") from exc
@@ -255,10 +260,9 @@ class EvalReport:
     synthetic_ratio: float | None = None
 
     def __post_init__(self):
-        r = self.synthetic_ratio
-        number = isinstance(r, (int, float)) and not isinstance(r, bool)
-        if r is not None and not (number and 0 <= r <= 1):
-            raise ValueError(f"synthetic_ratio must be null or in [0, 1], got {r!r}")
+        if (r := self.synthetic_ratio) is not None:  # a numpy scalar kept as the Python number JSON writes
+            r = check_number(r, "synthetic_ratio", "in [0, 1]")
+            object.__setattr__(self, "synthetic_ratio", r.item() if isinstance(r, np.generic) else r)
 
     def to_json_dict(self) -> dict:
         per_class = {cls.canonical_name: record_fields(ev) for cls, ev in self.per_class.items()}
@@ -268,14 +272,15 @@ class EvalReport:
     @classmethod
     def from_json_dict(cls, raw: Mapping) -> "EvalReport":
         per_class = {}
-        for c in SemanticClass:  # every class has an entry
-            ev = raw["per_class"][c.canonical_name]
-            per_class[c] = ClassEval(
-                int(ev["tp"]), int(ev["fp"]), int(ev["fn"]), float(ev["iou"]), bool(ev["absent"])
-            )
+        for c in SemanticClass:  # every class has an entry; each number by the one number rule
+            key, ev = f"per_class.{c.canonical_name}", raw["per_class"][c.canonical_name]
+            if not isinstance(ev["absent"], bool):
+                raise ConfigError(f"{key}.absent: expected a bool, got {ev['absent']!r}")
+            tallies = (check_number(ev[t], f"{key}.{t}", integer=True) for t in ("tp", "fp", "fn"))
+            per_class[c] = ClassEval(*tallies, float(check_number(ev["iou"], f"{key}.iou")), ev["absent"])
         return cls(
             per_class=per_class,
-            miou=float(raw["miou"]),
+            miou=float(check_number(raw["miou"], "miou")),
             confusion=np.asarray(raw["confusion"], dtype=np.int64),
             synthetic_ratio=raw.get("synthetic_ratio"),
         )

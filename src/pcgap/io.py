@@ -34,7 +34,8 @@ from typing import Mapping
 
 import numpy as np
 
-from .core import LabeledPointCloud, SemanticClass, class_ids, coerce_labels, frozen_copy, map_class
+from .core import (LabeledPointCloud, SemanticClass, class_ids, coerce_labels, coordinates, frozen_copy,
+                   map_class)
 from .errors import FormatError, ParseError
 
 logger = logging.getLogger(__name__)
@@ -324,7 +325,9 @@ _LINE = re.compile(rb"([^\r\n]*)(\r\n|\r|\n|\Z)")  # a line and its end, by the 
 
 def _read_ply(path: Path, data: bytes) -> LabeledPointCloud:
     """A cloud from PLY bytes. The header is read one line at a time, up to the first line whose
-    only token is ``end_header``; the body starts at that line's end."""
+    only token is ``end_header``; the body starts at that line's end, where ``\\r\\n`` is one end
+    unless the first line ends in a lone ``\\r``: then the body starts after the ``\\r``."""
+    lone_cr = _LINE.match(data)[2] == b"\r"
     fmt = None
     elements = []
     for lineno, line in enumerate(_LINE.finditer(data), start=1):
@@ -383,19 +386,20 @@ def _read_ply(path: Path, data: bytes) -> LabeledPointCloud:
     except KeyError as exc:
         raise ParseError(path, f"unsupported ply property type {exc}") from exc
 
+    body = line.end() - (lone_cr and line[2] == b"\r\n")
     if fmt == "binary_little_endian":
         need = dtype.itemsize * count
-        have = len(data) - line.end()
+        have = len(data) - body
         if have < need:
             raise ParseError(path, f"vertex data truncated: need {need} bytes, have {have}", offset=len(data))
-        table = np.frombuffer(data, dtype, count=count, offset=line.end())
+        table = np.frombuffer(data, dtype, count=count, offset=body)
     else:
         spec = _TextTable(
             np.dtype([(f"f{i}", "f8") for i in range(len(props))]),
             f"vertex row has {{n}} fields, expected {len(props)}", "bad vertex value: {exc}",
             comments=False,
         )
-        table = _read_text_table(path, spec, data[line.end():], lineno + 1, max_rows=count)
+        table = _read_text_table(path, spec, data[body:], lineno + 1, max_rows=count)
         if len(table) != count:
             raise ParseError(path, f"vertex data truncated: {len(table)} of {count} rows")
 
@@ -486,7 +490,7 @@ class ClassedMesh:
     dropped_degenerate: int = 0
 
     def __post_init__(self):
-        vertices = frozen_copy(self.vertices, np.float64)
+        vertices = coordinates(self.vertices, "vertices")
         triangles = frozen_copy(self.triangles, np.int64).reshape(-1, 3)
         classes = class_ids(self.triangle_classes, "triangle_classes")
         if triangles.size and (triangles.min() < 0 or triangles.max() >= len(vertices)):

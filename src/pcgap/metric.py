@@ -177,27 +177,11 @@ def _real_side(real_cls: LabeledPointCloud, params: M3c2Params) -> tuple[np.ndar
     return cores, normals, mean_r
 
 
-def _class_stats(n_cores: int, side: tuple | None, synth_cls: LabeledPointCloud,
-                 params: M3c2Params) -> ClassGapStats:
-    """M3C2 of ``synth_cls`` against a class of ``n_cores`` real points
-    whose :func:`_real_side` is ``side``; without a side every core is an
-    outlier."""
-    if side is None:
-        return ClassGapStats(None, 0, n_cores)
-    cores, normals, mean_r = side
-    mean_s, count_s = cylinder_means(
-        NnIndex(synth_cls.xyz), cores, normals, params.projection_radius_m, params.max_depth_m
-    )
-    hit = count_s > 0
-    signed = np.einsum("ij,ij->i", mean_s[hit] - mean_r[hit], normals[hit])
-    median = float(np.median(signed)) if len(signed) else None
-    return ClassGapStats(median, len(signed), n_cores - len(signed))
-
-
 def m3c2_class_distance(
     real_cls: LabeledPointCloud,
     synth_cls: LabeledPointCloud,
     params: M3c2Params = M3c2Params(),
+    side: tuple | None = None,
 ) -> ClassGapStats:
     """Normal-direction distance between two same-class sub-clouds (``iou`` None).
 
@@ -207,9 +191,19 @@ def m3c2_class_distance(
     real and synthetic mean positions inside that cylinder. Cores with a
     degenerate normal or an empty cylinder on either side are outliers and
     are ignored; the result is the median over inlier signed distances.
+    ``side``, when given, is :func:`_real_side` of ``real_cls``, gathered once
+    for many synthetic clouds; the result is the same as without it.
     """
-    side = _real_side(real_cls, params) if len(real_cls) and len(synth_cls) else None
-    return _class_stats(len(real_cls), side, synth_cls, params)
+    if not (len(real_cls) and len(synth_cls)):
+        return ClassGapStats(None, 0, len(real_cls))
+    cores, normals, mean_r = side or _real_side(real_cls, params)
+    mean_s, count_s = cylinder_means(
+        NnIndex(synth_cls.xyz), cores, normals, params.projection_radius_m, params.max_depth_m
+    )
+    hit = count_s > 0
+    signed = np.einsum("ij,ij->i", mean_s[hit] - mean_r[hit], normals[hit])
+    median = float(np.median(signed)) if len(signed) else None
+    return ClassGapStats(median, len(signed), len(real_cls) - len(signed))
 
 
 def aggregate_mm3c2(
@@ -217,22 +211,19 @@ def aggregate_mm3c2(
 ) -> float:
     """Weighted mean of absolute class medians, renormalized over the classes
     that produced a median. Raises when no weighted class is comparable."""
-    defined = [c for c, r in per_class.items() if r.m3c2_median is not None and weights.get(c) > 0]
-    renorm = weights.restricted_to(defined)
-    if not renorm:
-        raise DegenerateDataError("no comparable semantic content for weighted M3C2")
-    return float(sum(w * abs(per_class[c].m3c2_median) for c, w in renorm.items()))
+    return weights.mean({c: None if r.m3c2_median is None else abs(r.m3c2_median)
+                         for c, r in per_class.items()}, "weighted M3C2")
 
 
 def compute_m3c2_per_class(
     sides: Mapping[SemanticClass, tuple], parts_s: Mapping[SemanticClass, LabeledPointCloud],
     offset: np.ndarray, params: M3c2Params,
 ) -> dict[SemanticClass, ClassGapStats]:
-    """The M3C2 stats of each synthetic class part, moved by ``offset``, for
-    each class of ``sides``, which maps it to its real point count and real
-    side (see :func:`_class_stats`)."""
-    return {cls: _class_stats(n_cores, side, parts_s[cls].translate(offset), params)
-            for cls, (n_cores, side) in sides.items()}
+    """:func:`m3c2_class_distance` of each synthetic class part, moved by
+    ``offset``, for each class of ``sides``, which maps it to its real part
+    and that part's real side (None when either part is empty)."""
+    return {cls: m3c2_class_distance(real_cls, parts_s[cls].translate(offset), params, side)
+            for cls, (real_cls, side) in sides.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -288,12 +279,7 @@ def voxel_miou(
     per_class: dict[SemanticClass, float | None] = {
         cls: int(inter[cls]) / int(union[cls]) if union[cls] else None for cls in SemanticClass
     }
-
-    present = [c for c in SemanticClass if per_class[c] is not None]
-    renorm = weights.restricted_to(present)
-    if not renorm:
-        raise DegenerateDataError("no comparable semantic content for voxel IoU")
-    miou = float(sum(w * per_class[c] for c, w in renorm.items()))
+    miou = weights.mean(per_class, "voxel IoU")
     return VoxelIouResult(per_class, miou, tuple(float(v) for v in origin))
 
 
@@ -302,22 +288,18 @@ def voxel_miou(
 # ---------------------------------------------------------------------------
 
 
-def blend_distance(d_mm3c2: float, d_c2c: float, params: MetricParams) -> float:
-    """Weighted blend of the class-wise and global distances (meters)."""
-    l1, l2 = params.lambda1, params.lambda2
-    if params.eq3_weight_mode == "renormalized":
-        total = l1 + l2
-        l1, l2 = l1 / total, l2 / total
-    return l1 * abs(d_mm3c2) + l2 * abs(d_c2c)
-
-
 def compose_score(d_mm3c2: float, d_c2c: float, miou: float, params: MetricParams) -> tuple[float, float, float]:
-    """Return (d, f_miou, m) from already computed components.
+    """Return (d, f_miou, m) from already computed components: d is the
+    blend of the class-wise and global distances (meters), its lambdas
+    rescaled to sum 1 in ``renormalized`` mode.
 
     m lies strictly in (0, 1); it saturates to exactly 1.0 only when the
     exponent underflows (mIoU within epsilon of zero at default alpha).
     """
-    d = blend_distance(d_mm3c2, d_c2c, params)
+    l1, l2 = params.lambda1, params.lambda2
+    if params.eq3_weight_mode == "renormalized":
+        l1, l2 = l1 / (l1 + l2), l2 / (l1 + l2)
+    d = l1 * abs(d_mm3c2) + l2 * abs(d_c2c)
     f_miou = 1.0 / (miou + params.epsilon)
     m = 1.0 - math.exp(params.alpha * (d + params.lambda3 * f_miou))
     return d, f_miou, m
@@ -385,7 +367,7 @@ def offset_sensitivity(
     _check_spans(real, synth, offsets)
     parts_r, parts_s = partition_by_class(real), partition_by_class(synth)
     sides = {  # a translation keeps every label, so every offset gathers these classes
-        cls: (len(parts_r[cls]), _real_side(parts_r[cls], params.m3c2)
+        cls: (parts_r[cls], _real_side(parts_r[cls], params.m3c2)
               if len(parts_r[cls]) and len(parts_s[cls]) else None)
         for cls in SemanticClass if params.class_weights.get(cls) > 0
     }

@@ -14,7 +14,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .core import LabeledPointCloud, frozen_copy, record_fields
+from .core import LabeledPointCloud, coordinates, frozen_copy, record_fields
 from .errors import ConfigError, DegenerateDataError, check_fields, check_number, config_fields, config_object
 from .spatial import Bvh
 
@@ -139,9 +139,9 @@ class SimulatedScan:
     ray_origins: np.ndarray
 
     def __post_init__(self):
-        origins = frozen_copy(self.ray_origins, np.float64)
-        if origins.shape != (len(self.cloud), 3):
-            raise ValueError("one ray origin per point required")
+        origins = coordinates(self.ray_origins, "ray_origins")
+        if len(origins) != len(self.cloud):
+            raise ValueError("ray_origins: one ray origin per point required")
         object.__setattr__(self, "ray_origins", origins)
 
 

@@ -1159,9 +1159,11 @@ class TestMixSplit:
         assert sorted(tmp_path.rglob("*")) == before  # nothing written, in or out of --out-dir
 
     @pytest.mark.parametrize("region,message", [
-        pytest.param({"polygon": [[0, 0], [4, 0], [4, math.nan], [0, 4]]}, None, id="region0"),
-        pytest.param({"polygon": [[0, 0], [4, 0], [4, math.inf], [0, 4]]}, None, id="region1"),
-        # a rect coordinate is refused where it is read, by the one number rule
+        # a rect or polygon coordinate is refused where it is read, by the one number rule
+        pytest.param({"polygon": [[0, 0], [4, 0], [4, math.nan], [0, 4]]},
+                     "regions[1].polygon[2][1]: must be finite, got nan", id="region0"),
+        pytest.param({"polygon": [[0, 0], [4, 0], [4, math.inf], [0, 4]]},
+                     "regions[1].polygon[2][1]: must be finite, got inf", id="region1"),
         pytest.param({"rect": [0, 0, math.inf, 4]}, "regions[1].rect[2]: must be finite, got inf",
                      id="region2"),
         pytest.param({"rect": [-math.inf, 0, 4, 4]}, "regions[1].rect[0]: must be finite, got -inf",
@@ -1187,6 +1189,19 @@ class TestMixSplit:
         assert code == EXIT_CONFIG
         error = json.loads(capsys.readouterr().err)["error"]
         assert error == f"{spec_path}: {message}" if message else f"{spec_path}: regions[1]: " in error
+        assert not out_dir.exists()
+
+    def test_split_refuses_a_polygon_coordinate_that_is_not_a_number_exit_2(self, tmp_path, capsys):
+        cloud_path = tmp_path / "c.xyzl"
+        write_cloud(random_cloud(np.random.default_rng(77), 20), cloud_path, FORMAT_XYZL)
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps({"regions": [{"name": "a", "polygon": [[0, 0], [True, 0], [1, 1]]}]}))
+        out_dir = tmp_path / "splits"
+        code = main(["split", "--cloud", str(cloud_path), "--spec", str(spec_path),
+                     "--out-dir", str(out_dir)])
+        assert code == EXIT_CONFIG
+        error = json.loads(capsys.readouterr().err)["error"]
+        assert error == f"{spec_path}: regions[0].polygon[1][0]: expected a number, got True"
         assert not out_dir.exists()
 
     def test_split_regions_not_an_array_exit_2(self, tmp_path, capsys):
@@ -1411,6 +1426,48 @@ class TestEvalAndReport:
         assert error.startswith(f"{path}: ")
         if case in self._REPORT_TYPE_CASES:
             assert error.startswith(f"{path}: {self._REPORT_TYPE_CASES[case][1]}: expected ")
+        assert not out_csv.exists()
+
+    #: (report kind, key path, value, the refusal's end): each JSON number passes the one number rule
+    _NOT_A_NUMBER_CASES = {
+        "gap-column-a-string": ("gap", ("m_dogss_pcl",), "0.5", "m_dogss_pcl: expected a number, got '0.5'"),
+        "gap-column-a-bool": ("gap", ("d",), True, "d: expected a number, got True"),
+        "gap-offset-a-bool": ("gap", ("offset", 1), True, "offset[1]: expected a number, got True"),
+        "gap-offset-two-numbers": ("gap", ("offset",), [0.0, 0.0],
+                                   "offset: expected 3 numbers, got [0.0, 0.0]"),
+        "series-column-a-string": ("series", ("reports", 1, "miou"), "0.1",
+                                   "reports[1].miou: expected a number, got '0.1'"),
+        "eval-iou-a-string": ("eval", ("per_class", "Door", "iou"), "0.75",
+                              "per_class.Door.iou: expected a number, got '0.75'"),
+        "eval-tp-a-bool": ("eval", ("per_class", "Door", "tp"), True,
+                           "per_class.Door.tp: expected an integer, got True"),
+        "eval-absent-a-string": ("eval", ("per_class", "Door", "absent"), "no",
+                                 "per_class.Door.absent: expected a bool, got 'no'"),
+        "eval-miou-a-string": ("eval", ("miou",), "0.1", "miou: expected a number, got '0.1'"),
+    }
+
+    @pytest.mark.parametrize("case", list(_NOT_A_NUMBER_CASES))
+    def test_report_refuses_a_value_that_is_not_a_number_exit_3(self, tmp_path, capsys, case):
+        kind, keys, value, message = self._NOT_A_NUMBER_CASES[case]
+        path = tmp_path / f"{kind}.json"
+        if kind == "eval":
+            truth, pred = self._write_eval_fixture(tmp_path, "n", 84)
+            argv = ["eval-seg", "--truth", str(truth), "--pred", str(pred), "--out", str(path)]
+        else:
+            rp = tmp_path / "r.xyzl"
+            write_cloud(build_street_scene(76, scale=0.02), rp, FORMAT_XYZL)
+            argv = ["compare", "--real", str(rp), "--synthetic", str(rp), "--out", str(path)]
+            argv += ["--offset", "0,0.1"] if kind == "series" else []
+        assert main(argv) == EXIT_OK
+        doc = target = json.loads(path.read_text())
+        for key in keys[:-1]:
+            target = target[key]
+        target[keys[-1]] = value
+        path.write_text(json.dumps(doc))
+        out_csv = tmp_path / "summary.csv"
+        assert main(["report", str(path), "--out", str(out_csv)]) == EXIT_IO
+        error = json.loads(capsys.readouterr().err)["error"]
+        assert error.startswith(f"{path}: ") and error.endswith(f": {message}")
         assert not out_csv.exists()
 
     @pytest.mark.parametrize("component,code", [(1e200, EXIT_OK), (1.5e308, EXIT_IO)])

@@ -16,7 +16,7 @@ from pcgap.core import (
     partition_by_class,
 )
 from pcgap.dataset import Region
-from pcgap.errors import ConfigError
+from pcgap.errors import ConfigError, DegenerateDataError
 from pcgap.io import ClassedMesh
 from pcgap.simulate import NoiseModel, SimulatedScan, apply_range_noise
 from pcgap.spatial import NnIndex
@@ -353,11 +353,14 @@ class TestClassWeights:
         w = ClassWeights({c: v / total for c, v in zip(classes, values)})
         assert sum(w.weights.values()) == pytest.approx(1.0, abs=1e-9)
 
-    def test_restricted_renormalizes(self):
-        w = default_weights()
-        sub = w.restricted_to([SemanticClass.WALL_SURFACE, SemanticClass.ROOF_SURFACE])
-        assert sum(sub.values()) == pytest.approx(1.0)
-        assert sub[SemanticClass.WALL_SURFACE] == pytest.approx(0.2 / 0.35)
+    def test_mean_renormalizes(self):
+        # Door carries no value and Vehicle no weight: the mean is over Wall and Roof alone
+        values = {SemanticClass.WALL_SURFACE: 1.0, SemanticClass.ROOF_SURFACE: 2.0,
+                  SemanticClass.DOOR: None, SemanticClass.VEHICLE: 100.0}
+        assert default_weights().mean(values, "x") == pytest.approx((0.2 * 1.0 + 0.15 * 2.0) / 0.35)
 
-    def test_restricted_empty(self):
-        assert default_weights().restricted_to([SemanticClass.VEHICLE]) == {}
+    @pytest.mark.parametrize("values", [{}, {SemanticClass.VEHICLE: 1.0}, {SemanticClass.DOOR: None}],
+                             ids=["empty", "no-weight", "no-value"])
+    def test_mean_without_a_weighted_value_raises(self, values):
+        with pytest.raises(DegenerateDataError, match="^no comparable semantic content for voxel IoU$"):
+            default_weights().mean(values, "voxel IoU")

@@ -1,3 +1,4 @@
+import json
 import math
 import re
 import warnings
@@ -350,6 +351,12 @@ class TestEvaluateSegmentation:
             EvalReport.from_json_dict({**doc, "synthetic_ratio": ratio})
         with pytest.raises(ValueError, match="synthetic_ratio"):
             evaluate_segmentation(cloud, [1, 2], synthetic_ratio=ratio)
+
+    def test_numpy_synthetic_ratio_is_a_number(self):
+        # one number rule: a numpy float is a number, and the report writes it as JSON's own
+        cloud = LabeledPointCloud(np.zeros((2, 3)), [1, 2])
+        report = evaluate_segmentation(cloud, [1, 2], synthetic_ratio=np.float32(0.5))
+        assert json.loads(json.dumps(report.to_json_dict()))["synthetic_ratio"] == 0.5
 
     def test_json_round_trip(self):
         cloud = LabeledPointCloud(np.zeros((3, 3)), [1, 2, 12])

@@ -10,7 +10,7 @@ from dataclasses import fields
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from pcgap import io as pio
@@ -356,8 +356,10 @@ def _ply_files(draw):
     head = "".join(map(str.__add__, lines, ends))
     if broken == "unterminated":
         return (head + "end_header").encode(), None
-    # "\r" then a body that starts with "\n" would read as one "\r\n" line end
-    end = draw(st.sampled_from(["\n", "\r\n"] if body.startswith(b"\n") else ["\n", "\r\n", "\r"]))
+    end = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    # "\r\n" after end_header is one line end unless the first line ends in a lone "\r"; a header
+    # whose first line and end_header line disagree there is ambiguous, and is not drawn
+    assume(not (end.encode() + body).startswith(b"\r\n") or (end == "\r") == (ends[0] == "\r"))
     header = head + ("end_header_extra" if broken == "no-end" else "end_header") + end
     return header.encode() + body, None if broken else LabeledPointCloud(xyz.astype(np.float64), labels)
 
@@ -375,6 +377,22 @@ def test_ply_header_gives_its_cloud_or_a_parse_error(ply, tmp_path_factory):
                 read_cloud(p)
         else:
             assert read_cloud(p) == cloud
+
+
+def test_binary_ply_body_after_a_lone_cr_header_starts_after_the_cr(tmp_path):
+    # the first x's low byte is 0x0A: after "end_header\r" it must not read as a "\r\n" line end
+    x0 = np.frombuffer(bytes([0x0A, 0, 0, 0, 0, 0, 0xF0, 0x3F]), "<f8")[0]
+    table = np.array([(x0, 2.0, 3.0, 10), (4.0, 5.0, 6.0, 2)],
+                     dtype=[("x", "<f8"), ("y", "<f8"), ("z", "<f8"), ("c", "u1")])
+    header = ["ply", "format binary_little_endian 1.0", "element vertex 2", "property double x",
+              "property double y", "property double z", "property uchar class_id", "element face 1",
+              "property list uchar int vertex_indices", "end_header"]
+    p = tmp_path / "cr.ply"
+    p.write_bytes("".join(line + "\r" for line in header).encode() + table.tobytes()
+                  + b"\x03" + np.arange(3, dtype="<i4").tobytes())
+    cloud = read_cloud(p)
+    assert cloud.xyz.tolist() == [[x0, 2.0, 3.0], [4.0, 5.0, 6.0]]
+    assert cloud.labels.tolist() == [10, 2]
 
 
 @pytest.mark.parametrize("value", ["-1", "0", "13", "256", "300"])
@@ -515,6 +533,15 @@ class TestObjMesh:
     def test_mesh_refuses_a_vertex_index_out_of_range(self, triangles):
         with pytest.raises(ValueError, match="triangle vertex index out of range"):
             ClassedMesh(np.eye(3), triangles, [6])
+
+    @pytest.mark.parametrize("vertices,message", [
+        ([[0, 0, 0], [1, 0, 0], [0, np.nan, 0]], "vertices: coordinates must be finite"),
+        (np.arange(9.0), re.escape("vertices must be (N, 3), got (9,)")),
+        (np.ones((3, 4)), re.escape("vertices must be (N, 3), got (3, 4)")),
+    ])
+    def test_mesh_refuses_vertices_it_cannot_use(self, vertices, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            ClassedMesh(vertices, [[0, 1, 2]], [6])
 
     def test_mesh_refuses_a_class_count_that_does_not_match(self):
         with pytest.raises(ValueError, match="one class per triangle required"):

@@ -13,7 +13,6 @@ from pcgap.metric import (
     GapReport,
     MetricParams,
     aggregate_mm3c2,
-    blend_distance,
     c2c_distance,
     compose_score,
     dogss_pcl,
@@ -315,7 +314,7 @@ class TestCompose:
 
     def test_renormalized_mode(self):
         params = MetricParams(eq3_weight_mode="renormalized")
-        d = blend_distance(0.1, 0.2, params)
+        d, _, _ = compose_score(0.1, 0.2, 0.5, params)
         assert d == pytest.approx((0.6 * 0.1 + 0.3 * 0.2) / 0.9)
 
     def test_score_in_open_unit_interval(self):
@@ -350,7 +349,7 @@ class TestDogssPcl:
         real, synth = small_pair
         report = dogss_pcl(real, synth)
         params = report.params
-        d = blend_distance(report.d_mm3c2, report.d_c2c, params)
+        d, _, _ = compose_score(report.d_mm3c2, report.d_c2c, report.miou, params)
         assert abs(d - report.d) < 1e-12
         f = 1.0 / (report.miou + params.epsilon)
         assert abs(f - report.f_miou) < 1e-12
@@ -361,15 +360,11 @@ class TestDogssPcl:
         real, synth = small_pair
         report = dogss_pcl(real, synth)
         weights = report.params.class_weights
-        defined = [c for c, s in report.per_class.items()
-                   if s.m3c2_median is not None and weights.get(c) > 0]
-        renorm = weights.restricted_to(defined)
-        d_mm3c2 = sum(w * abs(report.per_class[c].m3c2_median) for c, w in renorm.items())
-        assert abs(d_mm3c2 - report.d_mm3c2) < 1e-12
-        with_iou = [c for c, s in report.per_class.items() if s.iou is not None]
-        renorm = weights.restricted_to(with_iou)
-        miou = sum(w * report.per_class[c].iou for c, w in renorm.items())
-        assert abs(miou - report.miou) < 1e-12
+        medians = {c: None if s.m3c2_median is None else abs(s.m3c2_median)
+                   for c, s in report.per_class.items()}
+        assert abs(weights.mean(medians, "M3C2") - report.d_mm3c2) < 1e-12
+        ious = {c: s.iou for c, s in report.per_class.items()}
+        assert abs(weights.mean(ious, "IoU") - report.miou) < 1e-12
 
     def test_identity_comparison(self, small_pair):
         real, _ = small_pair
@@ -453,7 +448,7 @@ class TestOffsetSensitivity:
     def test_series_calls_each_stage_once_per_offset(self, monkeypatch):
         # through metric's own namespace, where per-stage timing wraps them
         calls = {}
-        for name in ("c2c_distance", "compute_m3c2_per_class", "voxel_miou"):
+        for name in ("c2c_distance", "compute_m3c2_per_class", "m3c2_class_distance", "voxel_miou"):
             def counted(*args, _name=name, _fn=getattr(metric, name), **kwargs):
                 calls[_name] = calls.get(_name, 0) + 1
                 return _fn(*args, **kwargs)
@@ -462,7 +457,12 @@ class TestOffsetSensitivity:
         real = build_street_scene(48, scale=0.04)
         synth = build_street_scene(49, scale=0.04)
         offset_sensitivity(real, synth, scalar_offsets_to_vectors([0.0, 0.1, 0.3]))
-        assert calls == {"c2c_distance": 3, "compute_m3c2_per_class": 3, "voxel_miou": 3}
+        # the series scores each class by the library's per-class M3C2
+        parts_r, parts_s = partition_by_class(real), partition_by_class(synth)
+        weighted = [c for c, w in MetricParams().class_weights.weights.items()
+                    if w > 0 and len(parts_r[c]) and len(parts_s[c])]
+        assert calls == {"c2c_distance": 3, "compute_m3c2_per_class": 3,
+                         "m3c2_class_distance": 3 * len(weighted), "voxel_miou": 3}
 
     def test_two_voxel_shift_zeroes_miou(self):
         # slab scene: every class sits in a fixed z layer; shifting by two

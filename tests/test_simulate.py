@@ -232,3 +232,10 @@ class TestRangeNoise:
     def test_mismatched_origins_rejected(self, scan):
         with pytest.raises(ValueError, match="origin"):
             SimulatedScan(scan.cloud, scan.ray_origins[:-1])
+
+    def test_non_finite_origins_rejected(self, scan):
+        # refused by name when the scan is built, not later as range noise beyond the float range
+        origins = scan.ray_origins.copy()
+        origins[1, 0] = np.nan
+        with pytest.raises(ValueError, match="^ray_origins: coordinates must be finite$"):
+            SimulatedScan(scan.cloud, origins)
