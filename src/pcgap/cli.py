@@ -378,7 +378,12 @@ def _add_cloud_format(p: argparse.ArgumentParser) -> None:
     )
 
 
-def build_parser() -> argparse.ArgumentParser:
+#: The subcommands, in the order ``pcgap -h`` lists them.
+COMMANDS = ("compare", "simulate", "noise", "mix", "split", "eval-seg", "report")
+
+
+def build_parser(command=None) -> argparse.ArgumentParser:
+    """The pcgap parser; given one of :data:`COMMANDS`, with that subcommand's parser alone."""
     parser = argparse.ArgumentParser(
         prog="pcgap",
         description="Domain-gap scoring, LiDAR scan simulation, and dataset tools "
@@ -386,68 +391,72 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"pcgap {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
+    if command in COMMANDS:  # usage lists them all; the full parser's errors name "command"
+        sub.metavar = "{" + ",".join(COMMANDS) + "}"
+    def add(name: str, help_text: str):
+        return sub.add_parser(name, help=help_text) if command not in COMMANDS or name == command else None
 
-    p = sub.add_parser("compare", help="score a synthetic cloud against its real twin")
-    p.add_argument("--real", required=True)
-    p.add_argument("--synthetic", "--synth", dest="synthetic", required=True)
-    p.add_argument("--config", help="config JSON (see README); flags override file values")
-    p.add_argument("--offset", help="comma-separated offset magnitudes in meters, "
-                   "applied along the unit diagonal (e.g. '0,0.1,0.3')")
-    p.add_argument("--out", required=True)
-    for _, dest, choices in _PARAM_FLAGS:
-        p.add_argument("--" + dest.replace("_", "-"), dest=dest, type=None if choices else float,
-                       choices=choices)
-    p.add_argument("--seed", type=int)
-    p.set_defaults(func=cmd_compare)
+    if p := add("compare", "score a synthetic cloud against its real twin"):
+        p.add_argument("--real", required=True)
+        p.add_argument("--synthetic", "--synth", dest="synthetic", required=True)
+        p.add_argument("--config", help="config JSON (see README); flags override file values")
+        p.add_argument("--offset", help="comma-separated offset magnitudes in meters, "
+                       "applied along the unit diagonal (e.g. '0,0.1,0.3')")
+        p.add_argument("--out", required=True)
+        for _, dest, choices in _PARAM_FLAGS:
+            p.add_argument("--" + dest.replace("_", "-"), dest=dest, type=None if choices else float,
+                           choices=choices)
+        p.add_argument("--seed", type=int)
+        p.set_defaults(func=cmd_compare)
 
-    p = sub.add_parser("simulate", help="simulate a labeled scan over a classed mesh")
-    p.add_argument("--mesh", required=True)
-    p.add_argument("--trajectory", required=True, help="JSON array of {t, x, y, z, yaw}")
-    p.add_argument("--scan-config", dest="scan_config")
-    p.add_argument("--sigma", type=float, help="apply range noise inline (meters)")
-    p.add_argument("--seed", type=int, help="mandatory when --sigma > 0")
-    p.add_argument("--origins", help="ray-origin sidecar path (default: OUT.origins)")
-    p.add_argument("--out", required=True)
-    _add_cloud_format(p)
-    p.set_defaults(func=cmd_simulate)
+    if p := add("simulate", "simulate a labeled scan over a classed mesh"):
+        p.add_argument("--mesh", required=True)
+        p.add_argument("--trajectory", required=True, help="JSON array of {t, x, y, z, yaw}")
+        p.add_argument("--scan-config", dest="scan_config")
+        p.add_argument("--sigma", type=float, help="apply range noise inline (meters)")
+        p.add_argument("--seed", type=int, help="mandatory when --sigma > 0")
+        p.add_argument("--origins", help="ray-origin sidecar path (default: OUT.origins)")
+        p.add_argument("--out", required=True)
+        _add_cloud_format(p)
+        p.set_defaults(func=cmd_simulate)
 
-    p = sub.add_parser("noise", help="apply seeded range noise to a simulated cloud")
-    p.add_argument("--cloud", required=True)
-    p.add_argument("--origins", help="ray-origin sidecar (default: CLOUD.origins)")
-    p.add_argument("--sigma", type=float, required=True)
-    p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--out", required=True)
-    _add_cloud_format(p)
-    p.set_defaults(func=cmd_noise)
+    if p := add("noise", "apply seeded range noise to a simulated cloud"):
+        p.add_argument("--cloud", required=True)
+        p.add_argument("--origins", help="ray-origin sidecar (default: CLOUD.origins)")
+        p.add_argument("--sigma", type=float, required=True)
+        p.add_argument("--seed", type=int, required=True)
+        p.add_argument("--out", required=True)
+        _add_cloud_format(p)
+        p.set_defaults(func=cmd_noise)
 
-    p = sub.add_parser("mix", help="mix real and synthetic clouds at a fixed ratio")
-    p.add_argument("--real", required=True)
-    p.add_argument("--synthetic", "--synth", dest="synthetic", required=True)
-    p.add_argument("--fraction", type=float, required=True, help="real fraction in [0, 1]")
-    p.add_argument("--count", type=int, required=True, help="total output points")
-    p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--out", required=True)
-    _add_cloud_format(p)
-    p.set_defaults(func=cmd_mix)
+    if p := add("mix", "mix real and synthetic clouds at a fixed ratio"):
+        p.add_argument("--real", required=True)
+        p.add_argument("--synthetic", "--synth", dest="synthetic", required=True)
+        p.add_argument("--fraction", type=float, required=True, help="real fraction in [0, 1]")
+        p.add_argument("--count", type=int, required=True, help="total output points")
+        p.add_argument("--seed", type=int, required=True)
+        p.add_argument("--out", required=True)
+        _add_cloud_format(p)
+        p.set_defaults(func=cmd_mix)
 
-    p = sub.add_parser("split", help="cut a cloud into named xy regions")
-    p.add_argument("--cloud", required=True)
-    p.add_argument("--spec", required=True, help="SplitSpec JSON")
-    p.add_argument("--out-dir", dest="out_dir", required=True)
-    p.set_defaults(func=cmd_split)
+    if p := add("split", "cut a cloud into named xy regions"):
+        p.add_argument("--cloud", required=True)
+        p.add_argument("--spec", required=True, help="SplitSpec JSON")
+        p.add_argument("--out-dir", dest="out_dir", required=True)
+        p.set_defaults(func=cmd_split)
 
-    p = sub.add_parser("eval-seg", help="score per-point predictions against ground truth")
-    p.add_argument("--truth", required=True)
-    p.add_argument("--pred", required=True, help="one label per line, cloud order")
-    p.add_argument("--ratio", type=float, help="synthetic ratio tag for trend analysis")
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_eval_seg)
+    if p := add("eval-seg", "score per-point predictions against ground truth"):
+        p.add_argument("--truth", required=True)
+        p.add_argument("--pred", required=True, help="one label per line, cloud order")
+        p.add_argument("--ratio", type=float, help="synthetic ratio tag for trend analysis")
+        p.add_argument("--out", required=True)
+        p.set_defaults(func=cmd_eval_seg)
 
-    p = sub.add_parser("report", help="summarize report JSONs into CSV")
-    p.add_argument("reports", nargs="+")
-    p.add_argument("--out", required=True)
-    p.add_argument("--plot-data", dest="plot_data", help="write (x, y) series JSON")
-    p.set_defaults(func=cmd_report)
+    if p := add("report", "summarize report JSONs into CSV"):
+        p.add_argument("reports", nargs="+")
+        p.add_argument("--out", required=True)
+        p.add_argument("--plot-data", dest="plot_data", help="write (x, y) series JSON")
+        p.set_defaults(func=cmd_report)
 
     return parser
 
@@ -462,8 +471,8 @@ _FLAG_RULES = {"sigma": ">= 0", "seed": ">= 0", "ratio": "in [0, 1]", "fraction"
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = build_parser(argv[0] if argv else None).parse_args(argv)  # "pcgap -h report" lists them all
     try:
         for dest, value in vars(args).items():  # every number flag: finite and within its rule
             if isinstance(value, (int, float)):

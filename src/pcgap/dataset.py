@@ -278,10 +278,15 @@ class EvalReport:
                 raise ConfigError(f"{key}.absent: expected a bool, got {ev['absent']!r}")
             tallies = (check_number(ev[t], f"{key}.{t}", integer=True) for t in ("tp", "fp", "fn"))
             per_class[c] = ClassEval(*tallies, float(check_number(ev["iou"], f"{key}.iou")), ev["absent"])
+        confusion = np.asarray(raw["confusion"], dtype=object)
+        if confusion.shape != (N_CLASSES, N_CLASSES):
+            raise ConfigError(f"confusion: expected a {N_CLASSES}x{N_CLASSES} matrix, got shape {confusion.shape}")
+        for i, j in np.ndindex(confusion.shape):
+            check_number(confusion[i, j], f"confusion[{i}][{j}]", integer=True)
         return cls(
             per_class=per_class,
             miou=float(check_number(raw["miou"], "miou")),
-            confusion=np.asarray(raw["confusion"], dtype=np.int64),
+            confusion=confusion.astype(np.int64),
             synthetic_ratio=raw.get("synthetic_ratio"),
         )
 

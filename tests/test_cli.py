@@ -1,3 +1,4 @@
+import argparse
 import csv
 import hashlib
 import importlib.util
@@ -13,7 +14,8 @@ import numpy as np
 import pytest
 
 import pcgap
-from pcgap.cli import EXIT_CONFIG, EXIT_DEGENERATE, EXIT_IO, EXIT_OK, main
+from pcgap import cli
+from pcgap.cli import COMMANDS, EXIT_CONFIG, EXIT_DEGENERATE, EXIT_IO, EXIT_OK, main
 from pcgap.core import LabeledPointCloud, SemanticClass
 from pcgap.dataset import ClassEval, EvalReport
 from pcgap.io import FORMAT_XYZL, read_cloud, read_report, write_cloud, write_report
@@ -384,6 +386,112 @@ def test_module_entry_point_passes_the_exit_code_on(tmp_path):
     done = run("compare", "--real", str(path), "--synthetic", str(path), "--out", str(tmp_path / "gap.json"))
     assert done.returncode == EXIT_IO and len(done.stderr.splitlines()) == 1
     assert json.loads(done.stderr) == {"error": f"{path}:3: negative element count", "exit_code": EXIT_IO}
+
+
+#: argv whose parse, output and exit code must not depend on which subparsers a call builds
+_PARSER_CASES = {
+    "valid": ["report", "gap.json", "--out", "s.csv"],
+    "missing-required": ["report", "gap.json"],
+    "bad-type": ["noise", "--cloud", "c.xyzl", "--sigma", "x", "--seed", "1", "--out", "n.xyzl"],
+    "bad-choice": ["compare", "--real", "c.xyzl", "--synthetic", "c.xyzl", "--out", "g.json",
+                   "--c2c-mode", "bogus"],
+    "unrecognized-extra": ["report", "gap.json", "--out", "s.csv", "--bogus"],
+    **{f"help-{name}": [name, "-h"] for name in COMMANDS},
+    "help": ["-h"],
+    "bare": [],
+    "version": ["--version"],
+    "version-before-command": ["--version", "compare"],
+    "unknown-command": ["bogus"],
+    "abbreviated-flag": ["mix", "--re", "no.xyzl", "--synth", "no.xyzl", "--fraction", "0.5", "--count", "4",
+                         "--seed", "1", "--out", "m.xyzl"],
+    "help-before-command": ["-h", "report"],
+    "dash-before-command": ["-", "report"],
+    "unknown-option-before-command": ["-x", "report", "gap.json", "--out", "s.csv"],
+    "top-level-flag-after-command": ["report", "--version"],
+}
+
+
+def _gap_json(tmp_path) -> Path:
+    """A gap report as ``report`` reads it."""
+    path = tmp_path / "gap.json"
+    path.write_text(json.dumps({"report_type": "gap", "m_dogss_pcl": 0.5, "d": 0.25, "d_mm3c2": 0.125,
+                                "d_c2c": 0.125, "miou": 0.5, "f_miou": 1.0}))
+    return path
+
+
+@pytest.mark.parametrize("columns", ["40", "200"])  # wrapped and unwrapped usage lines
+@pytest.mark.parametrize("case", list(_PARSER_CASES))
+def test_a_call_parses_and_prints_as_the_full_parser_does(monkeypatch, tmp_path, capsys, case, columns):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("COLUMNS", columns)
+    _gap_json(tmp_path)
+    parsed = []
+    parse_args = argparse.ArgumentParser.parse_args
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_args",
+                        lambda self, *a, **k: parsed.append(parse_args(self, *a, **k)) or parsed[-1])
+    results = []
+    # main as it is, then with every subcommand built
+    for build in (cli.build_parser, lambda command=None, full=cli.build_parser: full()):
+        monkeypatch.setattr(cli, "build_parser", build)
+        try:
+            code = main(list(_PARSER_CASES[case]))
+        except SystemExit as exc:
+            code = exc.code
+        results.append((parsed[:], *capsys.readouterr(), code))  # the Namespace, when parsing did not exit
+        parsed.clear()
+    assert results[0] == results[1]
+
+
+#: The top-level parser's error for a case of _PARSER_CASES
+_TOP_LEVEL_ERRORS = {
+    "bare": "the following arguments are required: command",
+    "unknown-command": "argument command: invalid choice: 'bogus'",
+    "unrecognized-extra": "unrecognized arguments: --bogus",
+}
+
+
+@pytest.mark.parametrize("case", list(_TOP_LEVEL_ERRORS))
+def test_a_top_level_error_names_the_command_and_lists_every_subcommand(monkeypatch, tmp_path, capsys, case):
+    monkeypatch.chdir(tmp_path)
+    _gap_json(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main(list(_PARSER_CASES[case]))
+    err = capsys.readouterr().err
+    assert exc.value.code == EXIT_CONFIG and f"pcgap: error: {_TOP_LEVEL_ERRORS[case]}" in err
+    assert "{" + ",".join(COMMANDS) + "}" in err
+
+
+def test_a_call_builds_only_its_own_subcommand(monkeypatch, tmp_path):
+    calls = {"add_parser": 0, "add_argument": 0}
+
+    def counted(owner, name):
+        method = getattr(owner, name)
+
+        def spy(*args, **kwargs):
+            calls[name] += 1
+            return method(*args, **kwargs)
+        monkeypatch.setattr(owner, name, spy)
+
+    counted(argparse._SubParsersAction, "add_parser")
+    counted(argparse.ArgumentParser, "add_argument")
+    assert main(["report", str(_gap_json(tmp_path)), "--out", str(tmp_path / "s.csv")]) == EXIT_OK
+    assert calls["add_parser"] == 1 and calls["add_argument"] <= 6  # -h and --version, -h and report's 3
+    calls["add_parser"] = 0
+    assert list(_subparsers(cli.build_parser()).choices) == list(COMMANDS) and calls["add_parser"] == len(COMMANDS)
+
+
+def _subparsers(parser: argparse.ArgumentParser) -> argparse._SubParsersAction:
+    return next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_the_full_parser_holds_every_flag_of_each_subcommand(command):
+    def flags(parser):
+        return [(a.option_strings, a.dest, a.required, a.type, a.choices, a.default, a.nargs, a.help)
+                for a in _subparsers(parser).choices[command]._actions]
+
+    full = flags(cli.build_parser())
+    assert len(full) > 1 and full == flags(cli.build_parser(command))
 
 
 def _sha256(path) -> str:
@@ -1444,6 +1552,16 @@ class TestEvalAndReport:
         "eval-absent-a-string": ("eval", ("per_class", "Door", "absent"), "no",
                                  "per_class.Door.absent: expected a bool, got 'no'"),
         "eval-miou-a-string": ("eval", ("miou",), "0.1", "miou: expected a number, got '0.1'"),
+        "eval-confusion-a-string": ("eval", ("confusion", 0, 0), "3",
+                                    "confusion[0][0]: expected an integer, got '3'"),
+        "eval-confusion-a-bool": ("eval", ("confusion", 0, 1), True,
+                                  "confusion[0][1]: expected an integer, got True"),
+        "eval-confusion-a-float": ("eval", ("confusion", 1, 0), 1.7,
+                                   "confusion[1][0]: expected an integer, got 1.7"),
+        "eval-confusion-2x2": ("eval", ("confusion",), [["3", True], [1.7, 2]],
+                               "confusion: expected a 12x12 matrix, got shape (2, 2)"),
+        "eval-confusion-11-rows": ("eval", ("confusion",), [[0] * 12] * 11,
+                                   "confusion: expected a 12x12 matrix, got shape (11, 12)"),
     }
 
     @pytest.mark.parametrize("case", list(_NOT_A_NUMBER_CASES))

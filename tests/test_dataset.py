@@ -363,6 +363,23 @@ class TestEvaluateSegmentation:
         report = evaluate_segmentation(cloud, [1, 1, 12], synthetic_ratio=1)
         doc = report.to_json_dict()
         assert EvalReport.from_json_dict(doc).to_json_dict() == doc
+        back = EvalReport.from_json_dict(doc).confusion
+        assert back.dtype == np.int64 and back.shape == (12, 12) and (back == report.confusion).all()
+
+    @pytest.mark.parametrize("confusion,message", [
+        # once read as [[3, 1], [1, 2]]
+        ([["3", True], [1.7, 2]], "confusion: expected a 12x12 matrix, got shape (2, 2)"),
+        ([[0] * 12] * 11, "confusion: expected a 12x12 matrix, got shape (11, 12)"),
+        ([[0] * 12] * 11 + [[0] * 11], "confusion: expected a 12x12 matrix, got shape (12,)"),
+        ("12x12", "confusion: expected a 12x12 matrix, got shape ()"),
+        ([["3"] + [0] * 11] + [[0] * 12] * 11, "confusion[0][0]: expected an integer, got '3'"),
+        ([[0] * 12] * 11 + [[0] * 11 + [True]], "confusion[11][11]: expected an integer, got True"),
+        ([[0] * 12] + [[1.7] + [0] * 11] * 11, "confusion[1][0]: expected an integer, got 1.7"),
+    ])
+    def test_confusion_refused_unless_a_12x12_matrix_of_integers(self, confusion, message):
+        doc = evaluate_segmentation(LabeledPointCloud(np.zeros((2, 3)), [1, 2]), [1, 2]).to_json_dict()
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            EvalReport.from_json_dict({**doc, "confusion": confusion})
 
     @given(
         labels=st.lists(st.integers(1, 12), min_size=1, max_size=200),
