@@ -59,10 +59,11 @@ def _distinct_outputs(outputs: dict, inputs: dict) -> None:
 
 def _read_json(path, digests: dict, parse):
     """``parse`` of the JSON of an input file (``digests``: see :func:`io.read_input`);
-    bytes that are not UTF-8 JSON text, or a ValueError of ``parse``, are a ConfigError naming the file."""
+    bytes that are not UTF-8 JSON text (an integer past Python's digit limit among them),
+    or a ValueError of ``parse``, are a ConfigError naming the file."""
     try:
         raw = json.loads(io.read_input(path, digests).decode("utf-8"))
-    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:  # too deeply nested
+    except (ValueError, RecursionError) as exc:  # bad text or bytes, or too deeply nested
         raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
     try:
         return parse(raw)
@@ -279,7 +280,8 @@ def _gap_rows(path: str, doc: dict) -> list[tuple[str, float, list]]:
     if doc["report_type"] == "gap":
         subs = [(path, "", doc)]
     elif isinstance(reports := doc.get("reports"), list) and reports:
-        subs = [(f"{path}[{i}]", f"reports[{i}].", sub) for i, sub in enumerate(reports)]
+        subs = [(f"{path}[{i}]", f"reports[{i}].", config_object(sub, f"reports[{i}]"))
+                for i, sub in enumerate(reports)]
     else:
         raise ParseError(path, f"reports: expected a non-empty list of gap reports, found {reports!r}")
     return [(name, _offset_magnitude(sub.get("offset", [0.0, 0.0, 0.0]), key + "offset"),

@@ -15,9 +15,10 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .core import NON_NOISE_CLASSES, LabeledPointCloud, SemanticClass, class_ids, frozen_copy, record_fields
-from .errors import ConfigError, check_fields, check_number, config_fields, config_tuple
+from .errors import ConfigError, check_fields, check_number, config_fields, config_object, config_tuple
 
 N_CLASSES = len(SemanticClass)
+_COUNT = "in [0, 2**63 - 1]"  # the rule of an eval report's tallies: counts an int64 holds
 
 
 # ---------------------------------------------------------------------------
@@ -271,18 +272,19 @@ class EvalReport:
 
     @classmethod
     def from_json_dict(cls, raw: Mapping) -> "EvalReport":
-        per_class = {}
+        per_class, entries = {}, config_object(raw["per_class"], "per_class")
         for c in SemanticClass:  # every class has an entry; each number by the one number rule
-            key, ev = f"per_class.{c.canonical_name}", raw["per_class"][c.canonical_name]
+            key = f"per_class.{c.canonical_name}"
+            ev = config_object(entries[c.canonical_name], key)
             if not isinstance(ev["absent"], bool):
                 raise ConfigError(f"{key}.absent: expected a bool, got {ev['absent']!r}")
-            tallies = (check_number(ev[t], f"{key}.{t}", integer=True) for t in ("tp", "fp", "fn"))
+            tallies = (check_number(ev[t], f"{key}.{t}", _COUNT, integer=True) for t in ("tp", "fp", "fn"))
             per_class[c] = ClassEval(*tallies, float(check_number(ev["iou"], f"{key}.iou")), ev["absent"])
         confusion = np.asarray(raw["confusion"], dtype=object)
         if confusion.shape != (N_CLASSES, N_CLASSES):
             raise ConfigError(f"confusion: expected a {N_CLASSES}x{N_CLASSES} matrix, got shape {confusion.shape}")
         for i, j in np.ndindex(confusion.shape):
-            check_number(confusion[i, j], f"confusion[{i}][{j}]", integer=True)
+            check_number(confusion[i, j], f"confusion[{i}][{j}]", _COUNT, integer=True)
         return cls(
             per_class=per_class,
             miou=float(check_number(raw["miou"], "miou")),

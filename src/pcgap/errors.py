@@ -61,9 +61,10 @@ def config_fields(value, key: str, record, prefix: str = "") -> dict:
     return value
 
 
-#: The range rules a number field or flag may declare, by their text in messages.
+#: The range rules a number field, flag or report value may declare, by their text in messages.
 RULES = {"> 0": lambda v: v > 0, ">= 0": lambda v: v >= 0, ">= 1": lambda v: v >= 1,
-         "< 0": lambda v: v < 0, "in [0, 1]": lambda v: 0 <= v <= 1}
+         "< 0": lambda v: v < 0, "in [0, 1]": lambda v: 0 <= v <= 1,
+         "in [0, 2**63 - 1]": lambda v: 0 <= v <= 2**63 - 1}
 
 
 def check_number(value, key: str, rule: str | None = None, integer: bool = False):

@@ -688,7 +688,8 @@ def write_report(report, path) -> None:
 
 def read_report(path) -> dict:
     """A report JSON object; reports never hold NaN or infinities, so those
-    (or numbers that overflow) are a ParseError, as is a non-object root."""
+    (or numbers that overflow, or an integer past Python's digit limit) are
+    a ParseError, as is a non-object root."""
     path = Path(path)
 
     def refuse(constant):
@@ -701,7 +702,7 @@ def read_report(path) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh, parse_constant=refuse, parse_float=finite)
-    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:  # too deeply nested
+    except (ValueError, RecursionError) as exc:  # bad text or bytes, or too deeply nested
         raise ParseError(path, f"invalid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ParseError(path, "report root must be a JSON object")

@@ -31,11 +31,8 @@ _MAX_VOXEL_COORD = 2**62  # voxel coordinates this large still cast to int64 exa
 
 
 class NnIndex:
-    """Exact nearest-neighbor index over a fixed point set.
-
-    ``nearest`` reproduces brute-force argmin of the Euclidean distance with
-    ties broken by lowest point index.
-    """
+    """Exact kd-tree index over a fixed point set: nearest-point distances
+    and radius pairs, which the normal, cylinder and c2c passes build on."""
 
     def __init__(self, xyz: np.ndarray):
         xyz = frozen_copy(xyz, np.float64)
@@ -49,19 +46,6 @@ class NnIndex:
         from scipy.spatial import cKDTree
 
         self._tree = cKDTree(xyz)
-
-    def nearest(self, point) -> tuple[int, float]:
-        """Index and distance of the closest point; ties go to the lowest index."""
-        p = np.asarray(point, dtype=np.float64).reshape(3)
-        d0, _ = self._tree.query(p)
-        # collect every point at the minimal distance, then re-select exactly
-        # the way a brute-force argmin over squared distances would
-        radius = d0 * (1.0 + 1e-12) + 1e-300
-        cand = np.sort(np.asarray(self._tree.query_ball_point(p, radius), dtype=np.int64))
-        diff = self.points[cand] - p
-        d2 = np.einsum("ij,ij->i", diff, diff)
-        pick = int(np.argmin(d2))
-        return int(cand[pick]), float(np.sqrt(d2[pick]))
 
     def nearest_distances(self, points: np.ndarray, upper_bound: float = np.inf) -> np.ndarray:
         """Distance from each query point to its nearest indexed point, inf where none lies
@@ -86,29 +70,6 @@ class NnIndex:
         queries = cKDTree(np.asarray(points, dtype=np.float64).reshape(-1, 3), balanced_tree=False)
         pairs = queries.sparse_distance_matrix(self._tree, radius, output_type="ndarray")
         return pairs["i"].astype(np.int64), pairs["j"].astype(np.int64)
-
-    def within_cylinder(self, center, axis, radius: float, half_depth: float) -> np.ndarray:
-        """Indices of points inside a finite cylinder.
-
-        The cylinder is centered at ``center`` with its axis along ``axis``
-        (normalized internally), extending ``half_depth`` both ways.
-        Boundaries are inclusive.
-        """
-        center = np.asarray(center, dtype=np.float64).reshape(3)
-        axis = np.asarray(axis, dtype=np.float64).reshape(3)
-        norm = np.linalg.norm(axis)
-        if norm == 0:
-            raise ValueError("cylinder axis must be non-zero")
-        axis = axis / norm
-        reach = float(np.hypot(radius, half_depth)) * (1.0 + 1e-12)
-        cand = np.asarray(self._tree.query_ball_point(center, reach), dtype=np.int64)
-        if cand.size == 0:
-            return cand
-        rel = self.points[cand] - center
-        axial = rel @ axis
-        radial2 = np.maximum(np.einsum("ij,ij->i", rel, rel) - axial**2, 0.0)
-        keep = (np.abs(axial) <= half_depth) & (radial2 <= radius * radius)
-        return np.sort(cand[keep])
 
 
 # ---------------------------------------------------------------------------
@@ -228,11 +189,12 @@ def cylinder_pairs(index: NnIndex, centers: np.ndarray, axes: np.ndarray,
     """Indexed points inside each of many finite cylinders, block by block.
 
     Cylinder ``i`` is centered at ``centers[i]`` along the unit axis
-    ``axes[i]``; membership is the inclusive test of
-    :meth:`NnIndex.within_cylinder`. Its axis span is cut into K equal slabs
-    (see :func:`_slab_count`), and a member belongs to the slab its axial
-    coordinate falls in. Calls ``kernel(core, slab, point)`` on blocks of
-    members, each (core, slab) whole in one call, in the indexed tree's order.
+    ``axes[i]``; a point is a member when its offset from the center has
+    |axial| <= half_depth and radial**2 <= radius**2, both inclusive. Its
+    axis span is cut into K equal slabs (see :func:`_slab_count`), and a
+    member belongs to the slab its axial coordinate falls in. Calls
+    ``kernel(core, slab, point)`` on blocks of members, each (core, slab)
+    whole in one call, in the indexed tree's order.
 
     Candidates come from a ball on each center that just encloses the center
     slab's piece of the cylinder and, when K > 1, a ball on each side that
@@ -422,21 +384,6 @@ def _moller_trumbore(o, d, v0, e1, e2) -> np.ndarray:
             & (t > MIN_RAY_T)
         )
     return np.where(hit, t, np.inf)
-
-
-def ray_triangles(origin: np.ndarray, direction: np.ndarray,
-                  v0: np.ndarray, v1: np.ndarray, v2: np.ndarray) -> np.ndarray:
-    """Moller-Trumbore distances from rays to triangles (inf = miss).
-
-    Inputs broadcast over leading axes, e.g. one ray against (T, 3) triangles
-    or (R, 1, 3) rays against (T, 3) triangles. Boundary comparisons are
-    inclusive so rays hitting a shared edge register on both triangles; hits
-    closer than MIN_RAY_T are discarded.
-    """
-    v0 = np.asarray(v0, dtype=np.float64)
-    # (..., 3) vectors as (3, ...) stacks of x, y, z arrays
-    return _moller_trumbore(*(np.moveaxis(np.asarray(a, dtype=np.float64), -1, 0)
-                              for a in (origin, direction, v0, v1 - v0, v2 - v0)))
 
 
 class Bvh:

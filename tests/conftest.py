@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from pcgap import spatial
 from pcgap.core import LabeledPointCloud
 from pcgap.io import ClassedMesh
 
@@ -145,3 +146,27 @@ def random_cloud(rng, n, span=10.0, classes=(1, 2, 3, 6, 12)) -> LabeledPointClo
     xyz = rng.uniform(-span, span, size=(n, 3))
     labels = rng.choice(classes, size=n)
     return LabeledPointCloud(xyz, labels)
+
+
+def brute_nearest(points, q) -> float:
+    """Distance from ``q`` to the nearest of ``points``, over every point."""
+    return np.sqrt(((points - q) ** 2).sum(axis=-1).min())
+
+
+def brute_cylinder(points, center, axis, radius, half_depth) -> np.ndarray:
+    """Indices of ``points`` inside the finite cylinder centered at ``center``
+    along ``axis`` (normalized here), ``half_depth`` each way, boundaries
+    inclusive, by a test of every point."""
+    axis = np.asarray(axis, dtype=np.float64) / np.linalg.norm(axis)
+    rel = points - np.asarray(center, dtype=np.float64)
+    axial = rel @ axis
+    radial2 = np.maximum(np.einsum("ij,ij->i", rel, rel) - axial**2, 0.0)
+    return np.flatnonzero((np.abs(axial) <= half_depth) & (radial2 <= radius * radius))
+
+
+def ray_triangles(origin, direction, v0, v1, v2) -> np.ndarray:
+    """Distances (inf = miss) from rays to triangles, all (..., 3) rows that
+    broadcast together: the pipeline's Moller-Trumbore kernel on row vectors."""
+    v0 = np.asarray(v0, dtype=np.float64)
+    return spatial._moller_trumbore(*(np.moveaxis(np.asarray(a, dtype=np.float64), -1, 0)
+                                      for a in (origin, direction, v0, v1 - v0, v2 - v0)))

@@ -24,9 +24,9 @@ from pcgap.metric import (
     voxel_miou,
 )
 from pcgap.simulate import NoiseModel, ScanConfig, Trajectory, apply_range_noise, simulate_scan
-from pcgap.spatial import Bvh, NnIndex, ray_triangles, voxelize
+from pcgap.spatial import Bvh, NnIndex, voxelize
 
-from conftest import build_street_scene, random_cloud, room_mesh_obj_text
+from conftest import brute_nearest, build_street_scene, random_cloud, ray_triangles, room_mesh_obj_text
 
 
 def _report(name: str, detail: str = ""):
@@ -102,7 +102,7 @@ def test_criterion_4_brute_force_equivalence():
     rng = np.random.default_rng(40)
     n_instances = 500
 
-    # nearest neighbor
+    # nearest-point distance, the query c2c runs
     for _ in range(n_instances):
         pts = rng.normal(size=(int(rng.integers(2, 2000)), 3))
         if rng.random() < 0.2:  # force exact duplicates to exercise ties
@@ -110,9 +110,7 @@ def test_criterion_4_brute_force_equivalence():
             pts[dup] = pts[dup[0]]
         index = NnIndex(pts)
         for q in rng.normal(size=(3, 3)):
-            d2 = np.einsum("ij,ij->i", pts - q, pts - q)
-            bi = int(np.argmin(d2))
-            assert index.nearest(q) == (bi, float(np.sqrt(d2[bi])))
+            assert index.nearest_distances(q)[0] == brute_nearest(pts, q)
 
     # raycast
     for _ in range(n_instances):

@@ -132,6 +132,19 @@ def test_simulate_sigma_zero_changes_no_byte(tmp_path, small_inputs):
     assert (out.read_bytes(), Path(f"{out}.origins").read_bytes()) == plain
 
 
+def json_input_argv(tmp_path, small_inputs, flag, path):
+    """The argv of a command that reads the JSON file ``path``: through
+    ``flag``, or as its input when ``flag`` is ``report``."""
+    return {
+        "--config": small_inputs["compare"] + ["--config", str(path)],
+        "--trajectory": small_inputs["simulate"] + ["--trajectory", str(path)],
+        "--scan-config": small_inputs["simulate"] + ["--scan-config", str(path)],
+        "--spec": ["split", "--cloud", str(tmp_path / "c.xyzl"), "--spec", str(path),
+                   "--out-dir", str(tmp_path / "out" / "parts")],
+        "report": ["report", str(path), "--out", str(tmp_path / "out" / "summary.csv")],
+    }[flag]
+
+
 @pytest.mark.parametrize("flag,content", [
     pytest.param(flag, content, id=flag + suffix)
     for suffix, content in (("", b"{nope"), ("-not-utf8", b"\xff\xfe{}"))
@@ -141,15 +154,23 @@ def test_invalid_json_exit_2(tmp_path, small_inputs, capsys, flag, content):
     (tmp_path / "out").mkdir()
     bad = tmp_path / "bad.json"
     bad.write_bytes(content)
-    argv = {
-        "--config": small_inputs["compare"] + ["--config", str(bad)],
-        "--trajectory": small_inputs["simulate"] + ["--trajectory", str(bad)],
-        "--scan-config": small_inputs["simulate"] + ["--scan-config", str(bad)],
-        "--spec": ["split", "--cloud", str(tmp_path / "c.xyzl"), "--spec", str(bad),
-                   "--out-dir", str(tmp_path / "out" / "parts")],
-    }[flag]
-    assert main(argv) == EXIT_CONFIG
+    assert main(json_input_argv(tmp_path, small_inputs, flag, bad)) == EXIT_CONFIG
     assert json.loads(capsys.readouterr().err)["error"].startswith(f"{bad}: invalid JSON")
+    assert list((tmp_path / "out").iterdir()) == []
+
+
+@pytest.mark.skipif(not 0 < getattr(sys, "get_int_max_str_digits", lambda: 0)() < 5000,
+                    reason="this Python reads a 5,000-digit integer")
+@pytest.mark.parametrize("flag", ["--config", "--scan-config", "--trajectory", "--spec", "report"])
+def test_json_integer_past_the_digit_limit_names_the_file(tmp_path, small_inputs, capsys, flag):
+    """An integer literal longer than Python converts is invalid JSON naming its file."""
+    (tmp_path / "out").mkdir()
+    big = tmp_path / "big.json"
+    big.write_text('{"a": ' + "1" * 5000 + "}")
+    code = main(json_input_argv(tmp_path, small_inputs, flag, big))
+    assert code == (EXIT_IO if flag == "report" else EXIT_CONFIG)
+    error = json.loads(capsys.readouterr().err)["error"]
+    assert error.startswith(f"{big}: invalid JSON: ") and "digits" in error
     assert list((tmp_path / "out").iterdir()) == []
 
 
@@ -159,15 +180,7 @@ def test_json_nested_too_deeply_exits_with_one_error_line(tmp_path, small_inputs
     (tmp_path / "out").mkdir()
     deep, depth = tmp_path / "deep.json", 100_000
     deep.write_text('{"a": ' * depth + "1" + "}" * depth if flag == "--spec" else "[" * depth + "]" * depth)
-    argv = {
-        "--config": small_inputs["compare"] + ["--config", str(deep)],
-        "--scan-config": small_inputs["simulate"] + ["--scan-config", str(deep)],
-        "--trajectory": small_inputs["simulate"] + ["--trajectory", str(deep)],
-        "--spec": ["split", "--cloud", str(tmp_path / "c.xyzl"), "--spec", str(deep),
-                   "--out-dir", str(tmp_path / "out" / "parts")],
-        "report": ["report", str(deep), "--out", str(tmp_path / "out" / "summary.csv")],
-    }[flag]
-    code = main(argv)
+    code = main(json_input_argv(tmp_path, small_inputs, flag, deep))
     err = capsys.readouterr().err
     assert code == (EXIT_IO if flag == "report" else EXIT_CONFIG)
     assert len(err.splitlines()) == 1 and "Traceback" not in err
@@ -1564,9 +1577,32 @@ class TestEvalAndReport:
                                    "confusion: expected a 12x12 matrix, got shape (11, 12)"),
     }
 
+    #: (report kind, key path, value, the refusal's end): counts an int64 holds, and objects where objects belong
+    _OUT_OF_RULE_CASES = {
+        "eval-tp-beyond-int64": ("eval", ("per_class", "Door", "tp"), 2**70,
+                                 f"per_class.Door.tp: must be in [0, 2**63 - 1], got {2**70}"),
+        "eval-tp-negative": ("eval", ("per_class", "Door", "tp"), -5,
+                             "per_class.Door.tp: must be in [0, 2**63 - 1], got -5"),
+        "eval-confusion-beyond-int64": ("eval", ("confusion", 0, 0), 2**70,
+                                        f"confusion[0][0]: must be in [0, 2**63 - 1], got {2**70}"),
+        "eval-confusion-negative": ("eval", ("confusion", 1, 1), -3,
+                                    "confusion[1][1]: must be in [0, 2**63 - 1], got -3"),
+        "eval-per-class-a-list": ("eval", ("per_class",), [1, 2], "per_class: expected an object"),
+        "eval-class-a-list": ("eval", ("per_class", "Door"), [1, 2], "per_class.Door: expected an object"),
+        "series-entry-a-list": ("series", ("reports", 0), [1, 2], "reports[0]: expected an object"),
+    }
+
     @pytest.mark.parametrize("case", list(_NOT_A_NUMBER_CASES))
     def test_report_refuses_a_value_that_is_not_a_number_exit_3(self, tmp_path, capsys, case):
-        kind, keys, value, message = self._NOT_A_NUMBER_CASES[case]
+        self._assert_edit_refused(tmp_path, capsys, *self._NOT_A_NUMBER_CASES[case])
+
+    @pytest.mark.parametrize("case", list(_OUT_OF_RULE_CASES))
+    def test_report_refuses_a_count_out_of_range_or_a_part_not_an_object_exit_3(self, tmp_path, capsys, case):
+        self._assert_edit_refused(tmp_path, capsys, *self._OUT_OF_RULE_CASES[case])
+
+    def _assert_edit_refused(self, tmp_path, capsys, kind, keys, value, message):
+        """A report of ``kind`` whose value at ``keys`` is set to ``value``
+        makes ``report`` exit 3 with a refusal that names the file and ends in ``message``."""
         path = tmp_path / f"{kind}.json"
         if kind == "eval":
             truth, pred = self._write_eval_fixture(tmp_path, "n", 84)

@@ -381,6 +381,11 @@ class TestEvaluateSegmentation:
         with pytest.raises(ConfigError, match=re.escape(message)):
             EvalReport.from_json_dict({**doc, "confusion": confusion})
 
+    def test_largest_int64_counts_round_trip(self):
+        doc = evaluate_segmentation(LabeledPointCloud(np.zeros((2, 3)), [1, 2]), [1, 2]).to_json_dict()
+        doc["per_class"]["Door"]["fn"] = doc["confusion"][11][0] = 2**63 - 1
+        assert EvalReport.from_json_dict(json.loads(json.dumps(doc))).to_json_dict() == doc
+
     @given(
         labels=st.lists(st.integers(1, 12), min_size=1, max_size=200),
         seed=st.integers(0, 2**16),

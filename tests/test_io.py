@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from pcgap import io as pio
 from pcgap.core import LabeledPointCloud, SemanticClass, default_weights
 from pcgap.dataset import RatioMix
-from pcgap.errors import RULES, ConfigError, ParseError, PcgapError
+from pcgap.errors import RULES, ConfigError, ParseError, PcgapError, check_number
 from pcgap.io import (
     FORMAT_PLY_ASCII,
     FORMAT_PLY_BINARY,
@@ -697,6 +697,7 @@ _RULE_EDGES = {
     (">= 1", "int"): ([0], [1]),
     ("< 0", "float"): ([0.0], [-5e-324]),
     ("in [0, 1]", "float"): ([-5e-324, math.nextafter(1.0, 2.0)], [0.0, 1.0]),
+    ("in [0, 2**63 - 1]", "int"): ([-1, 2**63], [0, 2**63 - 1]),
 }
 _RULED_FIELDS = [(record, prefix, base, f) for record, prefix, base in _RECORDS
                  for f in fields(record) if "rule" in f.metadata]
@@ -704,6 +705,16 @@ _RULED_FIELDS = [(record, prefix, base, f) for record, prefix, base in _RECORDS
 
 def test_rule_edges_cover_every_rule():
     assert {rule for rule, _ in _RULE_EDGES} == set(RULES)
+
+
+@pytest.mark.parametrize("rule,kind", list(_RULE_EDGES))
+def test_check_number_refuses_each_rule_edge(rule, kind):
+    refused, accepted = _RULE_EDGES[rule, kind]
+    for value in refused:
+        with pytest.raises(ConfigError, match=f"^{re.escape(f'key: must be {rule}, got {value!r}')}$"):
+            check_number(value, "key", rule, integer=kind == "int")
+    for value in accepted:
+        assert check_number(value, "key", rule, integer=kind == "int") == value
 
 
 @pytest.mark.parametrize("record,prefix,base,f", _RULED_FIELDS,

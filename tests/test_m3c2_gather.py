@@ -1,5 +1,5 @@
 """Slab-covered cylinder gathers and the M3C2 built on them, checked against
-brute force: ``NnIndex.within_cylinder`` per core, with the same normals;
+brute force: ``brute_cylinder`` per core, with the same normals;
 and the column-wise normal, cylinder and pair-bound kernels, checked bit
 for bit against the row-vector kernels they replaced."""
 
@@ -15,11 +15,11 @@ from pcgap.core import LabeledPointCloud, partition_by_class
 from pcgap.metric import M3c2Params, m3c2_class_distance
 from pcgap.spatial import NnIndex, _slab_count, cylinder_means, estimate_normals
 
-from conftest import build_street_scene
+from conftest import brute_cylinder, build_street_scene
 
 
 def exact_units(v):
-    """Unit rows that ``within_cylinder``'s own normalization leaves unchanged,
+    """Unit rows that ``brute_cylinder``'s own normalization leaves unchanged,
     so the gather and the oracle test against bit-identical axes."""
     v = np.asarray(v, dtype=np.float64).reshape(-1, 3)
     for _ in range(4):
@@ -70,7 +70,7 @@ def assert_matches_oracle(points, centers, axes, radius, half_depth):
     index = NnIndex(points)
     got = gathered_members(index, centers, axes, radius, half_depth)
     for i, (c, a) in enumerate(zip(centers, axes)):
-        want = index.within_cylinder(c, a, radius, half_depth)
+        want = brute_cylinder(points, c, a, radius, half_depth)
         assert np.array_equal(got[i], want), f"cylinder {i}"
         assert len(set(got[i].tolist())) == len(got[i])  # no pair twice
 
@@ -179,7 +179,7 @@ class TestCylinderPairs:
         normals, valid = estimate_normals(index, centers, 0.5)
         means, counts = cylinder_means(index, centers[valid], normals[valid], 0.25, 1.0)
         for c, n, mean, count in zip(centers[valid], normals[valid], means, counts):
-            members = index.within_cylinder(c, n, 0.25, 1.0)
+            members = brute_cylinder(points, c, n, 0.25, 1.0)
             assert count == len(members)
             assert np.allclose(mean, points[members].mean(axis=0), rtol=0, atol=1e-12)
 
@@ -332,21 +332,20 @@ class TestCylinderPairs:
 
 
 def brute_force_m3c2(real, synth, params):
-    """Per-core M3C2 from ``within_cylinder`` on both sides."""
+    """Per-core M3C2 from ``brute_cylinder`` on both sides."""
     n_cores = len(real)
     if n_cores == 0:
         return None, 0, 0
     if len(synth) == 0:
         return None, 0, n_cores
-    index_r, index_s = NnIndex(real.xyz), NnIndex(synth.xyz)
-    normals, valid = estimate_normals(index_r, real.xyz, params.normal_scale_m)
+    normals, valid = estimate_normals(NnIndex(real.xyz), real.xyz, params.normal_scale_m)
     signed = []
     for core, n, ok in zip(real.xyz, normals, valid):
         if not ok:
             continue
         geometry = (params.projection_radius_m, params.max_depth_m)
-        in_r = index_r.within_cylinder(core, n, *geometry)
-        in_s = index_s.within_cylinder(core, n, *geometry)
+        in_r = brute_cylinder(real.xyz, core, n, *geometry)
+        in_s = brute_cylinder(synth.xyz, core, n, *geometry)
         if len(in_r) and len(in_s):
             sep = (synth.xyz[in_s].mean(axis=0) - real.xyz[in_r].mean(axis=0)) @ n
             signed.append(sep)

@@ -6,14 +6,14 @@ import pytest
 
 from pcgap import spatial
 from pcgap.io import ClassedMesh
-from pcgap.spatial import MIN_RAY_T, Bvh, ray_triangles
+from pcgap.spatial import MIN_RAY_T, Bvh
 
-from conftest import build_room_mesh, height_field_mesh, sensor_rays
+from conftest import build_room_mesh, height_field_mesh, ray_triangles, sensor_rays
 
 
 def cross_form_ray_triangles(origin, direction, v0, v1, v2):
     """Moller-Trumbore written with ``np.cross`` and ``.sum(axis=-1)``; the
-    reference for :func:`ray_triangles` and for the brute-force scan."""
+    reference for the kernel and for the brute-force scan."""
     e1 = v1 - v0
     e2 = v2 - v0
     pvec = np.cross(direction, e2)

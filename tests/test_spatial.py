@@ -9,12 +9,12 @@ from pcgap.io import ClassedMesh
 from pcgap.spatial import (
     Bvh,
     NnIndex,
+    cylinder_pairs,
     estimate_normals,
-    ray_triangles,
     voxelize,
 )
 
-from conftest import random_cloud
+from conftest import brute_nearest, random_cloud, ray_triangles
 
 
 def estimate_normal(index, at, scale):
@@ -23,29 +23,21 @@ def estimate_normal(index, at, scale):
     return normals[0] if valid[0] else None
 
 
-def brute_nearest(points, q):
-    d2 = np.einsum("ij,ij->i", points - q, points - q)
-    i = int(np.argmin(d2))
-    return i, float(np.sqrt(d2[i]))
-
-
 class TestNnIndex:
     def test_three_four_five(self):
         idx = NnIndex(np.zeros((1, 3)))
-        i, d = idx.nearest((3.0, 4.0, 0.0))
-        assert (i, d) == (0, 5.0)
+        assert idx.nearest_distances((3.0, 4.0, 0.0)).tolist() == [5.0]
 
-    def test_duplicate_points_lowest_index(self):
+    def test_duplicate_points_distance_zero(self):
         pts = np.array([[5.0, 5, 5], [1.0, 1, 1], [1.0, 1, 1], [1.0, 1, 1]])
-        i, d = NnIndex(pts).nearest((1.0, 1.0, 1.0))
-        assert (i, d) == (1, 0.0)
+        assert NnIndex(pts).nearest_distances((1.0, 1.0, 1.0)).tolist() == [0.0]
 
     def test_matches_brute_force(self):
         rng = np.random.default_rng(11)
         pts = rng.normal(size=(1000, 3))
-        idx = NnIndex(pts)
-        for q in rng.normal(size=(100, 3)):
-            assert idx.nearest(q) == brute_nearest(pts, q)
+        queries = rng.normal(size=(100, 3))
+        got = NnIndex(pts).nearest_distances(queries)
+        assert got.tolist() == [brute_nearest(pts, q) for q in queries]
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError, match="empty"):
@@ -56,26 +48,10 @@ class TestNnIndex:
         pts = np.array(
             [[0, 0, -2.0], [0, 0, -1.0], [0, 0, 0.0], [0.4, 0, 0.5], [0.6, 0, 0.5], [0, 0, 2.0]]
         )
-        idx = NnIndex(pts)
-        got = idx.within_cylinder((0, 0, 0), (0, 0, 1), radius=0.5, half_depth=1.0)
-        assert got.tolist() == [1, 2, 3]
-
-    def test_within_cylinder_zero_axis_rejected(self):
-        with pytest.raises(ValueError, match="cylinder axis must be non-zero"):
-            NnIndex(np.zeros((1, 3))).within_cylinder((0, 0, 0), (0, 0, 0), radius=0.5, half_depth=1.0)
-
-    def test_within_cylinder_axis_any_direction(self):
-        rng = np.random.default_rng(12)
-        pts = rng.normal(size=(500, 3))
-        axis = np.array([1.0, 2.0, -0.5])
-        axis /= np.linalg.norm(axis)
-        center = np.array([0.2, -0.1, 0.3])
-        got = NnIndex(pts).within_cylinder(center, axis, 0.7, 1.2)
-        rel = pts - center
-        ax = rel @ axis
-        rad2 = np.einsum("ij,ij->i", rel, rel) - ax**2
-        expect = np.flatnonzero((np.abs(ax) <= 1.2) & (rad2 <= 0.49))
-        assert got.tolist() == expect.tolist()
+        got = []
+        cylinder_pairs(NnIndex(pts), np.zeros((1, 3)), np.array([[0.0, 0, 1]]), 0.5, 1.0,
+                       lambda core, slab, point: got.extend(point.tolist()))
+        assert sorted(got) == [1, 2, 3]
 
 
 class TestNormals:
